@@ -37,7 +37,6 @@ from .exact import (
     exact_quantile,
     filter_range,
     rank_update,
-    robust_distribute_tokens,
 )
 from .harness import self_quantile, spread_experiment
 from .schedules import (

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Stream tags keeping protocol draws, failure draws and input generation
-# on disjoint substreams of the trial seed.
+# Stream tags keeping protocol draws, failure draws, input generation and
+# the scheduled failure probabilities on disjoint substreams of a seed.
 STREAM_ROUND = 1
 STREAM_FAILURE = 2
 STREAM_VALUES = 3
+STREAM_SCHEDULE = 4
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,7 +56,9 @@ class FailureModel:
     mode "none"      : nothing ever fails.
     mode "uniform"   : every node fails each round with probability ``mu``.
     mode "scheduled" : p[v, round] = mu * U(v, round) with U derived from
-                       ``seed``, fixed before execution.
+                       ``seed`` on its own stream, fixed before execution;
+                       the failure bits drawn against p stay independent
+                       of U even when ``seed`` equals the trial seed.
     """
 
     mode: str = "none"
@@ -79,7 +82,7 @@ class FailureModel:
         if self.mode == "uniform":
             return np.full(n, self.mu)
         if self.mode == "scheduled":
-            u = derive_rng(self.seed, STREAM_FAILURE, round_index).random(n)
+            u = derive_rng(self.seed, STREAM_SCHEDULE, round_index).random(n)
             return self.mu * u
         return np.zeros(n)
 
@@ -90,8 +93,10 @@ def draw_failures(
     """Failure bits for one round, reproducible from ``(seed, round)``."""
     if not model.active:
         return np.zeros(n, dtype=bool)
-    rng = derive_rng(seed, STREAM_FAILURE, round_index)
-    return rng.random(n) < model.probabilities(round_index, n)
+    u = derive_rng(seed, STREAM_FAILURE, round_index).random(n)
+    if model.mode == "uniform":
+        return u < model.mu
+    return u < model.probabilities(round_index, n)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class Round:
         n = self._n
         targets = self.rng.integers(0, n, size=n)
         if actors is None:
-            performed = n if self.failed is None else int(n - self.failed.sum())
+            performed = n if self.failed is None else n - int(np.count_nonzero(self.failed))
         else:
             acting = actors if self.failed is None else (actors & ~self.failed)
             performed = int(np.count_nonzero(acting))

@@ -280,27 +280,6 @@ def distribute_tokens(
     )
 
 
-def robust_distribute_tokens(
-    origin_holders: np.ndarray,
-    m: int,
-    engine: RoundEngine,
-    *,
-    split_cap_c: int = 4,
-    tokens_per_node_cap: int = 3000,
-    track_phi: bool = True,
-) -> TokenDistribution:
-    """Failure-aware token distribution (same process, merge-back on fail).
-
-    With mu == 0 this is :func:`distribute_tokens` draw for draw.
-    """
-    return distribute_tokens(
-        origin_holders, m, engine,
-        split_cap_c=split_cap_c,
-        tokens_per_node_cap=tokens_per_node_cap,
-        track_phi=track_phi,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the full exact algorithm
 
@@ -496,7 +475,7 @@ def exact_quantile(
         holder_of_id = np.empty(n, dtype=np.int64)
         holder_of_id[state.ids] = np.arange(n)
         origin_holders = holder_of_id[min_id:min_id + v_count]
-        dist = (robust_distribute_tokens if robust else distribute_tokens)(
+        dist = distribute_tokens(
             origin_holders, m, engine,
             split_cap_c=params.split_cap_c,
             tokens_per_node_cap=params.tokens_per_node_cap,

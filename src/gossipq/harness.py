@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .engine import FailureModel, RoundEngine, SimConfig
-from .exact import ExactParams, TrialFailure, exact_quantile
+from .engine import BudgetExceededError, FailureModel, RoundEngine, SimConfig
+from .exact import ExactParams, InvariantViolation, TrialFailure, exact_quantile
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
 from .tournament import approx_quantile, robust_approx_quantile
@@ -88,7 +88,8 @@ def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
     }
     try:
         result = exact_quantile(phi, config, values=values, params=params)
-    except TrialFailure:
+    except (TrialFailure, BudgetExceededError, InvariantViolation):
+        # one bad trial becomes a failed row instead of aborting the batch
         row["max_rank_error"] = n
         return row
     row["rounds"] = result.rounds

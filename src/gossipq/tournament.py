@@ -177,32 +177,31 @@ def robust_pull_batch(
     """
     n = engine.n
     picked = np.zeros((need, n), dtype=values.dtype)
+    # flat view: pull slot (j, v) sits at j * n + v
+    picked_flat = picked.ravel()
     counts = np.zeros(n, dtype=np.int64)
     hook_result = None
     satisfied = False
     for j in range(batch):
         rd = engine.next_round()
-        if satisfied and j > 0:
+        if satisfied:
             # every node already has its pulls; the remaining batch rounds
             # still happen (round/message accounting) but cannot change
             # state, so their draws are skipped (rounds key their own
             # substreams, leaving all other draws untouched)
-            performed = n if rd.failed is None else int(n - rd.failed.sum())
-            rd.count_messages(performed)
+            failed = 0 if rd.failed is None else int(np.count_nonzero(rd.failed))
+            rd.count_messages(n - failed)
             continue
         peers = rd.peers()
         if j == 0 and first_round_hook is not None:
             hook_result = first_round_hook(rd)
         good_pull = good_prev[peers]
         if rd.failed is not None:
-            good_pull = good_pull & ~rd.failed
-        sel = good_pull & (counts < need)
-        if np.any(sel):
-            nodes = np.nonzero(sel)[0]
-            picked[counts[nodes], nodes] = values[peers[nodes]]
-        counts[good_pull] += 1
-        if not satisfied:
-            satisfied = bool((counts >= need).all())
+            good_pull &= ~rd.failed
+        nodes = np.flatnonzero(good_pull & (counts < need))
+        picked_flat[counts[nodes] * n + nodes] = values[peers[nodes]]
+        counts += good_pull
+        satisfied = bool(counts.min() >= need)
     return picked, counts, hook_result
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from gossipq.aggregates import push_sum_count, spread_min_max
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
-from gossipq.exact import robust_distribute_tokens
+from gossipq.exact import distribute_tokens
 from gossipq.harness import (
     run_approx_trial,
     run_batch,
@@ -237,7 +237,7 @@ def test_criterion_7_robustness():
         )
         engine = RoundEngine(cfg)
         holders = engine.values_rng().choice(4096, size=512, replace=False)
-        dist = robust_distribute_tokens(holders, 4, engine, track_phi=True)
+        dist = distribute_tokens(holders, 4, engine, track_phi=True)
         tr = dist.phi_trace
         ratios += [b / a for a, b in zip(tr, tr[1:]) if a > 0 and b > 0]
     ratios = np.array(ratios)

@@ -2,7 +2,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from gossipq import harness
 from gossipq.cli import run_cli
 from gossipq.harness import (
     fit_round_constant,
@@ -13,7 +15,8 @@ from gossipq.harness import (
     self_quantile,
     spread_experiment,
 )
-from gossipq.engine import SimConfig
+from gossipq.engine import BudgetExceededError, SimConfig
+from gossipq.exact import InvariantViolation, TrialFailure
 
 
 class TestScheduleCommand:
@@ -154,6 +157,27 @@ class TestParallelism:
         monkeypatch.setenv("GOSSIPQ_THREADS", "2")
         parallel = run_batch(run_exact_trial, tasks)
         assert serial == parallel
+
+
+class TestFailedExactRows:
+    @pytest.mark.parametrize(
+        "error", [TrialFailure, BudgetExceededError, InvariantViolation]
+    )
+    def test_raising_trial_becomes_failed_row(self, monkeypatch, error):
+        def boom(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(harness, "exact_quantile", boom)
+        rows = harness.run_batch(
+            harness.run_exact_trial,
+            [dict(n=64, phi=0.5, seed=s) for s in range(2)], threads=1,
+        )
+        assert [r["seed"] for r in rows] == [0, 1]
+        for row in rows:
+            assert tuple(row) == harness.CSV_COLUMNS
+            assert row["success"] == 0
+            assert row["max_rank_error"] == 64
+            assert (row["rounds"], row["messages"]) == (0, 0)
 
 
 class TestHarnessHelpers:

@@ -68,6 +68,18 @@ class TestFailureDraws:
         assert (p >= 0).all() and (p <= 0.3).all()
         assert np.array_equal(p, model.probabilities(7, 1000))
 
+    def test_scheduled_failure_rate_matches_mean_probability(self):
+        # E[p] = mu * E[U] = mu / 2; over n * rounds = 2e5 draws the
+        # binomial 4-sigma band around 0.25 is +-0.0039. With the model
+        # seed equal to the trial seed, a schedule drawn from the failure
+        # stream itself would test u < mu*u and inject no failures.
+        n, rounds, mu = 1000, 200, 0.5
+        cfg = SimConfig(n=n, seed=7,
+                        failure=FailureModel(mode="scheduled", mu=mu, seed=7))
+        engine = RoundEngine(cfg)
+        failures = sum(int(engine.next_round().failed.sum()) for _ in range(rounds))
+        assert abs(failures / (n * rounds) - mu / 2) < 0.0039
+
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError):
             FailureModel(mode="bogus")

@@ -14,7 +14,6 @@ from gossipq.exact import (
     exact_quantile,
     filter_range,
     rank_update,
-    robust_distribute_tokens,
 )
 
 
@@ -124,10 +123,13 @@ class TestDistributeTokens:
             distribute_tokens(np.arange(9), 2, engine)
 
     def test_robust_mu_zero_identical(self):
+        # a mu=0 failure model and phi tracking leave every draw unchanged
         cfg = SimConfig(n=512, seed=6)
         h = RoundEngine(cfg).values_rng().choice(512, size=40, replace=False)
         d1 = distribute_tokens(h, 4, RoundEngine(cfg))
-        d2 = robust_distribute_tokens(h, 4, RoundEngine(cfg))
+        cfg0 = SimConfig(n=512, seed=6,
+                         failure=FailureModel(mode="uniform", mu=0.0, seed=6))
+        d2 = distribute_tokens(h, 4, RoundEngine(cfg0), track_phi=True)
         assert np.array_equal(d1.key_index, d2.key_index)
         assert np.array_equal(d1.copy_rank, d2.copy_rank)
 
@@ -141,7 +143,7 @@ class TestDistributeTokens:
             )
             engine = RoundEngine(cfg)
             holders = engine.values_rng().choice(2048, size=256, replace=False)
-            dist = robust_distribute_tokens(holders, 4, engine, track_phi=True)
+            dist = distribute_tokens(holders, 4, engine, track_phi=True)
             tr = dist.phi_trace
             ratios += [b / a for a, b in zip(tr, tr[1:]) if a > 0 and b > 0]
         ratios = np.array(ratios)

@@ -1,0 +1,65 @@
+"""Golden CLI rows: fixed-seed CSV output must stay byte-identical.
+
+Each case is one small CLI run whose CSV file was captured from the
+implementation before the robust pull batch was vectorised. A change
+that alters any stream (peer, failure, protocol or input draws) shows
+here as a differing row; such a change must be deliberate and documented,
+and then the captured rows are replaced in the same change.
+"""
+import pytest
+
+from gossipq.cli import run_cli
+
+HEADER = "experiment,n,phi,eps,mu,seed,rounds,messages,max_rank_error,success\n"
+
+GOLDEN = [
+    (
+        ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
+         "--trials", "3", "--seed", "1"],
+        "approx,2000,0.3,0.05,0.0,1,63,126000,8,1\n"
+        "approx,2000,0.3,0.05,0.0,2,63,126000,53,1\n"
+        "approx,2000,0.3,0.05,0.0,3,63,126000,11,1\n",
+    ),
+    (
+        # phi = 0.5: phase II and the K-sample batch only
+        ["robust", "--n", "2000", "--phi", "0.5", "--eps", "0.05",
+         "--mu", "0.5", "--trials", "2", "--seed", "1"],
+        "robust,2000,0.5,0.05,0.5,1,499,498411,21,1\n"
+        "robust,2000,0.5,0.05,0.5,2,499,499556,9,1\n",
+    ),
+    (
+        # phi = 0.3: phase I with its first-round hook as well
+        ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
+         "--mu", "0.5", "--trials", "2", "--seed", "3"],
+        "robust,2000,0.3,0.05,0.5,3,524,523515,29,1\n"
+        "robust,2000,0.3,0.05,0.5,4,524,523911,41,1\n",
+    ),
+    (
+        ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
+        "exact,256,0.5,0.08,0.0,1,2069,644650,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,970,289141,0,1\n",
+    ),
+    (
+        ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
+         "--trials", "2", "--seed", "1"],
+        "exact,256,0.3,0.08,0.5,1,4723,640463,0,1\n"
+        "exact,256,0.3,0.08,0.5,2,4160,558384,0,1\n",
+    ),
+    (
+        ["sketch", "--nprime", "1024", "--k", "16", "--trials", "2", "--seed", "1"],
+        "sketch,1024,,,0.0,1,11,0,145,1\n"
+        "sketch,1024,,,0.0,2,11,0,131,1\n",
+    ),
+    (
+        ["spread", "--n", "10000", "--eps", "0.01", "--trials", "2", "--seed", "1"],
+        "spread,10000,,0.01,0.0,1,6,120000,0,1\n"
+        "spread,10000,,0.01,0.0,2,6,120000,0,1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, rows", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cli_rows_byte_identical(tmp_path, argv, rows):
+    path = tmp_path / "rows.csv"
+    assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 0
+    assert path.read_bytes() == (HEADER + rows).encode()

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
@@ -287,6 +288,68 @@ class TestRobust:
         outputs, has = robust_final_median_sample(ids, good, 5, 6, engine)
         assert not has.all()
         assert (outputs[has] >= 0).all()
+
+
+def _reference_pull_batch(values, good_prev, need, batch, engine,
+                          first_round_hook=None):
+    """The per-round loop robust_pull_batch replaced (boolean-index
+    increment), kept as the reference its draws must match."""
+    n = engine.n
+    picked = np.zeros((need, n), dtype=values.dtype)
+    counts = np.zeros(n, dtype=np.int64)
+    hook_result = None
+    satisfied = False
+    for j in range(batch):
+        rd = engine.next_round()
+        if satisfied and j > 0:
+            performed = n if rd.failed is None else int(n - rd.failed.sum())
+            rd.count_messages(performed)
+            continue
+        peers = rd.peers()
+        if j == 0 and first_round_hook is not None:
+            hook_result = first_round_hook(rd)
+        good_pull = good_prev[peers]
+        if rd.failed is not None:
+            good_pull = good_pull & ~rd.failed
+        sel = good_pull & (counts < need)
+        if np.any(sel):
+            nodes = np.nonzero(sel)[0]
+            picked[counts[nodes], nodes] = values[peers[nodes]]
+        counts[good_pull] += 1
+        if not satisfied:
+            satisfied = bool((counts >= need).all())
+    return picked, counts, hook_result
+
+
+class TestPullBatchMatchesReference:
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("need", [2, 3, 31])
+    @pytest.mark.parametrize("bad_share", [0.0, 0.3])
+    @pytest.mark.parametrize("with_hook", [False, True])
+    def test_same_pulls_rounds_and_messages(self, mu, need, bad_share, with_hook):
+        n, seed = 400, 11
+        failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+        batch = (sample_batch_size(mu, need) if need > 3
+                 else max(phase_batch_size(mu), need))
+        values = np.random.default_rng(seed).permutation(n)
+        good = np.random.default_rng(seed + 1).random(n) >= bad_share
+        hook = (lambda rd: rd.rng.random(n) < 0.4) if with_hook else None
+        runs = []
+        for fn in (robust_pull_batch, _reference_pull_batch):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            picked, counts, hooked = fn(values, good, need, batch, engine,
+                                        first_round_hook=hook)
+            runs.append((picked, counts, hooked, engine.rounds, engine.messages))
+        (p_new, c_new, h_new, r_new, m_new), (p_ref, c_ref, h_ref, r_ref, m_ref) = runs
+        assert np.array_equal(c_new, c_ref)
+        filled = np.arange(need)[:, None] < np.minimum(c_ref, need)[None, :]
+        assert np.array_equal(p_new[filled], p_ref[filled])
+        if with_hook:
+            assert np.array_equal(h_new, h_ref)
+        else:
+            assert h_new is None and h_ref is None
+        assert r_new == r_ref == batch
+        assert m_new == m_ref
 
 
 class TestQuantileCuts:

@@ -24,7 +24,6 @@ from .engine import (
     canonical_ids,
     derive_rng,
     draw_failures,
-    run_iteration,
     uniform_peer,
 )
 from .exact import (

@@ -291,14 +291,6 @@ class _State:
     real_count: int              # ids below this are actual values
 
 
-def _run_bracket_tournament(state, target_rank, eps_run, engine, params, robust):
-    outputs, has_output, _ = _tournament_core(
-        state.ids, target_rank, eps_run, engine,
-        params.k_sample, robust=robust, record_lmh=False,
-    )
-    return outputs, has_output
-
-
 def narrow_window(
     state: _State,
     k: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -88,9 +89,11 @@ def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
     }
     try:
         result = exact_quantile(phi, config, values=values, params=params)
-    except (TrialFailure, BudgetExceededError, InvariantViolation):
-        # one bad trial becomes a failed row instead of aborting the batch
+    except (TrialFailure, BudgetExceededError, InvariantViolation) as exc:
+        # one bad trial becomes a failed row instead of aborting the batch;
+        # its kind goes to the JSON summary, not to the CSV
         row["max_rank_error"] = n
+        row["_failure_kind"] = type(exc).__name__
         return row
     row["rounds"] = result.rounds
     row["messages"] = result.messages
@@ -263,6 +266,7 @@ def summarize(rows, config_echo: dict) -> dict:
     for name, sub in by_exp.items():
         successes = sum(r["success"] for r in sub)
         rounds = [r["rounds"] for r in sub]
+        kinds = Counter(r["_failure_kind"] for r in sub if "_failure_kind" in r)
         experiments[name] = {
             "trials": len(sub),
             "successes": successes,
@@ -271,6 +275,7 @@ def summarize(rows, config_echo: dict) -> dict:
             "rounds_max": int(np.max(rounds)),
             "messages_mean": float(np.mean([r["messages"] for r in sub])),
             "max_rank_error_max": int(np.max([r["max_rank_error"] for r in sub])),
+            "failures_by_kind": dict(sorted(kinds.items())),
             "fitted_round_constant": (
                 fit_round_constant(sub)
                 if name in ("approx", "robust", "selfq") else None

@@ -174,10 +174,36 @@ class TestFailedExactRows:
         )
         assert [r["seed"] for r in rows] == [0, 1]
         for row in rows:
-            assert tuple(row) == harness.CSV_COLUMNS
             assert row["success"] == 0
             assert row["max_rank_error"] == 64
             assert (row["rounds"], row["messages"]) == (0, 0)
+        # the kind reaches the JSON summary; the CSV keeps its columns
+        assert rows_to_csv(rows) == (
+            ",".join(harness.CSV_COLUMNS) + "\n"
+            "exact,64,0.5,0.08,0.0,0,0,0,64,0\n"
+            "exact,64,0.5,0.08,0.0,1,0,0,64,0\n"
+        )
+        exact = harness.summarize(rows, {})["experiments"]["exact"]
+        assert exact["failures_by_kind"] == {error.__name__: 2}
+
+    def test_summary_counts_each_kind(self, monkeypatch):
+        kinds = [TrialFailure, BudgetExceededError, InvariantViolation]
+        real = harness.exact_quantile
+
+        def by_seed(phi, config, **kwargs):
+            if config.seed < len(kinds):
+                raise kinds[config.seed]("injected")
+            return real(phi, config, **kwargs)
+
+        monkeypatch.setattr(harness, "exact_quantile", by_seed)
+        rows = [harness.run_exact_trial(n=64, phi=0.5, seed=s) for s in range(4)]
+        rows.append(harness.run_approx_trial(n=200, phi=0.5, eps=0.1, seed=1))
+        experiments = harness.summarize(rows, {})["experiments"]
+        assert experiments["exact"]["failures_by_kind"] == {
+            "BudgetExceededError": 1, "InvariantViolation": 1, "TrialFailure": 1,
+        }
+        assert experiments["exact"]["successes"] == 1
+        assert experiments["approx"]["failures_by_kind"] == {}
 
 
 class TestHarnessHelpers:

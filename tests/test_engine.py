@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from gossipq import engine as engine_module
 from gossipq.engine import (
+    STREAM_FAILURE,
+    STREAM_ROUND,
     BudgetExceededError,
     FailureModel,
     RoundEngine,
     SimConfig,
+    _RoundKeys,
     canonical_ids,
     derive_rng,
     draw_failures,
-    run_iteration,
     uniform_peer,
 )
+
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**63]
 
 
 class TestUniformPeer:
@@ -89,32 +94,6 @@ class TestFailureDraws:
             FailureModel(mode="none", mu=0.2)
 
 
-class TestRunIteration:
-    def test_identity_step(self):
-        states = np.arange(10)
-        out = run_iteration(states, lambda s: s.copy())
-        assert np.array_equal(out, states)
-
-    def test_copy_peer_forced_to_node_zero(self):
-        states = np.array([7, 1, 2, 3])
-        out = run_iteration(states, lambda s: s[np.zeros(4, dtype=int)])
-        assert (out == 7).all()
-
-    def test_snapshot_chain(self):
-        # A copies from B while B copies from C: A must see B's pre-round
-        # value, not C's
-        states = np.array([10, 20, 30])
-        peers = np.array([1, 2, 2])
-        out = run_iteration(states, lambda s: s[peers])
-        assert list(out) == [20, 30, 30]
-
-    def test_failed_nodes_keep_state(self):
-        states = np.array([1, 2, 3, 4])
-        failures = np.array([True, False, True, False])
-        out = run_iteration(states, lambda s: s + 100, failures)
-        assert list(out) == [1, 102, 3, 104]
-
-
 class TestEngine:
     def test_budget_exceeded(self):
         engine = RoundEngine(SimConfig(n=4, seed=0, max_rounds=2))
@@ -155,6 +134,65 @@ class TestEngine:
 
         assert np.array_equal(trial(5), trial(5))
         assert not np.array_equal(trial(5), trial(6))
+
+
+class TestKeyedRounds:
+    """Engine generators against the SeedSequence reference keying."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(_SEED_EDGES),
+                       st.integers(-2**63, 2**64 - 1)),
+        tag=st.integers(1, 4),
+        block=st.integers(1, 2**24 - 1),
+    )
+    def test_block_states_equal_seed_sequence(self, seed, tag, block):
+        keys = _RoundKeys(seed, tag)
+        edge = 256 * block
+        for index in (0, 255, 256, 257, edge - 1, edge, 2**32 - 1, 1):
+            reference = np.random.SeedSequence(
+                (seed & (2**64 - 1), tag, index)
+            ).generate_state(4, np.uint64)
+            assert np.array_equal(keys.state(index), reference)
+
+    @pytest.mark.parametrize("seed", [3, 2**40 + 1])
+    def test_rounds_across_blocks_match_reference(self, seed):
+        n = 40
+        model = FailureModel(mode="uniform", mu=0.3)
+        engine = RoundEngine(SimConfig(n=n, seed=seed, failure=model))
+        for index in range(601):
+            rd = engine.next_round()
+            assert rd.index == index
+            expected = derive_rng(seed, STREAM_ROUND, index).integers(0, n, size=n)
+            assert np.array_equal(rd.peers(), expected)
+            assert np.array_equal(rd.failed, draw_failures(model, index, n, seed))
+
+    def test_held_round_keeps_its_stream(self):
+        # phase I draws from an earlier round after later rounds exist
+        engine = RoundEngine(SimConfig(n=16, seed=9))
+        held = engine.next_round()
+        later = [engine.next_round() for _ in range(300)]
+        assert np.array_equal(later[-1].rng.random(8),
+                              derive_rng(9, STREAM_ROUND, 300).random(8))
+        assert np.array_equal(held.rng.random(8),
+                              derive_rng(9, STREAM_ROUND, 0).random(8))
+
+    def test_index_beyond_32_bits_falls_back(self, monkeypatch):
+        calls = []
+        reference = engine_module.derive_rng
+
+        def recording(seed, *key):
+            calls.append((seed, *key))
+            return reference(seed, *key)
+
+        monkeypatch.setattr(engine_module, "derive_rng", recording)
+        index = 2**32 + 5
+        rng = _RoundKeys(7, STREAM_FAILURE).rng(index)
+        assert calls == [(7, STREAM_FAILURE, index)]
+        draws = rng.random(8)
+        assert np.array_equal(draws, reference(7, STREAM_FAILURE, index).random(8))
+        # a truncated index would have reused round 5's stream
+        assert not np.array_equal(draws, reference(7, STREAM_FAILURE, 5).random(8))
 
 
 class TestCanonicalIds:

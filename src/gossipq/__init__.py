@@ -24,7 +24,6 @@ from .engine import (
     canonical_ids,
     derive_rng,
     draw_failures,
-    uniform_peer,
 )
 from .exact import (
     ExactParams,
@@ -45,12 +44,10 @@ from .schedules import (
     compaction_error_bound,
     shift_bound,
     three_tournament_schedule,
-    tournament_bound,
     two_tournament_schedule,
 )
 from .sketch import (
     CompactedBuffer,
-    compact,
     compaction_error_check,
     deserialize_buffer,
     doubling_update,

@@ -9,7 +9,10 @@ may stop early once every node holds the global extremes.
 Push-sum follows the classic mass-conserving dynamic: each round a node
 halves its (sum, weight) pair, keeps one half and pushes the other to a
 uniform peer; incoming shares accumulate. A node that fails a round keeps
-both halves, so global mass is conserved under failures too.
+both halves, so global mass is conserved under failures too. It is one
+lockstep routine, :func:`push_sum_multi`, over a (channels + 1, n) state
+whose channels share the contact draws and the weight row, with one retry
+loop, :func:`exact_count_multi`; the single-channel names call them.
 """
 from __future__ import annotations
 
@@ -53,10 +56,7 @@ def _gossip_exchange(cur: np.ndarray, engine: RoundEngine, reduce_fn) -> np.ndar
     ok = rd_push.ok()
     senders = np.arange(engine.n) if ok is None else np.nonzero(ok)[0]
     nxt = cur.copy()
-    if reduce_fn is np.minimum:
-        np.minimum.at(nxt, targets[senders], snapshot[senders])
-    else:
-        np.maximum.at(nxt, targets[senders], snapshot[senders])
+    reduce_fn.at(nxt, targets[senders], snapshot[senders])
     rd_pull = engine.next_round()
     sources = rd_pull.peers()
     pulled = snapshot[sources]
@@ -107,41 +107,13 @@ def push_sum_count(
     track_mass: bool = False,
     ambiguity: float = 0.25,
 ) -> CountResult:
-    """Count set indicator bits by push-sum averaging.
-
-    Runs ``(ceil(c * log2 n) + extra_rounds) * budget_scale`` push rounds;
-    each node then outputs ``round(n * s/w)``. Estimates whose fractional
-    part is within ``ambiguity`` of one half are flagged as ambiguous so
-    callers can retry with more rounds.
-    """
-    n = engine.n
+    """Count set indicator bits by push-sum: :func:`push_sum_multi` on one channel."""
     bits = np.asarray(indicator_bits)
-    if bits.min() < 0 or bits.max() > 1:
-        raise ValueError("indicator bits must be 0/1")
-    s = bits.astype(np.float64).copy()
-    w = np.ones(n, dtype=np.float64)
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
-    trace: list[float] = []
-    for _ in range(rounds):
-        rd = engine.next_round()
-        targets = rd.peers()
-        ok = rd.ok()
-        if ok is None:
-            s_half = s * 0.5
-            w_half = w * 0.5
-            s = s_half + np.bincount(targets, weights=s_half, minlength=n)
-            w = w_half + np.bincount(targets, weights=w_half, minlength=n)
-        else:
-            send_s = np.where(ok, s * 0.5, 0.0)
-            send_w = np.where(ok, w * 0.5, 0.0)
-            s = (s - send_s) + np.bincount(targets, weights=send_s, minlength=n)
-            w = (w - send_w) + np.bincount(targets, weights=send_w, minlength=n)
-        if track_mass:
-            trace.append(float(s.sum()))
-    raw = n * s / w
-    estimates = np.rint(raw).astype(np.int64)
-    flagged = np.abs(raw - estimates) > (0.5 - ambiguity)
-    return CountResult(estimates, flagged, rounds, trace)
+    return push_sum_multi(
+        bits[np.newaxis, :], engine,
+        c=c, extra_rounds=extra_rounds, budget_scale=budget_scale,
+        track_mass=track_mass, ambiguity=ambiguity,
+    )[0]
 
 
 def push_sum_multi(
@@ -151,49 +123,51 @@ def push_sum_multi(
     c: int = 4,
     extra_rounds: int = 30,
     budget_scale: int = 1,
+    track_mass: bool = False,
     ambiguity: float = 0.25,
 ) -> list[CountResult]:
-    """Several push-sum counting instances run in lockstep.
+    """Count the set 0/1 bits of each channel by push-sum, in lockstep.
 
-    All channels share the contact draws and the weight component, so k
-    counts cost the same number of rounds as one; each pushed share is a
-    (k+1)-number message and is accounted as k message units.
+    Runs ``(ceil(c * log2 n) + extra_rounds) * budget_scale`` push rounds;
+    each node then outputs ``round(n * s/w)`` per channel. Estimates whose
+    fractional part is within ``ambiguity`` of one half are flagged as
+    ambiguous so callers can retry with more rounds. All channels share
+    the contact draws and the weight component, so k counts cost the same
+    number of rounds as one; each pushed share is a (k+1)-number message
+    and is accounted as k message units. ``track_mass`` records each
+    channel's total sum after every round.
     """
     mat = np.asarray(indicator_matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("indicator_matrix must be 2-d (channels, n)")
+    if ((mat != 0.0) & (mat != 1.0)).any():
+        raise ValueError("indicator bits must be 0/1")
     channels, n = mat.shape
-    s = mat.copy()
-    w = np.ones(n, dtype=np.float64)
+    # rows 0..channels-1 hold the sums, the last row the shared weight
+    state = np.empty((channels + 1, n), dtype=np.float64)
+    state[:channels] = mat
+    state[channels] = 1.0
     rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    traces: list[list[float]] = [[] for _ in range(channels)]
     for _ in range(rounds):
         rd = engine.next_round()
         targets = rd.peers(message_weight=channels)
-        ok = rd.ok()
-        if ok is None:
-            s_half = s * 0.5
-            w_half = w * 0.5
-            recv = np.empty_like(s)
+        send = state * 0.5
+        if rd.failed is not None:
+            # a failed node keeps both halves
+            send = np.where(rd.failed, 0.0, send)
+        state -= send
+        for row, share in zip(state, send):
+            row += np.bincount(targets, weights=share, minlength=n)
+        if track_mass:
             for ch in range(channels):
-                recv[ch] = np.bincount(targets, weights=s_half[ch], minlength=n)
-            s = s_half + recv
-            w = w_half + np.bincount(targets, weights=w_half, minlength=n)
-        else:
-            send_w = np.where(ok, w * 0.5, 0.0)
-            new_s = np.empty_like(s)
-            for ch in range(channels):
-                send = np.where(ok, s[ch] * 0.5, 0.0)
-                new_s[ch] = (s[ch] - send) + np.bincount(
-                    targets, weights=send, minlength=n
-                )
-            s = new_s
-            w = (w - send_w) + np.bincount(targets, weights=send_w, minlength=n)
+                traces[ch].append(float(state[ch].sum()))
     results = []
     for ch in range(channels):
-        raw = n * s[ch] / w
+        raw = n * state[ch] / state[channels]
         estimates = np.rint(raw).astype(np.int64)
         flagged = np.abs(raw - estimates) > (0.5 - ambiguity)
-        results.append(CountResult(estimates, flagged, rounds, []))
+        results.append(CountResult(estimates, flagged, rounds, traces[ch]))
     return results
 
 
@@ -206,21 +180,14 @@ def exact_count(
     budget_scale: int = 1,
     max_attempts: int = 3,
 ) -> int | None:
-    """Push-sum count retried until unflagged and unanimous, else None.
-
-    Each retry doubles the extra rounds; the protocol-level consumers
-    treat ``None`` as a trial failure.
-    """
-    extra = extra_rounds
-    for _ in range(max_attempts):
-        res = push_sum_count(
-            indicator_bits, engine,
-            c=c, extra_rounds=extra, budget_scale=budget_scale,
-        )
-        if not res.any_flagged and res.unanimous:
-            return int(res.estimates[0])
-        extra *= 2
-    return None
+    """One-channel :func:`exact_count_multi`: the count, or None."""
+    bits = np.asarray(indicator_bits)
+    counts = exact_count_multi(
+        bits[np.newaxis, :], engine,
+        c=c, extra_rounds=extra_rounds, budget_scale=budget_scale,
+        max_attempts=max_attempts,
+    )
+    return None if counts is None else counts[0]
 
 
 def exact_count_multi(
@@ -232,7 +199,12 @@ def exact_count_multi(
     budget_scale: int = 1,
     max_attempts: int = 3,
 ) -> list[int] | None:
-    """Lockstep counts retried together until all are exact, else None."""
+    """Lockstep push-sum counts retried until all are exact, else None.
+
+    A count is exact when no node flags it and all nodes agree. Each retry
+    doubles the extra rounds; the protocol-level consumers treat ``None``
+    as a trial failure.
+    """
     extra = extra_rounds
     for _ in range(max_attempts):
         results = push_sum_multi(

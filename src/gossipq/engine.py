@@ -161,17 +161,6 @@ class _RoundKeys:
         return np.random.Generator(np.random.PCG64(_FixedState(self.state(index))))
 
 
-def uniform_peer(rng: np.random.Generator, n: int) -> int:
-    """One uniform node id in ``[0, n)``, consuming one draw.
-
-    Sampling includes the caller: contact probabilities are ``1/n`` for
-    every node, matching the expectations the tournament recurrences use.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return int(rng.integers(0, n))
-
-
 @dataclass(frozen=True)
 class FailureModel:
     """Per-node per-round failure probabilities, bounded by ``mu``.
@@ -346,13 +335,12 @@ class TrialReport:
 
     ``outputs`` holds per-node output values (NaN where a node produced
     none); ``output_ranks`` the matching 1-based initial ranks (0 = none).
-    ``per_iteration_lmh`` records (|L|, |M|, |H|) after each tournament
-    iteration, each triple summing to n.
+    ``details["lmh_phase1"]`` and ``details["lmh_phase2"]`` record
+    (|L|, |M|, |H|) after each tournament iteration when asked to.
     """
 
     rounds: int = 0
     messages: int = 0
-    per_iteration_lmh: list[tuple[int, int, int]] = field(default_factory=list)
     outputs: np.ndarray | None = None
     output_ranks: np.ndarray | None = None
     max_rank_error: int = 0

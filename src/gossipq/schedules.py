@@ -120,22 +120,6 @@ def shift_bound(eps: float) -> float:
     return math.log(4.0 / eps, 7.0 / 4.0) + 2.0
 
 
-def tournament_bound(eps: float, n: int) -> float:
-    """Closed-form phase-2 iteration bound (real-valued form).
-
-    log_{11/8}(1/(4 eps)) + log2(log4(n)); valid for eps below 1/4 and
-    n >= 16 (the log-log term needs log4 n > 1). The derivation counts
-    whole iterations, so the guarantee that actually holds for the
-    integer iteration count is :func:`tournament_bound_steps`; this form
-    can fall short of t by a fraction of a step near region boundaries.
-    """
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must lie in (0, 1/4)")
-    if n < 16:
-        raise ValueError("n must be >= 16")
-    return math.log(1.0 / (4.0 * eps), 11.0 / 8.0) + math.log2(math.log(n, 4.0))
-
-
 def tournament_bound_steps(eps: float, n: int) -> int:
     """Integer phase-2 iteration bound: each derivation stage rounded up.
 

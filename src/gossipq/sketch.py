@@ -44,20 +44,6 @@ class CompactedBuffer:
         return CompactedBuffer(np.array([key], dtype=np.int64), 1, capacity)
 
 
-def compact(elements, k: int) -> np.ndarray:
-    """Sort ascending and keep the 1-indexed even positions if over k.
-
-    Unchanged when the input already fits; the caller doubles the weight
-    exactly when thinning happened.
-    """
-    arr = np.sort(np.asarray(elements, dtype=np.int64))
-    if len(arr) <= k:
-        return arr
-    if len(arr) > 2 * k:
-        raise ValueError("compact input may not exceed 2k elements")
-    return arr[1::2]
-
-
 def doubling_update(buf_a: CompactedBuffer, buf_b: CompactedBuffer) -> CompactedBuffer:
     """Merge two equal-weight buffers, compacting once if over capacity."""
     if buf_a.weight != buf_b.weight:

@@ -431,7 +431,6 @@ def approx_quantile(
     )
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
-    report.per_iteration_lmh = info["lmh_phase1"] + info["lmh_phase2"]
     report.details["lmh_phase1"] = info["lmh_phase1"]
     report.details["lmh_phase2"] = info["lmh_phase2"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)
@@ -469,5 +468,6 @@ def robust_approx_quantile(
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
-    report.per_iteration_lmh = info["lmh_phase1"] + info["lmh_phase2"]
+    report.details["lmh_phase1"] = info["lmh_phase1"]
+    report.details["lmh_phase2"] = info["lmh_phase2"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)

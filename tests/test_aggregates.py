@@ -1,8 +1,11 @@
 """Min/max dissemination and push-sum counting."""
+import math
+
 import numpy as np
 import pytest
 
 from gossipq.aggregates import (
+    CountResult,
     exact_count,
     exact_count_multi,
     push_sum_count,
@@ -122,3 +125,169 @@ class TestPushSum:
         bits = (engine.values_rng().random(1024) < 0.2).astype(int)
         out = exact_count_multi(np.stack([bits, np.ones(1024, dtype=int)]), engine)
         assert out == [int(bits.sum()), 1024]
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_multi_rejects_non_binary(self, bad):
+        mat = np.zeros((2, 16))
+        mat[1, 3] = bad
+        with pytest.raises(ValueError):
+            push_sum_multi(mat, _engine(16, 1))
+        with pytest.raises(ValueError):
+            exact_count_multi(mat, _engine(16, 1))
+
+
+def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
+                              budget_scale=1, track_mass=False, ambiguity=0.25):
+    """The single-channel loop, with its failure and no-failure branches,
+    that push_sum_multi replaced; kept as the reference its draws must match."""
+    n = engine.n
+    s = np.asarray(indicator_bits).astype(np.float64).copy()
+    w = np.ones(n, dtype=np.float64)
+    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    trace = []
+    for _ in range(rounds):
+        rd = engine.next_round()
+        targets = rd.peers()
+        ok = rd.ok()
+        if ok is None:
+            s_half = s * 0.5
+            w_half = w * 0.5
+            s = s_half + np.bincount(targets, weights=s_half, minlength=n)
+            w = w_half + np.bincount(targets, weights=w_half, minlength=n)
+        else:
+            send_s = np.where(ok, s * 0.5, 0.0)
+            send_w = np.where(ok, w * 0.5, 0.0)
+            s = (s - send_s) + np.bincount(targets, weights=send_s, minlength=n)
+            w = (w - send_w) + np.bincount(targets, weights=send_w, minlength=n)
+        if track_mass:
+            trace.append(float(s.sum()))
+    raw = n * s / w
+    estimates = np.rint(raw).astype(np.int64)
+    flagged = np.abs(raw - estimates) > (0.5 - ambiguity)
+    return CountResult(estimates, flagged, rounds, trace)
+
+
+def _reference_push_sum_multi(indicator_matrix, engine, *, c=4, extra_rounds=30,
+                              budget_scale=1, ambiguity=0.25):
+    """The per-channel lockstep loop push_sum_multi replaced."""
+    mat = np.asarray(indicator_matrix, dtype=np.float64)
+    channels, n = mat.shape
+    s = mat.copy()
+    w = np.ones(n, dtype=np.float64)
+    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    for _ in range(rounds):
+        rd = engine.next_round()
+        targets = rd.peers(message_weight=channels)
+        ok = rd.ok()
+        if ok is None:
+            s_half = s * 0.5
+            w_half = w * 0.5
+            recv = np.empty_like(s)
+            for ch in range(channels):
+                recv[ch] = np.bincount(targets, weights=s_half[ch], minlength=n)
+            s = s_half + recv
+            w = w_half + np.bincount(targets, weights=w_half, minlength=n)
+        else:
+            send_w = np.where(ok, w * 0.5, 0.0)
+            new_s = np.empty_like(s)
+            for ch in range(channels):
+                send = np.where(ok, s[ch] * 0.5, 0.0)
+                new_s[ch] = (s[ch] - send) + np.bincount(
+                    targets, weights=send, minlength=n
+                )
+            s = new_s
+            w = (w - send_w) + np.bincount(targets, weights=send_w, minlength=n)
+    results = []
+    for ch in range(channels):
+        raw = n * s[ch] / w
+        estimates = np.rint(raw).astype(np.int64)
+        flagged = np.abs(raw - estimates) > (0.5 - ambiguity)
+        results.append(CountResult(estimates, flagged, rounds, []))
+    return results
+
+
+def _reference_exact_count(count_fn, indicator, engine, *, c, extra_rounds,
+                           max_attempts=3):
+    """The retry loop both exact_count forms ran, over either reference."""
+    extra = extra_rounds
+    for _ in range(max_attempts):
+        results = count_fn(indicator, engine, c=c, extra_rounds=extra)
+        if isinstance(results, CountResult):
+            results = [results]
+        if all(not r.any_flagged and r.unanimous for r in results):
+            return [int(r.estimates[0]) for r in results]
+        extra *= 2
+    return None
+
+
+class TestPushSumMatchesReference:
+    # (c, extra_rounds): the protocol default, and a starved count whose
+    # per-node estimates have not converged, so any change to a share shows
+    BUDGETS = [(4, 30), (1, 1)]
+
+    @staticmethod
+    def _bits(n, channels, seed):
+        rng = np.random.default_rng([seed, n, channels])
+        density = rng.random((channels, 1))
+        return (rng.random((channels, n)) < density).astype(np.int64)
+
+    @staticmethod
+    def _same(new, ref):
+        assert np.array_equal(new.estimates, ref.estimates)
+        assert np.array_equal(new.flagged, ref.flagged)
+        assert new.rounds == ref.rounds
+        assert new.mass_trace == ref.mass_trace
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 17, 1024])
+    def test_same_counts_traces_rounds_and_messages(self, mu, channels, n):
+        for seed in (0, 1, 2):
+            mat = self._bits(n, channels, seed)
+            for c, extra in self.BUDGETS:
+                a, b = _engine(n, seed, mu), _engine(n, seed, mu)
+                new = push_sum_multi(mat, a, c=c, extra_rounds=extra)
+                ref = _reference_push_sum_multi(mat, b, c=c, extra_rounds=extra)
+                for x, y in zip(new, ref, strict=True):
+                    self._same(x, y)
+                assert (a.rounds, a.messages) == (b.rounds, b.messages)
+
+                # each channel's mass trace is the single-channel run's
+                a = _engine(n, seed, mu)
+                traced = push_sum_multi(mat, a, c=c, extra_rounds=extra,
+                                        track_mass=True)
+                for ch in range(channels):
+                    b = _engine(n, seed, mu)
+                    ref = _reference_push_sum_count(mat[ch], b, c=c,
+                                                    extra_rounds=extra,
+                                                    track_mass=True)
+                    self._same(traced[ch], ref)
+                    assert traced[ch].mass_trace
+
+                a, b = _engine(n, seed, mu), _engine(n, seed, mu)
+                got = exact_count_multi(mat, a, c=c, extra_rounds=extra)
+                want = _reference_exact_count(_reference_push_sum_multi, mat, b,
+                                              c=c, extra_rounds=extra)
+                assert got == want
+                assert (a.rounds, a.messages) == (b.rounds, b.messages)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [2, 17, 1024])
+    def test_single_channel_names(self, mu, n):
+        for seed in (0, 1, 2):
+            bits = self._bits(n, 1, seed)[0]
+            for c, extra in self.BUDGETS:
+                a, b = _engine(n, seed, mu), _engine(n, seed, mu)
+                new = push_sum_count(bits, a, c=c, extra_rounds=extra,
+                                     track_mass=True)
+                ref = _reference_push_sum_count(bits, b, c=c, extra_rounds=extra,
+                                                track_mass=True)
+                self._same(new, ref)
+                assert (a.rounds, a.messages) == (b.rounds, b.messages)
+
+                a, b = _engine(n, seed, mu), _engine(n, seed, mu)
+                got = exact_count(bits, a, c=c, extra_rounds=extra)
+                want = _reference_exact_count(_reference_push_sum_count, bits, b,
+                                              c=c, extra_rounds=extra)
+                assert got == (None if want is None else want[0])
+                assert (a.rounds, a.messages) == (b.rounds, b.messages)

@@ -16,17 +16,12 @@ from gossipq.engine import (
     canonical_ids,
     derive_rng,
     draw_failures,
-    uniform_peer,
 )
 
 _SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**63]
 
 
 class TestUniformPeer:
-    def test_single_node_always_zero(self):
-        rng = derive_rng(1, 0)
-        assert all(uniform_peer(rng, 1) == 0 for _ in range(50))
-
     def test_chi_square_uniformity(self):
         # 1e6 draws over n=1e4 bins; the draw really is uniform, so the
         # chi-square p-value should not be tiny
@@ -36,15 +31,6 @@ class TestUniformPeer:
         counts = np.bincount(sample, minlength=n)
         _, p = stats.chisquare(counts)
         assert p > 0.001
-
-    def test_same_seed_same_sequence(self):
-        a = [uniform_peer(derive_rng(9, 5, i), 1000) for i in range(20)]
-        b = [uniform_peer(derive_rng(9, 5, i), 1000) for i in range(20)]
-        assert a == b
-
-    def test_rejects_empty_population(self):
-        with pytest.raises(ValueError):
-            uniform_peer(derive_rng(0, 0), 0)
 
 
 class TestFailureDraws:

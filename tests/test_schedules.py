@@ -9,7 +9,6 @@ from gossipq.schedules import (
     compaction_error_bound,
     shift_bound,
     three_tournament_schedule,
-    tournament_bound,
     tournament_bound_steps,
     two_tournament_schedule,
 )
@@ -70,12 +69,6 @@ class TestThreeTournamentSchedule:
         s = three_tournament_schedule(0.125, 10**6)
         assert s.t == 5
         assert s.threshold == pytest.approx(0.01)
-
-    def test_bound_dominates(self):
-        # log_{11/8}(1/(4 eps)) + log2 log4 n ~ 2.18 + 3.32 = 5.49 >= 5
-        bound = tournament_bound(0.125, 10**6)
-        assert bound == pytest.approx(5.49, abs=0.01)
-        assert three_tournament_schedule(0.125, 10**6).t <= bound
 
     def test_termination_structure(self):
         s = three_tournament_schedule(0.02, 4096)

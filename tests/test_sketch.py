@@ -7,7 +7,6 @@ from gossipq.engine import RoundEngine, SimConfig
 from gossipq.schedules import choose_buffer_size, compaction_error_bound
 from gossipq.sketch import (
     CompactedBuffer,
-    compact,
     compaction_error_check,
     deserialize_buffer,
     doubling_gossip_estimate,
@@ -18,26 +17,6 @@ from gossipq.sketch import (
     serialize_buffer,
     uniform_sample_quantile,
 )
-
-
-class TestCompact:
-    def test_even_positions(self):
-        assert list(compact([1, 3, 5, 7], 2)) == [3, 7]
-
-    def test_under_capacity_identity(self):
-        assert list(compact([5, 1, 3], 4)) == [1, 3, 5]
-
-    def test_rejects_oversized_input(self):
-        with pytest.raises(ValueError):
-            compact(list(range(10)), 2)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=32))
-    def test_depends_only_on_sorted_multiset(self, items):
-        k = max(1, (len(items) + 1) // 2)
-        shuffled = list(items)
-        np.random.default_rng(0).shuffle(shuffled)
-        assert np.array_equal(compact(items, k), compact(shuffled, k))
 
 
 class TestDoublingUpdate:
@@ -68,6 +47,22 @@ class TestDoublingUpdate:
         with pytest.raises(ValueError):
             doubling_update(a, b)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=32),
+           st.integers(1, 16), st.integers(0, 2**30))
+    def test_depends_only_on_merged_multiset(self, items, k, shuffle_seed):
+        # any split of the same multiset into two buffers merges alike
+        shuffled = list(items)
+        np.random.default_rng(shuffle_seed).shuffle(shuffled)
+        outs = []
+        for seq in (items, shuffled):
+            half = len(seq) // 2
+            a = CompactedBuffer(np.sort(seq[:half]), 1, k)
+            b = CompactedBuffer(np.sort(seq[half:]), 1, k)
+            outs.append(doubling_update(a, b))
+        assert np.array_equal(outs[0].elements, outs[1].elements)
+        assert outs[0].weight == outs[1].weight
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**30), st.integers(1, 5))
     def test_weighted_size_conserved_through_tree(self, seed, levels):
@@ -94,7 +89,7 @@ class TestQueries:
         # z=4 over {1,3,5,7} w=1: rank 2 (even) is preserved; z=5: rank 3
         # (odd) loses exactly the old weight
         pre = CompactedBuffer(np.array([1, 3, 5, 7]), 1, 2)
-        post = CompactedBuffer(compact([1, 3, 5, 7], 2), 2, 2)
+        post = CompactedBuffer(np.array([3, 7]), 2, 2)
         assert rank_query(pre, 4) == 2 and rank_query(post, 4) == 2
         assert rank_query(pre, 5) == 3 and rank_query(post, 5) == 2
 

@@ -155,8 +155,9 @@ class TestApproxQuantile:
 
     def test_lmh_triples_sum_to_n(self):
         rep = approx_quantile(0.3, 0.05, SimConfig(n=4000, seed=9))
-        assert rep.per_iteration_lmh
-        for l, m, h in rep.per_iteration_lmh:
+        lmh = rep.details["lmh_phase1"] + rep.details["lmh_phase2"]
+        assert lmh
+        for l, m, h in lmh:
             assert l + m + h == 4000
 
     def test_deterministic(self):

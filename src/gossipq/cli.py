@@ -2,8 +2,10 @@
 
 Subcommands run seeded trial batches, write CSV rows plus a JSON summary,
 and exit 0 only when the invoked command's acceptance assertion holds
-(exit 1 on assertion failure, exit 2 on bad configuration). Flags
-override values from an optional JSON config file.
+(exit 1 on assertion failure, exit 2 on bad configuration). Each option
+takes its value from the flag, else from an optional JSON config file,
+else from its default. The trial subcommands are built from
+``harness.EXPERIMENTS``; ``schedule`` prints schedules and runs no trials.
 """
 from __future__ import annotations
 
@@ -12,27 +14,6 @@ import json
 import sys
 
 from . import harness
-from .exact import ExactParams
-
-
-def _add_common(p, *, n=True, phi=True, eps=True, mu=False):
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="base seed")
-    p.add_argument("--seeds", type=int, nargs="*", default=None,
-                   help="explicit seed list (overrides --seed/--trials)")
-    p.add_argument("--csv", type=str, default=None, help="CSV output path")
-    p.add_argument("--json", dest="json_path", type=str, default=None,
-                   help="JSON summary output path")
-    p.add_argument("--threads", type=int, default=None)
-    if n:
-        p.add_argument("--n", type=int, default=None)
-    if phi:
-        p.add_argument("--phi", type=float, default=None)
-    if eps:
-        p.add_argument("--eps", type=float, default=None)
-    if mu:
-        p.add_argument("--mu", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,54 +22,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gossip quantile protocols: seeded experiment harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("approx", help="approximate quantile trials")
-    _add_common(p)
-    p.add_argument("--k-sample", type=int, default=30)
-
-    p = sub.add_parser("exact", help="exact quantile trials")
-    _add_common(p, eps=False, mu=True)
-    p.add_argument("--exact-eps", type=float, default=None)
-    p.add_argument("--k-sample", type=int, default=30)
-    p.add_argument("--max-iterations", type=int, default=25)
-
-    p = sub.add_parser("robust", help="failure-robust approximate trials")
-    _add_common(p, mu=True)
-    p.add_argument("--t-extra", type=int, default=10)
-    p.add_argument("--k-sample", type=int, default=30)
-
-    p = sub.add_parser("sketch", help="compaction error-bound trials")
-    _add_common(p, n=False, phi=False, eps=False)
-    p.add_argument("--nprime", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-
-    p = sub.add_parser("spread", help="good-set spreading experiment")
-    _add_common(p, phi=False)
-
-    p = sub.add_parser("selfq", help="per-node self-quantile trials")
-    _add_common(p, phi=False)
-    p.add_argument("--k-sample", type=int, default=30)
+    # every default is None so that a config-file value is never hidden
+    # by a flag that was not given; defaults are applied after the merge
+    for command, exp in harness.EXPERIMENTS.items():
+        p = sub.add_parser(command, help=exp.help)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int, help="base seed")
+        p.add_argument("--seeds", type=int, nargs="*",
+                       help="explicit seed list (overrides --seed/--trials)")
+        p.add_argument("--csv", help="CSV output path")
+        p.add_argument("--json", dest="json_path",
+                       help="JSON summary output path")
+        p.add_argument("--threads", type=int)
+        for name in (*exp.required, *exp.optional):
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=harness.OPTION_TYPES[name])
 
     p = sub.add_parser("schedule", help="print tournament schedules")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-
+    p.add_argument("--config")
+    p.add_argument("--phi", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--n", type=int)
     return parser
 
 
 def _merge_config(args) -> dict:
     """File values fill in unset flags; flags win."""
     merged = {}
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             merged.update(json.load(fh))
     for key, value in vars(args).items():
-        if key in ("config",) or value is None:
-            continue
-        merged[key] = value
+        if key != "config" and value is not None:
+            merged[key] = value
     return merged
 
 
@@ -97,21 +64,22 @@ def _seed_list(cfg) -> list[int]:
     if seeds:
         return [int(s) for s in seeds]
     base = int(cfg.get("seed", 1))
-    trials = int(cfg.get("trials", 1))
-    return list(range(base, base + trials))
+    seeds = list(range(base, base + int(cfg.get("trials", 1))))
+    if not seeds:
+        raise ValueError("no trials to run: --trials must be at least 1")
+    return seeds
 
 
-def _require(cfg, *names):
+def _require(cfg, names):
     missing = [name for name in names if cfg.get(name) is None]
     if missing:
-        raise SystemExit(
-            f"error: missing required option(s): {', '.join('--' + m for m in missing)}"
+        raise ValueError(
+            f"missing required option(s): {', '.join('--' + m for m in missing)}"
         )
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
     except (OSError, json.JSONDecodeError) as exc:
@@ -121,73 +89,26 @@ def run_cli(argv=None) -> int:
     command = args.command
     try:
         if command == "schedule":
-            _require(cfg, "phi", "eps")
+            _require(cfg, ("phi", "eps"))
             print(harness.schedule_text(
                 float(cfg["phi"]), float(cfg["eps"]), cfg.get("n")
             ))
             return 0
 
+        exp = harness.EXPERIMENTS[command]
+        for name, default in exp.optional.items():
+            if cfg.get(name) is None and default is not None:
+                cfg[name] = default
+        _require(cfg, exp.required)
         seeds = _seed_list(cfg)
-        threads = cfg.get("threads")
-        if command == "approx":
-            _require(cfg, "n", "phi", "eps")
-            tasks = [dict(n=int(cfg["n"]), phi=float(cfg["phi"]),
-                          eps=float(cfg["eps"]), seed=s,
-                          k_sample=int(cfg.get("k_sample", 30)))
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_approx_trial, tasks, threads)
-            gate = _rate(rows) >= (0.99 if len(rows) >= 100 else 1.0)
-        elif command == "exact":
-            _require(cfg, "n", "phi")
-            params = ExactParams(
-                eps=cfg.get("exact_eps"),
-                max_iterations=int(cfg.get("max_iterations", 25)),
-                k_sample=int(cfg.get("k_sample", 30)),
-            )
-            tasks = [dict(n=int(cfg["n"]), phi=float(cfg["phi"]), seed=s,
-                          mu=float(cfg.get("mu", 0.0)), params=params)
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_exact_trial, tasks, threads)
-            gate = _rate(rows) == 1.0
-        elif command == "robust":
-            _require(cfg, "n", "phi", "eps", "mu")
-            tasks = [dict(n=int(cfg["n"]), phi=float(cfg["phi"]),
-                          eps=float(cfg["eps"]), seed=s, mu=float(cfg["mu"]),
-                          t_extra=int(cfg.get("t_extra", 10)),
-                          k_sample=int(cfg.get("k_sample", 30)))
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_robust_trial, tasks, threads)
-            gate = _rate(rows) >= (0.95 if len(rows) >= 20 else 1.0)
-        elif command == "sketch":
-            _require(cfg, "nprime", "k")
-            tasks = [dict(n_prime=int(cfg["nprime"]), k=int(cfg["k"]), seed=s)
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_sketch_trial, tasks, threads)
-            gate = _rate(rows) == 1.0
-        elif command == "spread":
-            _require(cfg, "n", "eps")
-            tasks = [dict(n=int(cfg["n"]), eps=float(cfg["eps"]), seed=s)
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_spread_trial, tasks, threads)
-            gate = _rate(rows) == 1.0
-        elif command == "selfq":
-            _require(cfg, "n", "eps")
-            tasks = [dict(n=int(cfg["n"]), eps=float(cfg["eps"]), seed=s,
-                          k_sample=int(cfg.get("k_sample", 30)))
-                     for s in seeds]
-            rows = harness.run_batch(harness.run_selfq_trial, tasks, threads)
-            gate = _rate(rows) >= (0.95 if len(rows) >= 20 else 1.0)
-        else:  # pragma: no cover
-            return 2
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        rows = harness.run_batch(
+            exp.runner, exp.tasks(cfg, seeds), cfg.get("threads")
+        )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     echo = {k: v for k, v in cfg.items() if k not in ("csv", "json_path")}
-    echo["command"] = command
     echo["seeds"] = seeds
     try:
         summary = harness.emit_report(
@@ -196,16 +117,12 @@ def run_cli(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
-    _print_summary(command, rows, summary)
-    return 0 if gate else 1
+    stats = summary["experiments"][command]
+    _print_summary(command, stats)
+    return 0 if exp.passes(stats["success_rate"], stats["trials"]) else 1
 
 
-def _rate(rows) -> float:
-    return sum(r["success"] for r in rows) / len(rows)
-
-
-def _print_summary(command, rows, summary) -> None:
-    stats = summary["experiments"][rows[0]["experiment"]]
+def _print_summary(command, stats) -> None:
     line = (
         f"{command}: trials={stats['trials']} "
         f"success_rate={stats['success_rate']:.4f} "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .aggregates import exact_count_multi, spread_min_max
 from .engine import RoundEngine, SimConfig, canonical_ids
-from .tournament import _tournament_core, adoption_rounds
+from .tournament import _tournament_core, adoption_rounds, clamped_rank
 
 
 class TrialFailure(RuntimeError):
@@ -312,8 +312,8 @@ def narrow_window(
     retry. Returns ``(min_id, max_id, r_min, r_max, attempts)``.
     """
     n = engine.n
-    lo_rank = max(1, min(n, int(math.ceil(k - eps / 2.0 * n - 1e-9))))
-    hi_rank = max(1, min(n, int(math.ceil(k + eps / 2.0 * n - 1e-9))))
+    lo_rank = clamped_rank(k - eps / 2.0 * n, n)
+    hi_rank = clamped_rank(k + eps / 2.0 * n, n)
     # a window end whose target quantile degenerates past the edge of the
     # valued population is bracketed by the population extreme itself
     # (each valued node contributes its own key to the spread); the
@@ -400,7 +400,7 @@ def exact_quantile(
     """
     params = params or ExactParams()
     n = config.n
-    k0 = max(1, min(n, int(math.ceil(phi * n - 1e-9))))
+    k0 = clamped_rank(phi * n, n)
     engine = RoundEngine(config)
     if values is None:
         values = engine.values_rng().permutation(n)
@@ -487,7 +487,7 @@ def exact_quantile(
     # eps*n-wide window below (and including) k
     attempt = 0
     while True:
-        final_rank = max(1, min(n, int(math.ceil(k - eps / 2.0 * n - 1e-9))))
+        final_rank = clamped_rank(k - eps / 2.0 * n, n)
         outputs, has_output, _ = _tournament_core(
             state.ids, final_rank, eps / 3.0, engine, params.k_sample,
             robust=robust,

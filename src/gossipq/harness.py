@@ -12,15 +12,23 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import BudgetExceededError, FailureModel, RoundEngine, SimConfig
+from .engine import (
+    BudgetExceededError,
+    FailureModel,
+    RoundEngine,
+    SimConfig,
+    canonical_ids,
+)
 from .exact import ExactParams, InvariantViolation, TrialFailure, exact_quantile
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
-from .tournament import approx_quantile, robust_approx_quantile
+from .tournament import approx_quantile, clamped_rank, robust_approx_quantile
 
 CSV_COLUMNS = (
     "experiment", "n", "phi", "eps", "mu", "seed",
@@ -79,7 +87,7 @@ def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
     config = SimConfig(n=n, seed=seed, failure=_failure(mu, seed))
     engine_probe = RoundEngine(config)
     values = engine_probe.values_rng().permutation(n)
-    k0 = max(1, min(n, int(math.ceil(phi * n - 1e-9))))
+    k0 = clamped_rank(phi * n, n)
     oracle = float(np.sort(values)[k0 - 1])
     row = {
         "experiment": "exact", "n": n, "phi": phi,
@@ -168,7 +176,6 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
     if values is None:
         values = engine.values_rng().permutation(n)
     values = np.asarray(values)
-    from .engine import canonical_ids
     ids, _ = canonical_ids(values)
     grid = [j * eps for j in range(1, math.ceil(1.0 / eps))]
     below = np.zeros(n, dtype=np.int64)
@@ -202,6 +209,82 @@ def run_selfq_trial(n, eps, seed, k_sample=30):
         "max_rank_error": int(round(worst * n)),
         "success": int(worst <= 2 * eps + 1e-12),
     }
+
+
+# ---------------------------------------------------------------------------
+# the experiment table: one entry per trial subcommand of the CLI
+
+OPTION_TYPES = {
+    "n": int, "phi": float, "eps": float, "mu": float, "nprime": int, "k": int,
+    "k_sample": int, "t_extra": int, "max_iterations": int, "exact_eps": float,
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """How the CLI runs one trial experiment and judges its batch.
+
+    Options are config keys (key ``k_sample`` is flag ``--k-sample``).
+    ``optional`` gives the default applied after the config merge (None:
+    the runner's own); ``renamed`` gives runner keywords; options in
+    ``exact_params`` reach the runner inside one ``ExactParams``. A batch
+    of at least ``gate[1]`` trials passes at success rate ``gate[0]``; a
+    smaller one only when every trial succeeds.
+    """
+
+    runner: Callable[..., dict]
+    help: str
+    required: tuple[str, ...]
+    optional: dict = field(default_factory=dict)
+    renamed: dict = field(default_factory=dict)
+    exact_params: tuple[str, ...] = ()
+    gate: tuple[float, int] = (1.0, 1)
+    fits_rounds: bool = False
+
+    def tasks(self, cfg: dict, seeds) -> list[dict]:
+        """Runner kwargs for each seed from a merged config."""
+        kwargs, params = {}, {}
+        for name in (*self.required, *self.optional):
+            if cfg.get(name) is not None:
+                into = params if name in self.exact_params else kwargs
+                into[self.renamed.get(name, name)] = OPTION_TYPES[name](cfg[name])
+        if self.exact_params:
+            kwargs["params"] = ExactParams(**params)
+        return [dict(kwargs, seed=s) for s in seeds]
+
+    def passes(self, success_rate: float, trials: int) -> bool:
+        floor, from_trials = self.gate
+        return success_rate >= (floor if trials >= from_trials else 1.0)
+
+
+EXPERIMENTS = {
+    "approx": Experiment(
+        run_approx_trial, "approximate quantile trials", ("n", "phi", "eps"),
+        {"k_sample": 30}, gate=(0.99, 100), fits_rounds=True,
+    ),
+    "exact": Experiment(
+        run_exact_trial, "exact quantile trials", ("n", "phi"),
+        {"mu": None, "exact_eps": None, "k_sample": 30, "max_iterations": 25},
+        renamed={"exact_eps": "eps"},
+        exact_params=("exact_eps", "k_sample", "max_iterations"),
+    ),
+    "robust": Experiment(
+        run_robust_trial, "failure-robust approximate trials",
+        ("n", "phi", "eps", "mu"), {"t_extra": 10, "k_sample": 30},
+        gate=(0.95, 20), fits_rounds=True,
+    ),
+    "sketch": Experiment(
+        run_sketch_trial, "compaction error-bound trials", ("nprime", "k"),
+        renamed={"nprime": "n_prime"},
+    ),
+    "spread": Experiment(
+        run_spread_trial, "good-set spreading experiment", ("n", "eps"),
+    ),
+    "selfq": Experiment(
+        run_selfq_trial, "per-node self-quantile trials", ("n", "eps"),
+        {"k_sample": 30}, gate=(0.95, 20), fits_rounds=True,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +360,7 @@ def summarize(rows, config_echo: dict) -> dict:
             "max_rank_error_max": int(np.max([r["max_rank_error"] for r in sub])),
             "failures_by_kind": dict(sorted(kinds.items())),
             "fitted_round_constant": (
-                fit_round_constant(sub)
-                if name in ("approx", "robust", "selfq") else None
+                fit_round_constant(sub) if EXPERIMENTS[name].fits_rounds else None
             ),
         }
     return {"config": config_echo, "experiments": experiments}

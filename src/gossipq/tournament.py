@@ -365,8 +365,13 @@ def _tournament_core(
     return outputs, has_output, info
 
 
-def _clamped_rank(phi: float, n: int) -> int:
-    return max(1, min(n, math.ceil(phi * n - 1e-9)))
+def clamped_rank(rank: float, n: int) -> int:
+    """ceil(rank) clamped to the 1-based ranks [1, n].
+
+    The 1e-9 slack keeps a product such as phi * n that lands a rounding
+    error above an integer from moving up one rank.
+    """
+    return max(1, min(n, math.ceil(rank - 1e-9)))
 
 
 def _make_state(config: SimConfig, values):
@@ -419,7 +424,7 @@ def approx_quantile(
     """
     engine, ids, value_by_rank = _make_state(config, values)
     n = config.n
-    target_rank = _clamped_rank(phi, n)
+    target_rank = clamped_rank(phi * n, n)
     report = TrialReport()
     if n == 1:
         return _finish_report(
@@ -453,7 +458,7 @@ def robust_approx_quantile(
     """
     engine, ids, value_by_rank = _make_state(config, values)
     n = config.n
-    target_rank = _clamped_rank(phi, n)
+    target_rank = clamped_rank(phi * n, n)
     report = TrialReport()
     if n == 1:
         return _finish_report(

@@ -1,11 +1,12 @@
 """CLI surface: subcommands, report formats, exit codes, reproducibility."""
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from gossipq import harness
-from gossipq.cli import run_cli
+from gossipq.cli import build_parser, run_cli
 from gossipq.harness import (
     fit_round_constant,
     rank_window,
@@ -100,6 +101,79 @@ class TestConfigFile:
     def test_unreadable_config_exit_2(self):
         assert run_cli(["schedule", "--config", "/nope.json",
                         "--phi", "0.2", "--eps", "0.1"]) == 2
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("k_sample", 5, ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05"]),
+        # 2 bad nodes pass only when 2 <= 300 / 2**t_extra (exit 1 at t_extra 10)
+        ("t_extra", 7, ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02",
+                        "--mu", "0.5", "--seed", "3"]),
+        ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5"]),
+    ])
+    def test_file_value_beats_default(self, tmp_path, key, value, argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        argv = argv + ["--trials", "1", "--threads", "1"]
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(argv + [flag, str(value), "--csv", str(by_flag)]) == 0
+        assert run_cli(argv + ["--config", str(cfg), "--csv", str(by_file)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_seed_list_exit_2(self, capsys, trials):
+        rc = run_cli(["approx", "--n", "100", "--phi", "0.5", "--eps", "0.1",
+                      "--trials", trials, "--threads", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCommandTable:
+    COMMON = {"-h", "--help", "--config", "--trials", "--seed", "--seeds",
+              "--csv", "--json", "--threads"}
+    OPTIONS = {
+        "approx": COMMON | {"--n", "--phi", "--eps", "--k-sample"},
+        "exact": COMMON | {"--n", "--phi", "--mu", "--exact-eps", "--k-sample",
+                           "--max-iterations"},
+        "robust": COMMON | {"--n", "--phi", "--eps", "--mu", "--t-extra",
+                            "--k-sample"},
+        "sketch": COMMON | {"--nprime", "--k"},
+        "spread": COMMON | {"--n", "--eps"},
+        "selfq": COMMON | {"--n", "--eps", "--k-sample"},
+        "schedule": {"-h", "--help", "--config", "--phi", "--eps", "--n"},
+    }
+
+    def test_option_strings_unchanged(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {o for a in p._actions for o in a.option_strings}
+                 for name, p in sub.choices.items()}
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
+         {"k_sample": 30}),
+        # mu and exact_eps have no CLI default: the runner's own applies
+        (["exact", "--n", "64", "--phi", "0.5"],
+         {"k_sample": 30, "max_iterations": 25}),
+        (["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5"],
+         {"k_sample": 30, "t_extra": 10}),
+        (["sketch", "--nprime", "64", "--k", "8"], {}),
+        (["spread", "--n", "200", "--eps", "0.1"], {}),
+        (["selfq", "--n", "200", "--eps", "0.1"], {"k_sample": 30}),
+    ])
+    def test_defaults_in_config_echo(self, tmp_path, argv, defaults):
+        path = tmp_path / "s.json"
+        run_cli(argv + ["--threads", "1", "--json", str(path)])
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        given = {k[2:]: json.loads(v) for k, v in flags.items()}
+        assert json.loads(path.read_text())["config"] == {
+            "command": argv[0], "seeds": [1], "threads": 1, **given, **defaults,
+        }
+
+    def test_every_experiment_has_golden_case(self):
+        from test_golden_rows import GOLDEN
+
+        assert set(harness.EXPERIMENTS) <= {argv[0] for argv, _ in GOLDEN}
 
 
 class TestSelfQuantile:

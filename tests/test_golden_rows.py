@@ -1,10 +1,14 @@
 """Golden CLI rows: fixed-seed CSV output must stay byte-identical.
 
 Each case is one small CLI run whose CSV file was captured from the
-implementation before the robust pull batch was vectorised. A change
-that alters any stream (peer, failure, protocol or input draws) shows
-here as a differing row; such a change must be deliberate and documented,
-and then the captured rows are replaced in the same change.
+implementation before the robust pull batch was vectorised; the selfq
+case and the cases with a non-default --k-sample, --t-extra,
+--max-iterations or --exact-eps were captured before the subcommands
+were built from the experiment table, so each option's path to the
+trial runner is checked byte for byte. A change that alters any stream
+(peer, failure, protocol or input draws) shows here as a differing row;
+such a change must be deliberate and documented, and then the captured
+rows are replaced in the same change.
 """
 import pytest
 
@@ -54,6 +58,52 @@ GOLDEN = [
         ["spread", "--n", "10000", "--eps", "0.01", "--trials", "2", "--seed", "1"],
         "spread,10000,,0.01,0.0,1,6,120000,0,1\n"
         "spread,10000,,0.01,0.0,2,6,120000,0,1\n",
+    ),
+    (
+        ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "2", "--seed", "1"],
+        "selfq,1000,,0.1,0.0,1,577,577000,119,1\n"
+        "selfq,1000,,0.1,0.0,2,577,577000,149,1\n",
+    ),
+    (
+        ["selfq", "--n", "1000", "--eps", "0.1", "--k-sample", "10",
+         "--trials", "1", "--seed", "1"],
+        "selfq,1000,,0.1,0.0,1,397,397000,121,1\n",
+    ),
+    (
+        ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
+         "--k-sample", "5", "--trials", "2", "--seed", "1"],
+        "approx,2000,0.3,0.05,0.0,1,37,74000,32,1\n"
+        "approx,2000,0.3,0.05,0.0,2,37,74000,63,1\n",
+    ),
+    (
+        # two answer-less or wrong nodes: success needs 2 <= 300 / 2**t_extra,
+        # which the default t_extra = 10 fails
+        ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02", "--mu", "0.5",
+         "--t-extra", "7", "--trials", "1", "--seed", "3"],
+        "robust,300,0.3,0.02,0.5,3,549,82367,7,1\n",
+    ),
+    (
+        ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05", "--mu", "0.5",
+         "--k-sample", "7", "--trials", "1", "--seed", "1"],
+        "robust,2000,0.3,0.05,0.5,1,332,331538,36,1\n",
+    ),
+    (
+        ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",
+         "--trials", "2", "--seed", "1"],
+        "exact,256,0.5,0.1,0.0,1,2142,656073,0,1\n"
+        "exact,256,0.5,0.1,0.0,2,1433,435048,0,1\n",
+    ),
+    (
+        ["exact", "--n", "256", "--phi", "0.5", "--max-iterations", "2",
+         "--trials", "2", "--seed", "1"],
+        "exact,256,0.5,0.08,0.0,1,1095,338213,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,693,204552,0,1\n",
+    ),
+    (
+        ["exact", "--n", "256", "--phi", "0.3", "--k-sample", "10",
+         "--trials", "2", "--seed", "1"],
+        "exact,256,0.3,0.08,0.0,1,591,177448,0,1\n"
+        "exact,256,0.3,0.08,0.0,2,595,178892,0,1\n",
     ),
 ]
 

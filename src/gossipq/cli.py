@@ -47,12 +47,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# types of the config keys that are not experiment options; a file key
+# that is neither is echoed in the JSON summary and otherwise unused
+_RUN_TYPES = {"trials": int, "seed": int, "threads": int, "csv": str, "json_path": str}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(key: str, value, kind):
+    """A config-file value as its flag would parse it, else ValueError.
+
+    Numbers and numeric strings are accepted; an int key also takes an
+    integral float (2.0). Booleans, containers and NaN are rejected.
+    """
+    typed = None
+    if kind is str:
+        typed = value if isinstance(value, str) else None
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            typed = kind(value)
+        except (ValueError, OverflowError):
+            pass
+        if isinstance(value, float) and typed != value:
+            typed = None  # 2.5 for an int key, or NaN
+    if typed is None:
+        raise ValueError(
+            f"config key {key!r} needs {_KIND_NAMES[kind]}, got {json.dumps(value)}"
+        )
+    return typed
+
+
+def _load_config(path: str) -> dict:
+    """The config file's keys, each typed like its flag; null means unset."""
+    with open(path) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(
+            f"top level must be a JSON object, got {type(loaded).__name__}"
+        )
+    types = {**harness.OPTION_TYPES, **_RUN_TYPES}
+    cfg = {}
+    for key, value in loaded.items():
+        if value is None:
+            continue
+        if key == "seeds":
+            if not isinstance(value, list):
+                raise ValueError(f"config key 'seeds' needs a list, got {json.dumps(value)}")
+            value = [_typed(key, seed, int) for seed in value]
+        elif key in types:
+            value = _typed(key, value, types[key])
+        cfg[key] = value
+    return cfg
+
+
 def _merge_config(args) -> dict:
     """File values fill in unset flags; flags win."""
-    merged = {}
-    if args.config:
-        with open(args.config) as fh:
-            merged.update(json.load(fh))
+    merged = _load_config(args.config) if args.config else {}
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             merged[key] = value
@@ -62,9 +111,9 @@ def _merge_config(args) -> dict:
 def _seed_list(cfg) -> list[int]:
     seeds = cfg.get("seeds")
     if seeds:
-        return [int(s) for s in seeds]
-    base = int(cfg.get("seed", 1))
-    seeds = list(range(base, base + int(cfg.get("trials", 1))))
+        return seeds
+    base = cfg.get("seed", 1)
+    seeds = list(range(base, base + cfg.get("trials", 1)))
     if not seeds:
         raise ValueError("no trials to run: --trials must be at least 1")
     return seeds
@@ -82,7 +131,7 @@ def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
@@ -90,9 +139,7 @@ def run_cli(argv=None) -> int:
     try:
         if command == "schedule":
             _require(cfg, ("phi", "eps"))
-            print(harness.schedule_text(
-                float(cfg["phi"]), float(cfg["eps"]), cfg.get("n")
-            ))
+            print(harness.schedule_text(cfg["phi"], cfg["eps"], cfg.get("n")))
             return 0
 
         exp = harness.EXPERIMENTS[command]

@@ -242,12 +242,12 @@ class Experiment:
     fits_rounds: bool = False
 
     def tasks(self, cfg: dict, seeds) -> list[dict]:
-        """Runner kwargs for each seed from a merged config."""
+        """Runner kwargs for each seed from a merged, typed config."""
         kwargs, params = {}, {}
         for name in (*self.required, *self.optional):
             if cfg.get(name) is not None:
                 into = params if name in self.exact_params else kwargs
-                into[self.renamed.get(name, name)] = OPTION_TYPES[name](cfg[name])
+                into[self.renamed.get(name, name)] = cfg[name]
         if self.exact_params:
             kwargs["params"] = ExactParams(**params)
         return [dict(kwargs, seed=s) for s in seeds]

@@ -15,7 +15,13 @@ protocol makes, so both variants consume identical randomness and produce
 identical trials.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
-all comparisons are id comparisons.
+all comparisons are id comparisons. Ids lie in ``[0, n)``, so
+``_tournament_core`` converts its state once, to the dtype ``_id_dtype``
+picks (the one place it is chosen): int32 whenever ``n <= 2**31 - 1``.
+Every pull then gathers, and every pull batch and K-sample matrix
+holds, half the bytes of int64. The outputs it returns are int64 again,
+so callers never see the narrow state. The combining steps and the
+K-sample use comparisons only, so they are exact for any dtype.
 """
 from __future__ import annotations
 
@@ -78,8 +84,11 @@ def phase1_step(
 
 
 def phase2_step(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-    """Median of three pulled values."""
-    return v1 + v2 + v3 - np.minimum(np.minimum(v1, v2), v3) - np.maximum(np.maximum(v1, v2), v3)
+    """Median of three pulled values: max(min(v1, v2), min(max(v1, v2), v3)).
+
+    Comparisons only, no arithmetic, so no sum can round or overflow.
+    """
+    return np.maximum(np.minimum(v1, v2), np.minimum(np.maximum(v1, v2), v3))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,8 @@ def final_median_sample(values: np.ndarray, k_sample: int, engine: RoundEngine) 
     picked = np.empty((k, engine.n), dtype=values.dtype)
     for j in range(k):
         picked[j], _ = _pull_values(values, engine)
-    return np.partition(picked, k // 2, axis=0)[k // 2]
+    picked.partition(k // 2, axis=0)  # private scratch: no copy
+    return picked[k // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +266,8 @@ def robust_final_median_sample(
     k = _odd(max(1, k_sample))
     picked, counts, _ = robust_pull_batch(values, good_prev, k, max(batch, k), engine)
     has_output = counts >= k
-    medians = np.partition(picked, k // 2, axis=0)[k // 2]
-    return medians, has_output
+    picked.partition(k // 2, axis=0)  # private scratch: no copy
+    return picked[k // 2], has_output
 
 
 def adoption_rounds(
@@ -292,6 +302,11 @@ def adoption_rounds(
 # full protocol runs
 
 
+def _id_dtype(n: int):
+    """Dtype of an id state over ids in [0, n): int32 whenever they fit."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _tournament_core(
     ids: np.ndarray,
     target_rank: int,
@@ -305,9 +320,10 @@ def _tournament_core(
 ):
     """Run Phase I + Phase II + final sample over an id state.
 
-    Returns ``(outputs, has_output, info)`` with per-node output ids.
-    ``robust`` switches every pull to the good-pull batch machinery, with
-    batch sizes derived from the engine's failure bound mu.
+    Returns ``(outputs, has_output, info)`` with per-node int64 output
+    ids. The state runs as int32 when every id fits (see the module
+    docstring). ``robust`` switches every pull to the good-pull batch
+    machinery, with batch sizes derived from the engine's failure bound mu.
     """
     n = engine.n
     phi_eff = target_rank / n
@@ -315,7 +331,7 @@ def _tournament_core(
     sched2 = three_tournament_schedule(eps / phase2_eps_factor, n, k_sample)
     mu = engine.config.failure.mu if engine.config.failure.active else 0.0
     batch = phase_batch_size(mu)
-    values = ids
+    values = ids.astype(_id_dtype(n), copy=False)
     good = np.ones(n, dtype=bool)
     good_trace: list[int] = []
     lmh1: list[tuple[int, int, int]] = []
@@ -362,7 +378,7 @@ def _tournament_core(
         "direction": sched1.direction,
         "good_trace": good_trace,
     }
-    return outputs, has_output, info
+    return outputs.astype(np.int64), has_output, info
 
 
 def clamped_rank(rank: float, n: int) -> int:

@@ -127,6 +127,52 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    SKETCH = ["sketch", "--nprime", "64", "--k", "8"]
+
+    @pytest.mark.parametrize("text", ["[1]", '"{"', "3", "null"])
+    def test_non_object_config_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        rc = run_cli(self.SKETCH + ["--trials", "1", "--threads", "1",
+                                    "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+    @pytest.mark.parametrize("body", [
+        {"threads": "two"}, {"threads": True}, {"seed": 1.5}, {"trials": [2]},
+        {"seeds": 3}, {"seeds": [1, "x"]}, {"seeds": [1, 2.5]}, {"nprime": {}},
+        {"k": "eight"}, {"mu": False}, {"json_path": ["out.json"]},
+    ])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(body))
+        rc = run_cli(self.SKETCH + ["--trials", "1", "--threads", "1",
+                                    "--config", str(cfg)])
+        assert rc == 2
+        key = next(iter(body))
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config: config key '{key}' needs "
+        )
+
+    def test_file_values_typed_like_flags(self, tmp_path):
+        # numeric strings and integral floats parse as their flags would;
+        # "threads" used to reach run_batch as a string
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "nprime": "64", "k": 8.0, "seed": "4", "trials": 2.0,
+            "threads": "1", "mu": None,
+        }))
+        outs = []
+        for name, argv in (
+            ("flag", self.SKETCH + ["--seed", "4", "--trials", "2", "--threads", "1"]),
+            ("file", ["sketch", "--config", str(cfg)]),
+        ):
+            csv, js = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run_cli(argv + ["--csv", str(csv), "--json", str(js)]) == 0
+            outs.append((csv.read_bytes(), js.read_bytes()))
+        assert outs[0] == outs[1]
+
+
 class TestCommandTable:
     COMMON = {"-h", "--help", "--config", "--trials", "--seed", "--seeds",
               "--csv", "--json", "--threads"}

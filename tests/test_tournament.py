@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gossipq import harness, tournament
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
+from gossipq.exact import exact_quantile
 from gossipq.schedules import SHRINK_HIGH, SHRINK_LOW
 from gossipq.tournament import (
     adoption_rounds,
@@ -54,6 +56,44 @@ class TestSteps:
     def test_shared_value_is_fixed_point(self):
         v = np.full(5, 42)
         assert (phase2_step(v, v, v) == 42).all()
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _triples(elements):
+    return st.lists(st.tuples(elements, elements, elements), min_size=1, max_size=16)
+
+
+class TestMedianOfThreeExact:
+    """phase2_step against the middle row of the sorted three pulls."""
+
+    @staticmethod
+    def _check(triples, dtype):
+        a, b, c = (np.array(col, dtype=dtype) for col in zip(*triples))
+        expected = np.sort(np.stack([a, b, c]), axis=0)[1]
+        got = phase2_step(a, b, c)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_triples(st.one_of(
+        st.integers(-INT64_MAX, INT64_MAX),
+        st.integers(2**53 - 2, 2**53 + 2),
+        st.sampled_from([INT64_MAX, -INT64_MAX, INT64_MAX - 1, 2**62]),
+    )))
+    @example([(INT64_MAX, INT64_MAX, -INT64_MAX)])
+    @example([(INT64_MAX, 2**53 + 1, 2**53)])
+    @example([(-INT64_MAX, -INT64_MAX + 1, INT64_MAX)])
+    def test_int64_extremes(self, triples):
+        self._check(triples, np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_triples(st.floats(allow_nan=False, allow_infinity=False)))
+    @example([(1e16, 1.0, -1e16)])  # the sum 1e16 + 1 + -1e16 rounds to 0
+    @example([(1.7976931348623157e308, 1.0, 1.7976931348623157e308)])
+    def test_finite_floats(self, triples):
+        self._check(triples, np.float64)
 
 
 class TestIterations:
@@ -369,3 +409,112 @@ class TestQuantileCuts:
         lo, hi = quantile_cuts(n, 0.15, 0.35)
         assert lo == 14   # ranks 1..14 have r/n < 0.15
         assert hi == 35   # ranks 36.. have r/n > 0.35
+
+
+def _reference_final_median_sample(values, k_sample, engine):
+    """The copy-and-partition K-sample final_median_sample replaced,
+    kept as the reference its outputs must match."""
+    k = k_sample if k_sample % 2 else k_sample + 1
+    picked = np.empty((k, engine.n), dtype=values.dtype)
+    for j in range(k):
+        rd = engine.next_round()
+        pulled = values[rd.peers()]
+        if rd.failed is not None:
+            pulled = np.where(rd.failed, values, pulled)
+        picked[j] = pulled
+    return np.partition(picked, k // 2, axis=0)[k // 2]
+
+
+def _reference_robust_final_median_sample(values, good_prev, k_sample, batch, engine):
+    k = k_sample if k_sample % 2 else k_sample + 1
+    picked, counts, _ = robust_pull_batch(values, good_prev, k, max(batch, k), engine)
+    return np.partition(picked, k // 2, axis=0)[k // 2], counts >= k
+
+
+class TestSampleMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("k_sample", [5, 6, 30])
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_same_medians_rounds_and_messages(self, dtype, mu, k_sample, robust):
+        n, seed = 500, 13
+        failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-n // 3, n // 3, size=n)  # negative keys and ties
+        values = values / 7.0 if dtype == np.float64 else values.astype(dtype)
+        kept = values.copy()
+        good = rng.random(n) >= 0.2
+        batch = sample_batch_size(mu, k_sample | 1)
+        runs = []
+        for fn in ((robust_final_median_sample, _reference_robust_final_median_sample)
+                   if robust else (final_median_sample, _reference_final_median_sample)):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            if robust:
+                out, has = fn(values, good, k_sample, batch, engine)
+            else:
+                out, has = fn(values, k_sample, engine), None
+            runs.append((out, has, engine.rounds, engine.messages))
+        (out, has, rounds, messages), (out_ref, has_ref, rounds_ref, messages_ref) = runs
+        assert out.dtype == values.dtype
+        assert np.array_equal(out, out_ref)
+        assert np.array_equal(has, has_ref)
+        assert (rounds, messages) == (rounds_ref, messages_ref)
+        assert np.array_equal(values, kept)  # partitions its own scratch only
+
+
+def _record_state_dtypes(monkeypatch):
+    """Wrap both K-samples to record the dtype of the state they get."""
+    seen = []
+    for name in ("final_median_sample", "robust_final_median_sample"):
+        def wrapped(values, *args, _fn=getattr(tournament, name), **kwargs):
+            seen.append(values.dtype)
+            return _fn(values, *args, **kwargs)
+        monkeypatch.setattr(tournament, name, wrapped)
+    return seen
+
+
+class TestIdStateDtype:
+    ROBUST = FailureModel(mode="uniform", mu=0.5, seed=4)
+
+    def _trials(self):
+        return [
+            approx_quantile(0.3, 0.1, SimConfig(n=700, seed=4)),
+            robust_approx_quantile(0.7, 0.1, 5, SimConfig(n=700, seed=4, failure=self.ROBUST)),
+            exact_quantile(0.5, SimConfig(n=256, seed=4)),
+        ]
+
+    def test_reports_keep_int64_ranks(self, monkeypatch):
+        seen = _record_state_dtypes(monkeypatch)
+        approx, robust, _ = self._trials()
+        assert approx.output_ranks.dtype == np.int64
+        assert robust.output_ranks.dtype == np.int64
+        assert seen and set(seen) == {np.dtype(np.int32)}
+
+    def test_self_quantile_gets_int64_ranks(self, monkeypatch):
+        ranks = []
+
+        def recording(*args, **kwargs):
+            report = approx_quantile(*args, **kwargs)
+            ranks.append(report.output_ranks.dtype)
+            return report
+
+        monkeypatch.setattr(harness, "approx_quantile", recording)
+        harness.self_quantile(0.1, SimConfig(n=300, seed=2))
+        assert ranks and set(ranks) == {np.dtype(np.int64)}
+
+    def test_int64_state_runs_the_same_trials(self, monkeypatch):
+        seen = _record_state_dtypes(monkeypatch)
+        narrow = self._trials()
+        assert set(seen) == {np.dtype(np.int32)}
+        seen.clear()
+        monkeypatch.setattr(tournament, "_id_dtype", lambda n: np.int64)
+        wide = self._trials()
+        assert set(seen) == {np.dtype(np.int64)}
+        for a, b in zip(narrow[:2], wide[:2]):
+            assert np.array_equal(a.outputs, b.outputs, equal_nan=True)
+            assert np.array_equal(a.output_ranks, b.output_ranks)
+            assert (a.rounds, a.messages, a.max_rank_error) == (b.rounds, b.messages, b.max_rank_error)
+            assert a.details == b.details
+        a, b = narrow[2], wide[2]
+        assert (a.value, a.rounds, a.messages, a.iterations) == (b.value, b.rounds, b.messages, b.iterations)
+        assert a.details == b.details

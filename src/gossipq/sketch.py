@@ -6,9 +6,14 @@ thinned to the 1-indexed even positions while its weight doubles. The
 rank error this introduces is deterministic: over T = log2(n') + 1 rounds
 on n' effective samples it never exceeds (n'/2k) * log2(n'/k).
 
+One row-wise kernel, ``_merge_compact``, does every merge. The error
+check sweeps 2 * len(tilde) points, not n': the compacted rank is flat
+between compacted elements while the full rank rises, so over the data
+the error peaks at a compacted element or the data element just below.
+
 Buffers are value-like: merging consumes both inputs. Elements are stored
 as int64 keys (distinct totally-ordered ids; duplicate raw values get
-distinct keys upstream via tiebreaks).
+distinct keys upstream via tiebreaks); other input types are rejected.
 """
 from __future__ import annotations
 
@@ -31,9 +36,7 @@ class CompactedBuffer:
     capacity: int             # power of two
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "elements", np.asarray(self.elements, dtype=np.int64)
-        )
+        object.__setattr__(self, "elements", _int64_keys(self.elements))
 
     @property
     def weighted_size(self) -> int:
@@ -41,7 +44,26 @@ class CompactedBuffer:
 
     @staticmethod
     def singleton(key: int, capacity: int) -> "CompactedBuffer":
-        return CompactedBuffer(np.array([key], dtype=np.int64), 1, capacity)
+        return CompactedBuffer([key], 1, capacity)
+
+
+def _int64_keys(values) -> np.ndarray:
+    """``values`` as int64 keys; ValueError where a cast would truncate or wrap."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if arr.size and (kind not in "iu" or kind == "u" and arr.max() >= 2**63):
+        raise ValueError(f"keys must be int64-range integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _merge_compact(left, right, k, out=None):
+    """Row-wise merge of two sorted (rows, size) blocks, into ``out`` if given,
+    compacted to ``[:, 1::2]`` past width k. Returns (block, weight factor)."""
+    merged = np.concatenate([left, right], axis=1, out=out)
+    merged.sort(axis=1)
+    if merged.shape[1] > k:
+        return merged[:, 1::2], 2
+    return merged, 1
 
 
 def doubling_update(buf_a: CompactedBuffer, buf_b: CompactedBuffer) -> CompactedBuffer:
@@ -51,11 +73,8 @@ def doubling_update(buf_a: CompactedBuffer, buf_b: CompactedBuffer) -> Compacted
     if buf_a.capacity != buf_b.capacity:
         raise ValueError("buffers must share a capacity")
     k = buf_a.capacity
-    merged = np.concatenate([buf_a.elements, buf_b.elements])
-    merged.sort()
-    if len(merged) <= k:
-        return CompactedBuffer(merged, buf_a.weight, k)
-    return CompactedBuffer(merged[1::2], buf_a.weight * 2, k)
+    merged, factor = _merge_compact(buf_a.elements[None], buf_b.elements[None], k)
+    return CompactedBuffer(merged[0], buf_a.weight * factor, k)
 
 
 def rank_query(buffer: CompactedBuffer, z) -> int:
@@ -159,24 +178,19 @@ def _nearest_quantile_index(s: int, phi: float) -> int:
 # deterministic error-bound checking (synchronous merge tree)
 
 
-def _tree_levels(data: np.ndarray, k: int | None):
+def _tree_levels(data: np.ndarray, k: int):
     """Run the synchronous pairwise doubling schedule over ``data``.
 
-    Level j holds n'/2^j buffers of equal size; rows stay sorted. With a
-    capacity every merge beyond size k compacts once, doubling the level
-    weight. Returns (final sorted elements, final weight).
+    Level j holds n'/2^j buffers of equal size; rows stay sorted. Every
+    merge beyond size k (a power of two) compacts once, doubling the level
+    weight, so the levels up to width k are one sort of contiguous blocks.
+    Returns (final sorted elements, final weight).
     """
-    n_prime = len(data)
-    level = np.sort(np.asarray(data, dtype=np.int64).reshape(n_prime, 1), axis=1)
+    level = np.sort(np.reshape(data, (-1, min(len(data), k))), axis=1)
     weight = 1
     while level.shape[0] > 1:
-        half = level.shape[0] // 2
-        merged = np.concatenate([level[0::2], level[1::2]], axis=1)
-        merged.sort(axis=1)
-        if k is not None and merged.shape[1] > k:
-            merged = merged[:, 1::2]
-            weight *= 2
-        level = merged
+        level, factor = _merge_compact(level[0::2], level[1::2], k)
+        weight *= factor
     return level[0], weight
 
 
@@ -187,23 +201,24 @@ def compaction_error_check(
     *,
     z_values: np.ndarray | None = None,
 ) -> int:
-    """Max weighted-rank error between the uncompacted and compacted runs
-    of one merge tree, asserted against the deterministic bound.
+    """Max weighted-rank error between the sorted data and its compacted
+    merge tree, asserted against the deterministic bound.
 
-    Both runs traverse the identical tree; the sweep defaults to every
-    data element.
+    The sweep defaults to every data element, at the 2 * len(tilde)
+    points where the error can peak (see the module docstring).
     """
-    data = np.asarray(data, dtype=np.int64)
+    data = _int64_keys(data)
     if len(data) != n_prime:
         raise ValueError("data length must equal n_prime")
     bound = compaction_error_bound(n_prime, k)
-    full, w_full = _tree_levels(data, None)
+    full = np.sort(data)
     tilde, w_tilde = _tree_levels(data, k)
-    if w_full != 1:
-        raise AssertionError("uncompacted run must keep weight 1")
     if len(tilde) * w_tilde != n_prime:
         raise AssertionError("weighted size was not conserved")
-    zs = data if z_values is None else np.asarray(z_values, dtype=np.int64)
+    if z_values is None:  # each compacted element and the element below it
+        zs = np.concatenate([tilde, full[np.searchsorted(full, tilde) - 1]])
+    else:
+        zs = _int64_keys(z_values)
     r_full = np.searchsorted(full, zs, side="right")
     r_tilde = w_tilde * np.searchsorted(tilde, zs, side="right")
     err = int(np.abs(r_full - r_tilde).max())
@@ -219,8 +234,6 @@ def doubling_gossip_estimate(
     ids: np.ndarray,
     n_prime: int,
     k: int,
-    *,
-    dtype=np.int32,
 ) -> tuple[np.ndarray, int]:
     """Population-level doubling with compaction: every node's buffer after
     T = log2(n') + 1 rounds.
@@ -228,35 +241,29 @@ def doubling_gossip_estimate(
     Round 0 seeds each node's buffer with one uniformly sampled value;
     each later round merges in the contacted node's buffer (compacting at
     capacity k). Returns (buffers sorted row-wise, weight); all buffers
-    share one size and weight on the synchronous schedule.
+    share one size and weight on the synchronous schedule, and hold int32
+    when every id fits in it, int64 otherwise.
     """
     n = engine.n
     if n_prime < 2 or n_prime & (n_prime - 1):
         raise ValueError("n_prime must be a power of two >= 2")
     rounds = int(math.log2(n_prime)) + 1
+    ids = np.asarray(ids)
+    wide = ids.size and (ids.min() < -(2**31) or ids.max() >= 2**31)
     rd = engine.next_round()
     seed_peers = rd.peers()
-    buffers = np.asarray(ids, dtype=dtype)[seed_peers].reshape(n, 1)
-    weight = 1
+    buffers = ids.astype(np.int64 if wide else np.int32)[seed_peers].reshape(n, 1)
     scratch = None
     for _ in range(rounds - 1):
         rd = engine.next_round()
         size = buffers.shape[1]
         peers = rd.peers(message_weight=size)
-        if 2 * size > k:
-            # steady state: merge into a reused scratch block, compact back
-            if scratch is None or scratch.shape[1] != 2 * size:
-                scratch = np.empty((n, 2 * size), dtype=dtype)
-            scratch[:, :size] = buffers
-            scratch[:, size:] = buffers[peers]
-            scratch.sort(axis=1)
-            if size == k:
-                np.copyto(buffers, scratch[:, 1::2])
-            else:
-                buffers = scratch[:, 1::2].copy()
-            weight *= 2
-        else:
-            merged = np.concatenate([buffers, buffers[peers]], axis=1)
-            merged.sort(axis=1)
+        if 2 * size > k and scratch is None:
+            # every later round compacts back to this size
+            scratch = np.empty((n, 2 * size), dtype=buffers.dtype)
+        merged, factor = _merge_compact(buffers, buffers[peers], k, scratch)
+        if factor == 1:
             buffers = merged
-    return buffers, weight
+        else:
+            np.copyto(buffers, merged)
+    return buffers, n_prime // buffers.shape[1]  # weighted size is n'

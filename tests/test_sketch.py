@@ -1,12 +1,17 @@
 """Compacting buffer, its deterministic error bound, uniform sampling."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gossipq.engine import RoundEngine, SimConfig
+from gossipq import sketch
+from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.schedules import choose_buffer_size, compaction_error_bound
 from gossipq.sketch import (
     CompactedBuffer,
+    _tree_levels,
     compaction_error_check,
     deserialize_buffer,
     doubling_gossip_estimate,
@@ -152,10 +157,229 @@ class TestErrorBoundCheck:
         while len(bufs) > 1:
             bufs = [doubling_update(bufs[i], bufs[i + 1])
                     for i in range(0, len(bufs), 2)]
-        from gossipq.sketch import _tree_levels
         elements, weight = _tree_levels(data, k)
         assert np.array_equal(bufs[0].elements, elements)
         assert bufs[0].weight == weight
+
+
+class TestKeyTypes:
+    def test_float_data_rejected(self):
+        data = np.random.default_rng(0).random(64)
+        with pytest.raises(ValueError):
+            compaction_error_check(64, 8, data)
+
+    def test_float_z_values_rejected(self):
+        data = np.random.default_rng(0).permutation(64)
+        with pytest.raises(ValueError):
+            compaction_error_check(64, 8, data, z_values=[2.5])
+
+    def test_float_buffer_rejected(self):
+        with pytest.raises(ValueError):
+            CompactedBuffer([0.9, 1.5], 1, 4)
+        with pytest.raises(ValueError):
+            CompactedBuffer.singleton(0.5, 4)
+
+    def test_uint64_beyond_int64_rejected(self):
+        with pytest.raises(ValueError):
+            CompactedBuffer(np.array([1, 2**63], dtype=np.uint64), 1, 4)
+
+    def test_narrow_integer_dtypes_accepted(self):
+        data = np.random.default_rng(2).permutation(256)
+        want = compaction_error_check(256, 16, data)
+        for dtype in (np.int32, np.uint16, np.uint64):
+            assert compaction_error_check(256, 16, data.astype(dtype)) == want
+        buf = CompactedBuffer(np.array([3, 9], dtype=np.uint8), 1, 4)
+        assert buf.elements.dtype == np.int64
+        assert CompactedBuffer([], 1, 4).elements.dtype == np.int64
+
+
+def _reference_tree_levels(data, k):
+    """The level-by-level merge tree _tree_levels replaced, starting from
+    width 1 (and never compacting without a capacity), kept as the
+    reference its output must match."""
+    n_prime = len(data)
+    level = np.sort(np.asarray(data, dtype=np.int64).reshape(n_prime, 1), axis=1)
+    weight = 1
+    while level.shape[0] > 1:
+        merged = np.concatenate([level[0::2], level[1::2]], axis=1)
+        merged.sort(axis=1)
+        if k is not None and merged.shape[1] > k:
+            merged = merged[:, 1::2]
+            weight *= 2
+        level = merged
+    return level[0], weight
+
+
+def _reference_error(n_prime, k, data, z_values=None):
+    """The two-tree, full-sweep compaction_error_check replaced: the rank
+    error at every data element (or at ``z_values``), without the bound."""
+    data = np.asarray(data, dtype=np.int64)
+    full, w_full = _reference_tree_levels(data, None)
+    tilde, w_tilde = _reference_tree_levels(data, k)
+    assert w_full == 1 and len(tilde) * w_tilde == n_prime
+    zs = data if z_values is None else np.asarray(z_values, dtype=np.int64)
+    r_full = np.searchsorted(full, zs, side="right")
+    r_tilde = w_tilde * np.searchsorted(tilde, zs, side="right")
+    return int(np.abs(r_full - r_tilde).max())
+
+
+def _reference_doubling_update(buf_a, buf_b):
+    """The one-dimensional merge doubling_update replaced."""
+    k = buf_a.capacity
+    merged = np.concatenate([buf_a.elements, buf_b.elements])
+    merged.sort()
+    if len(merged) <= k:
+        return merged, buf_a.weight
+    return merged[1::2], buf_a.weight * 2
+
+
+def _reference_gossip_estimate(engine, ids, n_prime, k, dtype):
+    """The three-branch doubling_gossip_estimate replaced, with its
+    caller-chosen id dtype (int32 by default there)."""
+    n = engine.n
+    rounds = int(math.log2(n_prime)) + 1
+    rd = engine.next_round()
+    seed_peers = rd.peers()
+    buffers = np.asarray(ids, dtype=dtype)[seed_peers].reshape(n, 1)
+    weight = 1
+    scratch = None
+    for _ in range(rounds - 1):
+        rd = engine.next_round()
+        size = buffers.shape[1]
+        peers = rd.peers(message_weight=size)
+        if 2 * size > k:
+            if scratch is None or scratch.shape[1] != 2 * size:
+                scratch = np.empty((n, 2 * size), dtype=dtype)
+            scratch[:, :size] = buffers
+            scratch[:, size:] = buffers[peers]
+            scratch.sort(axis=1)
+            if size == k:
+                np.copyto(buffers, scratch[:, 1::2])
+            else:
+                buffers = scratch[:, 1::2].copy()
+            weight *= 2
+        else:
+            merged = np.concatenate([buffers, buffers[peers]], axis=1)
+            merged.sort(axis=1)
+            buffers = merged
+    return buffers, weight
+
+
+INT64_EDGES = np.array(
+    [-(2**63 - 1), -(2**63 - 2), -(2**53) - 1, -1, 0, 1, 2**53 + 1, 2**63 - 2, 2**63 - 1],
+    dtype=np.int64,
+)
+
+
+@st.composite
+def merge_tree_inputs(draw):
+    """(n', k, data): n' = 2^1..2^12, every power-of-two k <= n', and data
+    that is a permutation, heavily tied, sorted, reversed or int64 edges."""
+    levels = draw(st.integers(1, 12))
+    n_prime = 2**levels
+    k = 2 ** draw(st.integers(0, levels))
+    shape = draw(st.sampled_from(["permutation", "ties", "sorted", "reversed", "edges"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "permutation":
+        data = rng.permutation(n_prime)
+    elif shape == "ties":
+        data = rng.integers(0, draw(st.integers(1, 4)), size=n_prime)
+    elif shape == "edges":
+        data = rng.choice(INT64_EDGES, size=n_prime)
+    else:
+        data = np.sort(rng.integers(-(10**6), 10**6, size=n_prime))
+        if shape == "reversed":
+            data = data[::-1]
+    return n_prime, k, np.ascontiguousarray(data, dtype=np.int64)
+
+
+class TestErrorCheckMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_tree_inputs())
+    def test_error_tilde_and_weight(self, case):
+        n_prime, k, data = case
+        want = _reference_error(n_prime, k, data)
+        assert compaction_error_check(n_prime, k, data) == want
+        tilde, weight = _tree_levels(data, k)
+        ref_tilde, ref_weight = _reference_tree_levels(data, k)
+        assert np.array_equal(tilde, ref_tilde)
+        assert weight == ref_weight
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_tree_inputs())
+    def test_raise_exactly_when_error_exceeds_bound(self, case):
+        # the real bound is never exceeded, so the check runs against a
+        # cap just below and at the reference error
+        n_prime, k, data = case
+        want = _reference_error(n_prime, k, data)
+        for cap in (want - 1, want):
+            with mock.patch.object(sketch, "compaction_error_bound", lambda n, c: cap):
+                if cap < want:
+                    with pytest.raises(AssertionError, match=f"error {want} exceeded"):
+                        compaction_error_check(n_prime, k, data)
+                else:
+                    assert compaction_error_check(n_prime, k, data) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_tree_inputs(), st.integers(0, 2**32 - 1))
+    def test_explicit_z_values_sweep_every_point(self, case, seed):
+        n_prime, k, data = case
+        rng = np.random.default_rng(seed)
+        zs = np.concatenate([
+            rng.choice(data, size=32),
+            rng.choice(INT64_EDGES, size=8),
+            rng.integers(-(2**63), 2**63 - 1, size=8, endpoint=True),
+        ])
+        want = _reference_error(n_prime, k, data, zs)
+        assert compaction_error_check(n_prime, k, data, z_values=zs) == want
+
+
+class TestMergeFormsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(INT64_EDGES.tolist()) | st.integers(-50, 50),
+                    max_size=20),
+           st.lists(st.integers(-50, 50), max_size=20),
+           st.integers(0, 5), st.integers(0, 5))
+    def test_doubling_update(self, left, right, log_k, log_w):
+        k, weight = 2**log_k, 2**log_w
+        a = CompactedBuffer(np.sort(np.array(left, dtype=np.int64)), weight, k)
+        b = CompactedBuffer(np.sort(np.array(right, dtype=np.int64)), weight, k)
+        out = doubling_update(a, b)
+        want, want_weight = _reference_doubling_update(a, b)
+        assert np.array_equal(out.elements, want)
+        assert out.weight == want_weight and out.capacity == k
+
+    @pytest.mark.parametrize("n_prime,k", [(2, 1), (64, 1), (64, 3), (64, 16),
+                                           (64, 64), (64, 1000), (256, 6)])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_doubling_gossip_estimate(self, n_prime, k, mu):
+        n, seed = 300, 5
+        failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+        ids = np.random.default_rng(seed).permutation(n)
+        runs = []
+        for call in (lambda e: doubling_gossip_estimate(e, ids, n_prime, k),
+                     lambda e: _reference_gossip_estimate(e, ids, n_prime, k, np.int32)):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            buffers, weight = call(engine)
+            runs.append((buffers, weight, engine.rounds, engine.messages))
+        (b_new, w_new, r_new, m_new), (b_ref, w_ref, r_ref, m_ref) = runs
+        assert b_new.dtype == b_ref.dtype == np.int32
+        assert np.array_equal(b_new, b_ref)
+        assert w_new == w_ref and r_new == r_ref and m_new == m_ref
+
+    @pytest.mark.parametrize("ids", [2**40 + np.arange(64), -(2**31) - 1 - np.arange(64)])
+    def test_doubling_gossip_keeps_wide_ids(self, ids):
+        runs = []
+        for call in (lambda e: doubling_gossip_estimate(e, ids, 16, 4),
+                     lambda e: _reference_gossip_estimate(e, ids, 16, 4, np.int64)):
+            engine = RoundEngine(SimConfig(n=64, seed=3))
+            buffers, weight = call(engine)
+            runs.append((buffers, weight, engine.messages))
+        (b_new, w_new, m_new), (b_ref, w_ref, m_ref) = runs
+        assert b_new.dtype == np.int64
+        assert np.isin(b_new, ids).all()
+        assert np.array_equal(b_new, b_ref)
+        assert w_new == w_ref and m_new == m_ref
 
 
 class TestUniformSampleQuantile:
@@ -240,9 +464,7 @@ class TestDoublingGossip:
         def one_trial(seed):
             engine = RoundEngine(SimConfig(n=n, seed=seed))
             ids = engine.values_rng().permutation(n)
-            buffers, weight = doubling_gossip_estimate(
-                engine, ids, n_prime, k, dtype=np.int32
-            )
+            buffers, weight = doubling_gossip_estimate(engine, ids, n_prime, k)
             z = n // 2
             true_q = (z + 1) / n
             est_q = (

@@ -2,15 +2,18 @@
 
 The tracer looks every layer up by name, so renaming or deleting a traced
 function breaks ``benchmarks/run.py --trace 1``. This installs it, runs
-one small exact trial, and checks that the push-sum layers were seen and
-that uninstalling restores every patched attribute.
+one small exact trial and one compaction check, and checks that the
+push-sum and sketch layers were seen and that uninstalling restores every
+patched attribute.
 """
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gossipq import exact
+from gossipq import exact, sketch
 from gossipq.engine import SimConfig
+from gossipq.schedules import compaction_error_bound
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -42,3 +45,22 @@ def test_exact_trial_traces_push_sum_and_uninstalls(tracer_class):
         assert stats.calls > 0 and stats.rounds > 0
     per_layer = tracer.per_layer(1)
     assert per_layer["aggregates.exact_count.attempts_per_call"] >= 1
+
+
+def test_compaction_check_traces_sketch_layers_and_uninstalls(tracer_class):
+    originals = (sketch.compaction_error_check, sketch._tree_levels)
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        assert sketch.compaction_error_check is not originals[0]
+        assert sketch._tree_levels is not originals[1]
+        tracer.trial = 0
+        data = np.random.default_rng(1).permutation(1024)
+        err = sketch.compaction_error_check(1024, 16, data)
+    finally:
+        tracer.uninstall()
+    assert (sketch.compaction_error_check, sketch._tree_levels) == originals
+    assert err <= compaction_error_bound(1024, 16)
+    for layer in ("sketch.check", "sketch.merge"):
+        assert tracer.stats[layer].calls == 1
+    assert tracer.per_layer(1)["sketch.merge.bytes"] > 0

@@ -183,11 +183,11 @@ def _tree_levels(data: np.ndarray, k: int):
 
     Level j holds n'/2^j buffers of equal size; rows stay sorted. Every
     merge beyond size k (a power of two) compacts once, doubling the level
-    weight, so the levels up to width k are one sort of contiguous blocks.
+    weight, so the levels up to width 2k are one sort of contiguous blocks.
     Returns (final sorted elements, final weight).
     """
-    level = np.sort(np.reshape(data, (-1, min(len(data), k))), axis=1)
-    weight = 1
+    level = np.sort(np.reshape(data, (-1, min(len(data), 2 * k))), axis=1)
+    level, weight = (level[:, 1::2], 2) if level.shape[1] > k else (level, 1)
     while level.shape[0] > 1:
         level, factor = _merge_compact(level[0::2], level[1::2], k)
         weight *= factor
@@ -211,8 +211,9 @@ def compaction_error_check(
     if len(data) != n_prime:
         raise ValueError("data length must equal n_prime")
     bound = compaction_error_bound(n_prime, k)
-    full = np.sort(data)
+    # the tree first: its blocks are freed before the full sort allocates
     tilde, w_tilde = _tree_levels(data, k)
+    full = np.sort(data)
     if len(tilde) * w_tilde != n_prime:
         raise AssertionError("weighted size was not conserved")
     if z_values is None:  # each compacted element and the element below it

@@ -23,6 +23,15 @@ import numpy as np
 
 from .engine import RoundEngine
 
+# Spreading budget: SPREAD_C * ceil(log2 n) combined iterations (times the
+# caller's budget_scale). Push-pull spreading of one value completes in
+# log2 n + O(log n) rounds w.h.p., so 4x leaves an overrun vanishingly rare.
+SPREAD_C = 4
+# A push-sum estimate n*s/w is flagged when its distance to the nearest
+# integer exceeds 0.5 - AMBIGUITY = 0.25, halfway between an exact count
+# (distance 0) and a tie between two counts (distance 0.5).
+AMBIGUITY = 0.25
+
 
 @dataclass
 class SpreadResult:
@@ -69,7 +78,6 @@ def spread_min_max(
     values: np.ndarray,
     engine: RoundEngine,
     *,
-    c: int = 4,
     budget_scale: int = 1,
     max_values: np.ndarray | None = None,
 ) -> SpreadResult:
@@ -77,16 +85,16 @@ def spread_min_max(
 
     ``values`` seeds the minimum pool; ``max_values`` (defaulting to the
     same array) seeds the maximum pool. The budget is
-    ``c * ceil(log2 n) * budget_scale`` combined iterations; convergence
-    before that is reported, running out is a per-trial failure the
-    caller decides how to treat.
+    ``SPREAD_C * ceil(log2 n) * budget_scale`` combined iterations;
+    convergence before that is reported, running out is a per-trial
+    failure the caller decides how to treat.
     """
     n = engine.n
     cur_min = np.asarray(values).copy()
     cur_max = cur_min.copy() if max_values is None else np.asarray(max_values).copy()
     true_min = int(cur_min.min())
     true_max = int(cur_max.max())
-    budget = max(1, c * math.ceil(math.log2(max(2, n))) * budget_scale)
+    budget = max(1, SPREAD_C * math.ceil(math.log2(max(2, n))) * budget_scale)
     iterations = 0
     converged = bool((cur_min == true_min).all() and (cur_max == true_max).all())
     while not converged and iterations < budget:
@@ -105,14 +113,13 @@ def push_sum_count(
     extra_rounds: int = 30,
     budget_scale: int = 1,
     track_mass: bool = False,
-    ambiguity: float = 0.25,
 ) -> CountResult:
     """Count set indicator bits by push-sum: :func:`push_sum_multi` on one channel."""
     bits = np.asarray(indicator_bits)
     return push_sum_multi(
         bits[np.newaxis, :], engine,
         c=c, extra_rounds=extra_rounds, budget_scale=budget_scale,
-        track_mass=track_mass, ambiguity=ambiguity,
+        track_mass=track_mass,
     )[0]
 
 
@@ -124,13 +131,12 @@ def push_sum_multi(
     extra_rounds: int = 30,
     budget_scale: int = 1,
     track_mass: bool = False,
-    ambiguity: float = 0.25,
 ) -> list[CountResult]:
     """Count the set 0/1 bits of each channel by push-sum, in lockstep.
 
     Runs ``(ceil(c * log2 n) + extra_rounds) * budget_scale`` push rounds;
     each node then outputs ``round(n * s/w)`` per channel. Estimates whose
-    fractional part is within ``ambiguity`` of one half are flagged as
+    fractional part is within ``AMBIGUITY`` of one half are flagged as
     ambiguous so callers can retry with more rounds. All channels share
     the contact draws and the weight component, so k counts cost the same
     number of rounds as one; each pushed share is a (k+1)-number message
@@ -166,7 +172,7 @@ def push_sum_multi(
     for ch in range(channels):
         raw = n * state[ch] / state[channels]
         estimates = np.rint(raw).astype(np.int64)
-        flagged = np.abs(raw - estimates) > (0.5 - ambiguity)
+        flagged = np.abs(raw - estimates) > (0.5 - AMBIGUITY)
         results.append(CountResult(estimates, flagged, rounds, traces[ch]))
     return results
 

@@ -310,20 +310,19 @@ class RoundEngine:
         return derive_rng(self.config.seed, STREAM_VALUES)
 
 
-def canonical_ids(values: np.ndarray, tiebreaks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ranks (0-based) of per-node values, ties broken by tiebreak.
+def canonical_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks (0-based) of per-node values, ties in node-index order.
 
     Returns ``(ids, value_by_rank)``: ``ids`` is a permutation of
     ``0..n-1`` where id ``r`` names the key of rank ``r + 1``, and
-    ``value_by_rank[r]`` is that key's raw value. Protocols compare keys,
-    so running them on ids is order-isomorphic to running them on the raw
-    (value, tiebreak) pairs.
+    ``value_by_rank[r]`` is that key's raw value. Equal values keep their
+    node order (a stable sort), so every key is distinct. Protocols compare
+    keys, so running them on ids is order-isomorphic to running them on
+    the raw (value, node index) pairs.
     """
     values = np.asarray(values)
     n = values.shape[0]
-    if tiebreaks is None:
-        tiebreaks = np.arange(n)
-    order = np.lexsort((tiebreaks, values))
+    order = np.argsort(values, kind="stable")
     ids = np.empty(n, dtype=np.int64)
     ids[order] = np.arange(n)
     return ids, values[order]

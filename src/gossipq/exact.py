@@ -16,6 +16,11 @@ valued count, duplication factor ``m``) are global values every node
 derives from the same broadcast counts, so the per-iteration consistency
 checks below are node-computable: an iteration whose counts show the
 bracket missed the target rank is simply re-run with fresh randomness.
+
+Push-sum counts and min/max spreading run at their primitives' default
+budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``), scaled by
+ceil(1/(1-mu)) under failures; robust trials close with ceil(log2 n)
+adoption rounds.
 """
 from __future__ import annotations
 
@@ -37,48 +42,42 @@ class InvariantViolation(RuntimeError):
     """A book-keeping identity that should always hold was broken."""
 
 
+# Token duplication settles a copy only on an empty node, so relocation
+# drains at the vacancy rate; capping m * V at FILL_CAP * n keeps that rate
+# bounded away from zero at desk scale (asymptotically the occupied
+# fraction n^-0.01 vanishes on its own).
+FILL_CAP = 0.7
+# Splitting needs ceil(log2 m) phases without failures. Capping it at
+# SPLIT_CAP_C * log2 n phases (times 2/(1-mu) under failures; relocation
+# gets twice that) turns a stalled distribution into a trial failure.
+SPLIT_CAP_C = 4
+# A node whose token pile passes this holds an abnormal share of the
+# copies; the trial fails rather than let one node's pile grow unbounded.
+TOKENS_PER_NODE_CAP = 3000
+# Retries of a bracket and of the final run. A miss is seen by every node,
+# and each pooled bracket retry squares its miss probability, so a few
+# retries suffice and 12 is a generous ceiling.
+MAX_RETRIES = 12
+
+
 @dataclass(frozen=True)
 class ExactParams:
-    """Desk-scale knobs of the exact algorithm.
+    """Desk-scale knobs of the exact algorithm; the CLI sets all three.
 
     ``eps`` defaults to min(0.08, n^-0.05 / 2): the asymptotic rule capped
     so the inner tournaments (run at accuracies eps/2 and eps/3) stay
     inside their validity range and the duplication windows stay well
     below the fill cap.
-
-    ``fill_cap`` bounds the duplicated population m * V to a fraction of
-    n. Token relocation settles a copy only on an empty node, so its
-    drain rate per phase is the vacancy fraction; at desk scale the
-    duplication factor must be capped to keep that fraction bounded away
-    from zero (asymptotically the occupied fraction n^-0.01 vanishes on
-    its own).
     """
 
     eps: float | None = None
     max_iterations: int = 25
     k_sample: int = 30
-    spread_c: int = 4
-    pushsum_c: int = 4
-    pushsum_extra: int = 30
-    split_cap_c: int = 4
-    fill_cap: float = 0.7
-    tokens_per_node_cap: int = 3000
-    verify: bool = True
-    max_retries: int = 12
-    final_t_extra: int | None = None  # robust mode; None -> ceil(log2 n)
 
     def effective_eps(self, n: int) -> float:
         if self.eps is not None:
             return self.eps
         return min(0.08, n ** -0.05 / 2.0)
-
-    def capped_m(self, n: int, valued_count: int) -> int:
-        """compute_m limited so m * valued_count <= fill_cap * n."""
-        m = compute_m(n, valued_count)
-        limit = self.fill_cap * n / valued_count
-        while m > 1 and m > limit:
-            m //= 2
-        return m
 
 
 @dataclass
@@ -103,6 +102,15 @@ def compute_m(n: int, valued_count: int) -> int:
     m = 1
     while m <= ratio:
         m *= 2
+    return m
+
+
+def capped_m(n: int, valued_count: int) -> int:
+    """compute_m limited so m * valued_count <= FILL_CAP * n."""
+    m = compute_m(n, valued_count)
+    limit = FILL_CAP * n / valued_count
+    while m > 1 and m > limit:
+        m //= 2
     return m
 
 
@@ -177,8 +185,6 @@ def distribute_tokens(
     m: int,
     engine: RoundEngine,
     *,
-    split_cap_c: int = 4,
-    tokens_per_node_cap: int = 3000,
     track_phi: bool = False,
 ) -> TokenDistribution:
     """Duplicate each origin value onto m distinct nodes.
@@ -213,10 +219,8 @@ def distribute_tokens(
 
     mu = engine.config.failure.mu if engine.config.failure.active else 0.0
     scale = 1.0 if mu == 0.0 else 2.0 / (1.0 - mu)
-    cap = max(
-        int(math.ceil(math.log2(m))),
-        int(math.ceil(split_cap_c * scale * math.log2(max(2, n)))),
-    )
+    phase_cap = int(math.ceil(SPLIT_CAP_C * scale * math.log2(max(2, n))))
+    split_cap = max(math.ceil(math.log2(m)), phase_cap)
     phi_trace: list[float] = []
     max_tokens = 1
 
@@ -229,7 +233,7 @@ def distribute_tokens(
 
     split_phases = 0
     while bool((weight > 1).any()):
-        if split_phases >= cap:
+        if split_phases >= split_cap:
             raise TrialFailure("token splitting exceeded its phase cap")
         split = np.nonzero(weight > 1)[0]
         targets, failed, _ = _push_token_rounds(holder[split], engine)
@@ -252,16 +256,15 @@ def distribute_tokens(
             record_phi()
         per_node = np.bincount(holder, minlength=n)
         max_tokens = max(max_tokens, int(per_node.max()))
-        if max_tokens > tokens_per_node_cap:
+        if max_tokens > TOKENS_PER_NODE_CAP:
             raise TrialFailure("per-node token pile exceeded its cap")
 
     relocate_phases = 0
-    reloc_cap = 2 * int(math.ceil(split_cap_c * scale * math.log2(max(2, n))))
     while True:
         counts = np.bincount(holder, minlength=n)
         if int(counts.max()) <= 1:
             break
-        if relocate_phases >= reloc_cap:
+        if relocate_phases >= 2 * phase_cap:
             raise TrialFailure("token relocation exceeded its phase cap")
         order = np.argsort(holder, kind="stable")
         sorted_holders = holder[order]
@@ -322,7 +325,7 @@ def narrow_window(
     hi_degenerate = k + eps / 2.0 * n >= state.real_count - 1
     valued_now = state.ids < state.real_count
     best_min, best_max = n, -1
-    for attempt in range(params.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if lo_degenerate:
             min_pool = np.where(valued_now, state.ids, n)
         else:
@@ -340,8 +343,7 @@ def narrow_window(
             )
             max_pool = np.where(hi_has, hi_out, -1)
         spread = spread_min_max(
-            min_pool, engine, c=params.spread_c, budget_scale=scale,
-            max_values=max_pool,
+            min_pool, engine, budget_scale=scale, max_values=max_pool,
         )
         if not spread.converged:
             raise TrialFailure("min/max spreading did not converge in budget")
@@ -351,14 +353,12 @@ def narrow_window(
             raise TrialFailure("no tournament outputs to bracket with")
         counts = exact_count_multi(
             np.stack([state.ids <= best_min, state.ids <= best_max]),
-            engine,
-            c=params.pushsum_c, extra_rounds=params.pushsum_extra,
-            budget_scale=scale,
+            engine, budget_scale=scale,
         )
         if counts is None:
             raise TrialFailure("rank counting stayed ambiguous after retries")
         r_min, r_max = counts
-        if not params.verify or (r_min <= k <= r_max):
+        if r_min <= k <= r_max:
             return best_min, best_max, r_min, r_max, attempt + 1
     raise TrialFailure("bracket repeatedly missed the target rank")
 
@@ -448,17 +448,13 @@ def exact_quantile(
         retries_used += attempts - 1
 
         valued = filter_range(state.ids, min_id, max_id, state.real_count)
-        count = exact_count_multi(
-            valued[np.newaxis, :], engine,
-            c=params.pushsum_c, extra_rounds=params.pushsum_extra,
-            budget_scale=scale,
-        )
+        count = exact_count_multi(valued[np.newaxis, :], engine, budget_scale=scale)
         if count is None:
             raise TrialFailure("valued-count stayed ambiguous after retries")
         v_count = count[0]
         if v_count < 1:
             raise TrialFailure("no valued nodes survived the filter")
-        m = params.capped_m(n, v_count)
+        m = capped_m(n, v_count)
         surviving = k - r_min + 1
         copies = m * min(copies, surviving)
         k = rank_update(k, r_min, m)
@@ -467,12 +463,7 @@ def exact_quantile(
         holder_of_id = np.empty(n, dtype=np.int64)
         holder_of_id[state.ids] = np.arange(n)
         origin_holders = holder_of_id[min_id:min_id + v_count]
-        dist = distribute_tokens(
-            origin_holders, m, engine,
-            split_cap_c=params.split_cap_c,
-            tokens_per_node_cap=params.tokens_per_node_cap,
-            track_phi=False,
-        )
+        dist = distribute_tokens(origin_holders, m, engine)
         state = _rebuild_state(state, min_id, v_count, m, dist)
         iterations += 1
         details["k_trace"].append(k)
@@ -485,8 +476,7 @@ def exact_quantile(
 
     # final approximate run: the answer now owns every rank in an
     # eps*n-wide window below (and including) k
-    attempt = 0
-    while True:
+    for _ in range(MAX_RETRIES + 1):
         final_rank = clamped_rank(k - eps / 2.0 * n, n)
         outputs, has_output, _ = _tournament_core(
             state.ids, final_rank, eps / 3.0, engine, params.k_sample,
@@ -497,31 +487,17 @@ def exact_quantile(
         answered = outputs[has_output]
         candidate_values = state.value_by_id[answered]
         consistent = bool((candidate_values == candidate_values[0]).all())
-        verified = True
-        if params.verify:
-            z = int(answered[0])
-            count = exact_count_multi(
-                (state.ids <= z)[np.newaxis, :], engine,
-                c=params.pushsum_c, extra_rounds=params.pushsum_extra,
-                budget_scale=scale,
-            )
-            r_z = None if count is None else count[0]
-            verified = (
-                consistent and r_z is not None and (k - copies) < r_z <= k
-            )
-        else:
-            verified = consistent
-        if verified:
+        count = exact_count_multi(
+            (state.ids <= answered[0])[np.newaxis, :], engine, budget_scale=scale,
+        )
+        if consistent and count is not None and k - copies < count[0] <= k:
             break
-        attempt += 1
         retries_used += 1
-        if attempt > params.max_retries:
-            raise TrialFailure("final output failed rank verification")
+    else:
+        raise TrialFailure("final output failed rank verification")
 
     if robust:
-        t_extra = params.final_t_extra
-        if t_extra is None:
-            t_extra = int(math.ceil(math.log2(max(2, n))))
+        t_extra = int(math.ceil(math.log2(max(2, n))))
         outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
         details["nodes_with_answer"] = int(np.count_nonzero(has_output))
     ans = float(candidate_values[0])

@@ -53,14 +53,14 @@ def _failure(mu: float, seed: int) -> FailureModel:
 # trial runners (one CSV row each)
 
 
-def run_approx_trial(n, phi, eps, seed, mu=0.0, k_sample=30):
-    config = SimConfig(n=n, seed=seed, failure=_failure(mu, seed))
-    report = approx_quantile(phi, eps, config, k_sample=k_sample)
+def run_approx_trial(n, phi, eps, seed, k_sample=30):
+    # failure-free: trials under failures go through run_robust_trial
+    report = approx_quantile(phi, eps, SimConfig(n=n, seed=seed), k_sample=k_sample)
     lo, hi = rank_window(n, phi, eps)
     ranks = report.output_ranks
     ok = bool(((ranks >= lo) & (ranks <= hi)).all())
     return {
-        "experiment": "approx", "n": n, "phi": phi, "eps": eps, "mu": mu,
+        "experiment": "approx", "n": n, "phi": phi, "eps": eps, "mu": 0.0,
         "seed": seed, "rounds": report.rounds, "messages": report.messages,
         "max_rank_error": report.max_rank_error, "success": int(ok),
     }

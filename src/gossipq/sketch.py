@@ -13,7 +13,8 @@ the error peaks at a compacted element or the data element just below.
 
 Buffers are value-like: merging consumes both inputs. Elements are stored
 as int64 keys (distinct totally-ordered ids; duplicate raw values get
-distinct keys upstream via tiebreaks); other input types are rejected.
+distinct keys upstream, in node order, from ``engine.canonical_ids``);
+other input types are rejected.
 """
 from __future__ import annotations
 
@@ -243,13 +244,14 @@ def doubling_gossip_estimate(
     each later round merges in the contacted node's buffer (compacting at
     capacity k). Returns (buffers sorted row-wise, weight); all buffers
     share one size and weight on the synchronous schedule, and hold int32
-    when every id fits in it, int64 otherwise.
+    when every id fits in it, int64 otherwise. Ids that are not int64-range
+    integers raise ValueError.
     """
     n = engine.n
     if n_prime < 2 or n_prime & (n_prime - 1):
         raise ValueError("n_prime must be a power of two >= 2")
     rounds = int(math.log2(n_prime)) + 1
-    ids = np.asarray(ids)
+    ids = _int64_keys(ids)
     wide = ids.size and (ids.min() < -(2**31) or ids.max() >= 2**31)
     rd = engine.next_round()
     seed_peers = rd.peers()

@@ -301,6 +301,12 @@ def adoption_rounds(
 # ---------------------------------------------------------------------------
 # full protocol runs
 
+# Phase II runs its schedule at eps / 4: phase I leaves every quantile within
+# 1/2 +- eps/4 of its end state inside the target window [phi - eps, phi + eps]
+# (see TestPhaseOneComposition), so the median band to amplify has half-width
+# eps/4.
+PHASE2_EPS_FACTOR = 4
+
 
 def _id_dtype(n: int):
     """Dtype of an id state over ids in [0, n): int32 whenever they fit."""
@@ -314,7 +320,6 @@ def _tournament_core(
     engine: RoundEngine,
     k_sample: int,
     *,
-    phase2_eps_factor: float = 4.0,
     robust: bool = False,
     record_lmh: bool = False,
 ):
@@ -328,7 +333,7 @@ def _tournament_core(
     n = engine.n
     phi_eff = target_rank / n
     sched1 = two_tournament_schedule(phi_eff, eps)
-    sched2 = three_tournament_schedule(eps / phase2_eps_factor, n, k_sample)
+    sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n, k_sample)
     mu = engine.config.failure.mu if engine.config.failure.active else 0.0
     batch = phase_batch_size(mu)
     values = ids.astype(_id_dtype(n), copy=False)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report formats, exit codes, reproducibility."""
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from gossipq.harness import (
     spread_experiment,
 )
 from gossipq.engine import BudgetExceededError, SimConfig
-from gossipq.exact import InvariantViolation, TrialFailure
+from gossipq.exact import ExactParams, InvariantViolation, TrialFailure
 
 
 class TestScheduleCommand:
@@ -220,6 +221,12 @@ class TestCommandTable:
         from test_golden_rows import GOLDEN
 
         assert set(harness.EXPERIMENTS) <= {argv[0] for argv, _ in GOLDEN}
+
+    def test_every_exact_param_reachable_from_cli(self):
+        # a field no option sets is a setting nothing runs
+        exp = harness.EXPERIMENTS["exact"]
+        reachable = {exp.renamed.get(name, name) for name in exp.exact_params}
+        assert {f.name for f in dataclasses.fields(ExactParams)} == reachable
 
 
 class TestSelfQuantile:

@@ -179,6 +179,11 @@ class TestKeyTypes:
         with pytest.raises(ValueError):
             CompactedBuffer.singleton(0.5, 4)
 
+    def test_float_gossip_ids_rejected(self):
+        engine = RoundEngine(SimConfig(n=64, seed=1))
+        with pytest.raises(ValueError):
+            doubling_gossip_estimate(engine, np.arange(64) + 0.75, 8, 4)
+
     def test_uint64_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
             CompactedBuffer(np.array([1, 2**63], dtype=np.uint64), 1, 4)

@@ -10,12 +10,7 @@ mean round cost (which grows with the 1/(1-mu) batch inflation).
 import argparse
 import os
 
-from gossipq.harness import (
-    emit_report,
-    run_batch,
-    run_exact_trial,
-    run_robust_trial,
-)
+from gossipq.harness import emit_report, run_batch
 
 
 def main():
@@ -38,12 +33,12 @@ def main():
                  mu=mu, t_extra=args.t_extra)
             for t in range(args.trials)
         ]
-        rows = run_batch(run_robust_trial, tasks)
+        rows = run_batch("robust", tasks)
         exact_tasks = [
             dict(n=args.exact_n, phi=args.phi, seed=args.seed + t, mu=mu)
             for t in range(args.trials)
         ]
-        exact_rows = run_batch(run_exact_trial, exact_tasks)
+        exact_rows = run_batch("exact", exact_tasks)
         approx_rate = sum(r["success"] for r in rows) / len(rows)
         exact_rate = sum(r["success"] for r in exact_rows) / len(exact_rows)
         rounds = sum(r["rounds"] for r in rows) / len(rows)

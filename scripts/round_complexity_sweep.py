@@ -12,12 +12,7 @@ import json
 import math
 import os
 
-from gossipq.harness import (
-    emit_report,
-    fit_round_constant,
-    run_approx_trial,
-    run_batch,
-)
+from gossipq.harness import emit_report, fit_round_constant, run_batch
 
 
 def main():
@@ -38,7 +33,7 @@ def main():
         for eps in args.eps
         for t in range(args.trials)
     ]
-    rows = run_batch(run_approx_trial, tasks)
+    rows = run_batch("approx", tasks)
     fitted = fit_round_constant(rows)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = emit_report(

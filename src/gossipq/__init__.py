@@ -54,7 +54,6 @@ from .sketch import (
     quantile_query,
     rank_query,
     serialize_buffer,
-    uniform_sample_quantile,
 )
 from .tournament import (
     approx_quantile,

@@ -148,9 +148,7 @@ def run_cli(argv=None) -> int:
                 cfg[name] = default
         _require(cfg, exp.required)
         seeds = _seed_list(cfg)
-        rows = harness.run_batch(
-            exp.runner, exp.tasks(cfg, seeds), cfg.get("threads")
-        )
+        rows = harness.run_batch(command, exp.tasks(cfg, seeds), cfg.get("threads"))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,12 @@ def _failure(mu: float, seed: int) -> FailureModel:
 
 
 # ---------------------------------------------------------------------------
-# trial runners (one CSV row each)
+# trial runners
+#
+# Each runner returns (rounds, messages, max_rank_error, success, extras);
+# ``run_trial`` builds the CSV row from the experiment's table key and the
+# runner's keywords. ``extras`` holds the columns only the runner knows
+# (exact's effective eps) and underscore keys the CSV leaves out.
 
 
 def run_approx_trial(n, phi, eps, seed, k_sample=30):
@@ -59,11 +64,7 @@ def run_approx_trial(n, phi, eps, seed, k_sample=30):
     lo, hi = rank_window(n, phi, eps)
     ranks = report.output_ranks
     ok = bool(((ranks >= lo) & (ranks <= hi)).all())
-    return {
-        "experiment": "approx", "n": n, "phi": phi, "eps": eps, "mu": 0.0,
-        "seed": seed, "rounds": report.rounds, "messages": report.messages,
-        "max_rank_error": report.max_rank_error, "success": int(ok),
-    }
+    return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
 def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
@@ -75,12 +76,8 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
     correct = answered & (ranks >= lo) & (ranks <= hi)
     bad = int(np.count_nonzero(~correct))
     ok = bad <= n / 2 ** t_extra
-    return {
-        "experiment": "robust", "n": n, "phi": phi, "eps": eps, "mu": mu,
-        "seed": seed, "rounds": report.rounds, "messages": report.messages,
-        "max_rank_error": report.max_rank_error, "success": int(ok),
-        "_nodes_without_answer": bad,
-    }
+    return (report.rounds, report.messages, report.max_rank_error, ok,
+            {"_nodes_without_answer": bad})
 
 
 def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
@@ -89,39 +86,28 @@ def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
     values = engine_probe.values_rng().permutation(n)
     k0 = clamped_rank(phi * n, n)
     oracle = float(np.sort(values)[k0 - 1])
-    row = {
-        "experiment": "exact", "n": n, "phi": phi,
-        "eps": (params or ExactParams()).effective_eps(n), "mu": mu,
-        "seed": seed, "rounds": 0, "messages": 0,
-        "max_rank_error": 0, "success": 0,
-    }
+    extras = {"eps": (params or ExactParams()).effective_eps(n)}
     try:
         result = exact_quantile(phi, config, values=values, params=params)
     except (TrialFailure, BudgetExceededError, InvariantViolation) as exc:
         # one bad trial becomes a failed row instead of aborting the batch;
         # its kind goes to the JSON summary, not to the CSV
-        row["max_rank_error"] = n
-        row["_failure_kind"] = type(exc).__name__
-        return row
-    row["rounds"] = result.rounds
-    row["messages"] = result.messages
-    row["success"] = int(result.value == oracle)
-    if not row["success"]:
+        extras["_failure_kind"] = type(exc).__name__
+        return 0, 0, n, False, extras
+    ok = result.value == oracle
+    error = 0
+    if not ok:
         rank = int(np.searchsorted(np.sort(values), result.value) + 1)
-        row["max_rank_error"] = abs(rank - k0)
-    return row
+        error = abs(rank - k0)
+    return result.rounds, result.messages, error, ok, extras
 
 
-def run_sketch_trial(n_prime, k, seed):
+def run_sketch_trial(n, k, seed):
+    """Compaction error check over a permutation of n = n' keys."""
     rng = np.random.default_rng(seed)
-    data = rng.permutation(n_prime).astype(np.int64)
-    err = compaction_error_check(n_prime, k, data)
-    return {
-        "experiment": "sketch", "n": n_prime, "phi": "", "eps": "",
-        "mu": 0.0, "seed": seed,
-        "rounds": int(math.log2(n_prime)) + 1, "messages": 0,
-        "max_rank_error": err, "success": 1,
-    }
+    data = rng.permutation(n).astype(np.int64)
+    err = compaction_error_check(n, k, data)
+    return int(math.log2(n)) + 1, 0, err, True, {}
 
 
 def spread_experiment(n: int, eps: float, seed: int) -> int:
@@ -155,11 +141,7 @@ def spread_experiment(n: int, eps: float, seed: int) -> int:
 def run_spread_trial(n, eps, seed):
     rounds = spread_experiment(n, eps, seed)
     threshold = math.ceil(math.log(8.0 / eps, 4.0))
-    return {
-        "experiment": "spread", "n": n, "phi": "", "eps": eps, "mu": 0.0,
-        "seed": seed, "rounds": rounds, "messages": 2 * n * rounds,
-        "max_rank_error": 0, "success": int(rounds >= threshold),
-    }
+    return rounds, 2 * n * rounds, 0, rounds >= threshold, {}
 
 
 def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
@@ -203,12 +185,7 @@ def run_selfq_trial(n, eps, seed, k_sample=30):
     )
     true_q = (ids + 1) / n
     worst = float(np.abs(estimates - true_q).max())
-    return {
-        "experiment": "selfq", "n": n, "phi": "", "eps": eps, "mu": 0.0,
-        "seed": seed, "rounds": rounds, "messages": messages,
-        "max_rank_error": int(round(worst * n)),
-        "success": int(worst <= 2 * eps + 1e-12),
-    }
+    return rounds, messages, int(round(worst * n)), worst <= 2 * eps + 1e-12, {}
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +201,8 @@ OPTION_TYPES = {
 class Experiment:
     """How the CLI runs one trial experiment and judges its batch.
 
-    Options are config keys (key ``k_sample`` is flag ``--k-sample``).
+    The table key names the experiment in every row ``run_trial`` builds
+    from ``runner``'s result. Options are config keys (key ``k_sample`` is flag ``--k-sample``).
     ``optional`` gives the default applied after the config merge (None:
     the runner's own); ``renamed`` gives runner keywords; options in
     ``exact_params`` reach the runner inside one ``ExactParams``. A batch
@@ -232,7 +210,7 @@ class Experiment:
     smaller one only when every trial succeeds.
     """
 
-    runner: Callable[..., dict]
+    runner: Callable[..., tuple]
     help: str
     required: tuple[str, ...]
     optional: dict = field(default_factory=dict)
@@ -275,7 +253,7 @@ EXPERIMENTS = {
     ),
     "sketch": Experiment(
         run_sketch_trial, "compaction error-bound trials", ("nprime", "k"),
-        renamed={"nprime": "n_prime"},
+        renamed={"nprime": "n"},
     ),
     "spread": Experiment(
         run_spread_trial, "good-set spreading experiment", ("n", "eps"),
@@ -291,21 +269,37 @@ EXPERIMENTS = {
 # batch execution and reporting
 
 
+def run_trial(experiment: str, **kwargs) -> dict:
+    """One trial of an ``EXPERIMENTS`` entry as a CSV row dict."""
+    rounds, messages, max_rank_error, success, extras = (
+        EXPERIMENTS[experiment].runner(**kwargs)
+    )
+    row = {
+        "experiment": experiment, "n": kwargs["n"],
+        "phi": kwargs.get("phi", ""), "eps": kwargs.get("eps", ""),
+        "mu": kwargs.get("mu", 0.0), "seed": kwargs["seed"],
+        "rounds": rounds, "messages": messages,
+        "max_rank_error": max_rank_error, "success": int(success),
+    }
+    row.update(extras)
+    return row
+
+
 def _worker(task):
-    fn, kwargs = task
-    return fn(**kwargs)
+    experiment, kwargs = task
+    return run_trial(experiment, **kwargs)
 
 
-def run_batch(fn, tasks, threads: int | None = None):
-    """Run one trial function over many kwargs dicts, seed-parallel."""
+def run_batch(experiment: str, tasks, threads: int | None = None):
+    """Rows of one experiment over many runner kwargs dicts, seed-parallel."""
     if threads is None:
         threads = int(os.environ.get("GOSSIPQ_THREADS", "0")) or min(
             4, os.cpu_count() or 1
         )
     if threads <= 1 or len(tasks) <= 1:
-        return [fn(**t) for t in tasks]
+        return [run_trial(experiment, **t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_worker, [(fn, t) for t in tasks], chunksize=1))
+        return list(pool.map(_worker, [(experiment, t) for t in tasks], chunksize=1))
 
 
 def fit_round_constant(rows) -> float | None:

@@ -1,4 +1,4 @@
-"""Uniform-sampling quantile estimation and the compacting buffer.
+"""The compacting buffer and its deterministic error bound.
 
 The doubling algorithm merges equal-weight buffers each round; once a
 buffer would exceed its capacity it is compacted: sorted ascending and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BudgetExceededError, RoundEngine
+from .engine import RoundEngine
 from .schedules import compaction_error_bound
 
 
@@ -111,68 +111,12 @@ def deserialize_buffer(data: bytes) -> CompactedBuffer:
 
 
 # ---------------------------------------------------------------------------
-# uniform sampling estimator
+# sizing
 
 
 def sample_size(n: int, eps: float, c: float = 8.0) -> int:
     """Per-node sample count: ceil(c * ln(n) / eps^2)."""
     return int(math.ceil(c * math.log(n) / (eps * eps)))
-
-
-def uniform_sample_quantile(
-    phi: float,
-    eps: float,
-    engine: RoundEngine,
-    ids: np.ndarray,
-    *,
-    c: float = 8.0,
-    exhaustive: bool = False,
-    node_chunk: int = 2048,
-) -> np.ndarray:
-    """Every node samples s uniform values over s rounds and outputs the
-    sample element whose in-sample quantile is nearest phi.
-
-    The in-sample quantile of the i-th smallest of s elements is i/s;
-    ties between two candidates resolve to the larger index. In
-    ``exhaustive`` mode each node's sample is replaced by one copy of
-    every value (a degenerate oracle mode for tests: the output is then
-    the exact quantile whenever phi * n is integral).
-    """
-    n = engine.n
-    ids = np.asarray(ids)
-    if exhaustive:
-        pool = np.sort(ids)
-        idx = _nearest_quantile_index(len(pool), phi)
-        return np.full(n, pool[idx], dtype=ids.dtype)
-    s = sample_size(n, eps, c)
-    if engine.rounds + s > engine.config.max_rounds:
-        raise BudgetExceededError("sample size exceeds the round budget")
-    idx = _nearest_quantile_index(s, phi)
-    out = np.empty(n, dtype=ids.dtype)
-    # nodes draw their samples round by round; materialised in node blocks
-    draws = np.empty((s, n), dtype=np.int64)
-    for j in range(s):
-        rd = engine.next_round()
-        peers = rd.peers()
-        if rd.failed is not None:
-            own = np.arange(n)
-            peers = np.where(rd.failed, own, peers)
-        draws[j] = peers
-    for start in range(0, n, node_chunk):
-        stop = min(n, start + node_chunk)
-        block = ids[draws[:, start:stop]]
-        part = np.partition(block, idx, axis=0)
-        out[start:stop] = part[idx]
-    return out
-
-
-def _nearest_quantile_index(s: int, phi: float) -> int:
-    """0-based index i minimising |(i+1)/s - phi|, ties to the larger i."""
-    target = phi * s
-    lo = int(math.floor(target))
-    candidates = [i for i in (lo - 1, lo, lo + 1) if 0 <= i < s]
-    best = min(candidates, key=lambda i: (abs((i + 1) / s - phi), -i))
-    return best
 
 
 # ---------------------------------------------------------------------------

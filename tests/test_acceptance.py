@@ -13,13 +13,7 @@ import numpy as np
 from gossipq.aggregates import push_sum_count, spread_min_max
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.exact import distribute_tokens
-from gossipq.harness import (
-    run_approx_trial,
-    run_batch,
-    run_exact_trial,
-    run_robust_trial,
-    spread_experiment,
-)
+from gossipq.harness import run_batch, spread_experiment
 from gossipq.schedules import (
     compaction_error_bound,
     shift_bound,
@@ -52,7 +46,7 @@ def test_criterion_1_exact_quantile_correctness():
         for phi in (0.1, 0.5, 0.9)
         for seed in range(50)
     ]
-    rows = run_batch(run_exact_trial, tasks)
+    rows = run_batch("exact", tasks)
     elapsed = time.perf_counter() - start
     successes = sum(r["success"] for r in rows)
     ok = successes == len(tasks) and elapsed < 60.0
@@ -71,7 +65,7 @@ def test_criterion_2_approximate_quantile():
     scale = math.log2(math.log2(n)) + math.log2(1 / eps)
     for phi in (0.1, 0.5, 0.9):
         tasks = [dict(n=n, phi=phi, eps=eps, seed=seed) for seed in range(100)]
-        rows = run_batch(run_approx_trial, tasks)
+        rows = run_batch("approx", tasks)
         successes = sum(r["success"] for r in rows)
         mean_rounds = np.mean([r["rounds"] for r in rows])
         ok = successes >= 99
@@ -217,14 +211,14 @@ def test_criterion_7_robustness():
     n, eps, t_extra = 100_000, 0.05, 10
     tasks = [dict(n=n, phi=0.5, eps=eps, seed=seed, mu=0.5, t_extra=t_extra)
              for seed in range(100)]
-    rows = run_batch(run_robust_trial, tasks)
+    rows = run_batch("robust", tasks)
     hits = sum(r["success"] for r in rows)
     ok_a = hits >= 95
     _report("7a robust-approx", ok_a,
             f"{hits}/100 trials with <= n/2^{t_extra} uncovered nodes")
 
     tasks = [dict(n=1024, phi=0.5, seed=seed, mu=0.5) for seed in range(50)]
-    rows = run_batch(run_exact_trial, tasks)
+    rows = run_batch("exact", tasks)
     exact_hits = sum(r["success"] for r in rows)
     ok_b = exact_hits >= 49
     _report("7b robust-exact", ok_b, f"{exact_hits}/50 oracle matches")

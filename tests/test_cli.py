@@ -12,8 +12,7 @@ from gossipq.harness import (
     fit_round_constant,
     rank_window,
     rows_to_csv,
-    run_selfq_trial,
-    run_spread_trial,
+    run_trial,
     self_quantile,
     spread_experiment,
 )
@@ -236,17 +235,17 @@ class TestSelfQuantile:
         assert est[0] == 0.0
 
     def test_estimates_within_two_eps(self):
-        row = run_selfq_trial(2000, 0.1, 7)
+        row = run_trial("selfq", n=2000, eps=0.1, seed=7)
         assert row["success"] == 1
 
     def test_full_scale_success_rate(self):
         # n=1e4, eps=0.1, 20 seeds: worst node within 2 eps in >= 19
-        hits = sum(run_selfq_trial(10_000, 0.1, seed)["success"]
+        hits = sum(run_trial("selfq", n=10_000, eps=0.1, seed=seed)["success"]
                    for seed in range(20))
         assert hits >= 19
 
     def test_round_cost_scales_with_grid(self):
-        row = run_selfq_trial(1000, 0.1, 3)
+        row = run_trial("selfq", n=1000, eps=0.1, seed=3)
         # nine grid quantiles, each a full approximate run
         assert row["rounds"] >= 9 * 30
 
@@ -272,17 +271,17 @@ class TestSpreadExperiment:
         assert meds == sorted(meds)
 
     def test_success_row(self):
-        row = run_spread_trial(50_000, 0.01, 2)
+        row = run_trial("spread", n=50_000, eps=0.01, seed=2)
         assert row["success"] == 1
 
 
 class TestParallelism:
     def test_thread_count_does_not_change_rows(self, tmp_path, monkeypatch):
-        from gossipq.harness import run_batch, run_exact_trial
+        from gossipq.harness import run_batch
         tasks = [dict(n=256, phi=0.5, seed=s) for s in range(4)]
-        serial = run_batch(run_exact_trial, tasks, threads=1)
+        serial = run_batch("exact", tasks, threads=1)
         monkeypatch.setenv("GOSSIPQ_THREADS", "2")
-        parallel = run_batch(run_exact_trial, tasks)
+        parallel = run_batch("exact", tasks)
         assert serial == parallel
 
 
@@ -296,8 +295,7 @@ class TestFailedExactRows:
 
         monkeypatch.setattr(harness, "exact_quantile", boom)
         rows = harness.run_batch(
-            harness.run_exact_trial,
-            [dict(n=64, phi=0.5, seed=s) for s in range(2)], threads=1,
+            "exact", [dict(n=64, phi=0.5, seed=s) for s in range(2)], threads=1,
         )
         assert [r["seed"] for r in rows] == [0, 1]
         for row in rows:
@@ -323,8 +321,8 @@ class TestFailedExactRows:
             return real(phi, config, **kwargs)
 
         monkeypatch.setattr(harness, "exact_quantile", by_seed)
-        rows = [harness.run_exact_trial(n=64, phi=0.5, seed=s) for s in range(4)]
-        rows.append(harness.run_approx_trial(n=200, phi=0.5, eps=0.1, seed=1))
+        rows = [run_trial("exact", n=64, phi=0.5, seed=s) for s in range(4)]
+        rows.append(run_trial("approx", n=200, phi=0.5, eps=0.1, seed=1))
         experiments = harness.summarize(rows, {})["experiments"]
         assert experiments["exact"]["failures_by_kind"] == {
             "BudgetExceededError": 1, "InvariantViolation": 1, "TrialFailure": 1,

@@ -1,4 +1,4 @@
-"""Compacting buffer, its deterministic error bound, uniform sampling."""
+"""Compacting buffer, its deterministic error bound, doubling gossip."""
 import math
 from unittest import mock
 
@@ -20,7 +20,6 @@ from gossipq.sketch import (
     rank_query,
     sample_size,
     serialize_buffer,
-    uniform_sample_quantile,
 )
 
 
@@ -387,45 +386,9 @@ class TestMergeFormsMatchReference:
         assert w_new == w_ref and m_new == m_ref
 
 
-class TestUniformSampleQuantile:
-    def test_all_values_equal(self):
-        engine = RoundEngine(SimConfig(n=64, seed=2))
-        out = uniform_sample_quantile(0.5, 0.3, engine, np.full(64, 5))
-        assert (out == 5).all()
-
-    def test_exhaustive_mode_is_exact(self):
-        engine = RoundEngine(SimConfig(n=100, seed=1))
-        ids = engine.values_rng().permutation(100)
-        out = uniform_sample_quantile(0.37, 0.1, engine, ids, exhaustive=True)
-        assert (out == 36).all()  # 0-based id of rank 37
-
+class TestSampleSize:
     def test_sample_size_rule(self):
         assert sample_size(10_000, 0.1, c=8) == int(np.ceil(8 * np.log(10_000) / 0.01))
-
-    def test_outputs_within_window_small(self):
-        n, eps, phi = 2000, 0.2, 0.5
-        hits = 0
-        for seed in range(5):
-            engine = RoundEngine(SimConfig(n=n, seed=seed))
-            ids = engine.values_rng().permutation(n)
-            out = uniform_sample_quantile(phi, eps, engine, ids, c=8)
-            lo, hi = (phi - 2 * eps) * n, (phi + 2 * eps) * n
-            hits += int(out.min() + 1 >= lo and out.max() + 1 <= hi)
-        assert hits == 5
-
-    @pytest.mark.slow
-    def test_outputs_within_window_full_scale(self):
-        # n=1e4, eps=0.1, c=8: every node within phi n +- 2 eps n in >= 99
-        # of 100 seeded trials
-        n, eps, phi = 10_000, 0.1, 0.5
-        hits = 0
-        for seed in range(100):
-            engine = RoundEngine(SimConfig(n=n, seed=seed))
-            ids = engine.values_rng().permutation(n)
-            out = uniform_sample_quantile(phi, eps, engine, ids, c=8)
-            lo, hi = (phi - 2 * eps) * n, (phi + 2 * eps) * n
-            hits += int(out.min() + 1 >= lo and out.max() + 1 <= hi)
-        assert hits >= 99
 
 
 class TestDoublingGossip:

@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
+    STREAM_VALUES,
     BudgetExceededError,
     FailureModel,
     RoundEngine,
     SimConfig,
     canonical_ids,
+    derive_rng,
 )
 from .exact import ExactParams, InvariantViolation, TrialFailure, exact_quantile
 from .schedules import three_tournament_schedule, two_tournament_schedule
@@ -82,8 +84,7 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
 
 def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
     config = SimConfig(n=n, seed=seed, failure=_failure(mu, seed))
-    engine_probe = RoundEngine(config)
-    values = engine_probe.values_rng().permutation(n)
+    values = derive_rng(seed, STREAM_VALUES).permutation(n)
     k0 = clamped_rank(phi * n, n)
     oracle = float(np.sort(values)[k0 - 1])
     extras = {"eps": (params or ExactParams()).effective_eps(n)}
@@ -104,8 +105,7 @@ def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
 
 def run_sketch_trial(n, k, seed):
     """Compaction error check over a permutation of n = n' keys."""
-    rng = np.random.default_rng(seed)
-    data = rng.permutation(n).astype(np.int64)
+    data = derive_rng(seed, STREAM_VALUES).permutation(n).astype(np.int64)
     err = compaction_error_check(n, k, data)
     return int(math.log2(n)) + 1, 0, err, True, {}
 

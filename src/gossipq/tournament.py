@@ -197,8 +197,9 @@ def robust_pull_batch(
         if satisfied:
             # every node already has its pulls; the remaining batch rounds
             # still happen (round/message accounting) but cannot change
-            # state, so their draws are skipped (rounds key their own
-            # substreams, leaving all other draws untouched)
+            # state, so they draw no peers, and every later protocol draw
+            # comes that much earlier in the round stream (deterministically;
+            # the failure bits stay per round)
             failed = 0 if rd.failed is None else int(np.count_nonzero(rd.failed))
             rd.count_messages(n - failed)
             continue

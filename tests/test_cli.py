@@ -106,8 +106,8 @@ class TestConfigFile:
         ("k_sample", 5, ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05"]),
         # 2 bad nodes pass only when 2 <= 300 / 2**t_extra (exit 1 at t_extra 10)
         ("t_extra", 7, ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02",
-                        "--mu", "0.5", "--seed", "3"]),
-        ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5"]),
+                        "--mu", "0.5", "--seed", "10"]),
+        ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5", "--seed", "2"]),
     ])
     def test_file_value_beats_default(self, tmp_path, key, value, argv):
         cfg = tmp_path / "c.json"
@@ -118,6 +118,10 @@ class TestConfigFile:
         assert run_cli(argv + [flag, str(value), "--csv", str(by_flag)]) == 0
         assert run_cli(argv + ["--config", str(cfg), "--csv", str(by_file)]) == 0
         assert by_file.read_bytes() == by_flag.read_bytes()
+        # the case tests nothing unless the default gives another row
+        by_default = tmp_path / "default.csv"
+        run_cli(argv + ["--csv", str(by_default)])
+        assert by_default.read_bytes() != by_flag.read_bytes()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_empty_seed_list_exit_2(self, capsys, trials):

@@ -10,15 +10,16 @@ from gossipq.engine import (
     STREAM_ROUND,
     BudgetExceededError,
     FailureModel,
+    Round,
     RoundEngine,
     SimConfig,
-    _RoundKeys,
     canonical_ids,
     derive_rng,
     draw_failures,
 )
+from gossipq.tournament import robust_approx_quantile
 
-_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**63]
+_SEED_EDGES = [0, 1, 2**32, 2**64 - 1, -1, -2**63]
 
 
 class TestUniformPeer:
@@ -35,23 +36,30 @@ class TestUniformPeer:
 
 class TestFailureDraws:
     def test_mode_none_all_zero(self):
-        bits = draw_failures(FailureModel(), 3, 1000, seed=7)
+        rng = derive_rng(7, STREAM_FAILURE)
+        bits = draw_failures(FailureModel(), 3, 1000, rng)
         assert not bits.any()
+        # an inactive model consumes nothing from the stream
+        assert np.array_equal(rng.random(4), derive_rng(7, STREAM_FAILURE).random(4))
 
     def test_uniform_half_fraction(self):
         # binomial 3-sigma band around 0.5 at n=1e6 is +-0.0015
         n = 1_000_000
         model = FailureModel(mode="uniform", mu=0.5)
-        bits = draw_failures(model, 0, n, seed=11)
+        bits = draw_failures(model, 0, n, derive_rng(11, STREAM_FAILURE))
         assert abs(bits.mean() - 0.5) < 0.002
 
     def test_reproducible_per_round(self):
+        # one call is one block of n uniforms from the stream
+        n = 10_000
         model = FailureModel(mode="uniform", mu=0.5)
-        a = draw_failures(model, 4, 10_000, seed=3)
-        b = draw_failures(model, 4, 10_000, seed=3)
-        c = draw_failures(model, 5, 10_000, seed=3)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        rng = derive_rng(3, STREAM_FAILURE)
+        a = draw_failures(model, 4, n, rng)
+        b = draw_failures(model, 5, n, rng)
+        blocks = derive_rng(3, STREAM_FAILURE).random((2, n)) < 0.5
+        assert np.array_equal(a, blocks[0])
+        assert np.array_equal(b, blocks[1])
+        assert not np.array_equal(a, b)
 
     def test_scheduled_probabilities_bounded(self):
         model = FailureModel(mode="scheduled", mu=0.3, seed=5)
@@ -122,48 +130,62 @@ class TestEngine:
         assert not np.array_equal(trial(5), trial(6))
 
 
-class TestKeyedRounds:
-    """Engine generators against the SeedSequence reference keying."""
+class TestStreams:
+    """One generator per stream: failure blocks per round, protocol draws
+    in call order."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.one_of(st.sampled_from(_SEED_EDGES),
-                       st.integers(-2**63, 2**64 - 1)),
-        tag=st.integers(1, 4),
-        block=st.integers(1, 2**24 - 1),
-    )
-    def test_block_states_equal_seed_sequence(self, seed, tag, block):
-        keys = _RoundKeys(seed, tag)
-        edge = 256 * block
-        for index in (0, 255, 256, 257, edge - 1, edge, 2**32 - 1, 1):
-            reference = np.random.SeedSequence(
-                (seed & (2**64 - 1), tag, index)
-            ).generate_state(4, np.uint64)
-            assert np.array_equal(keys.state(index), reference)
+    def test_failure_bits_are_blocks_of_one_stream(self, monkeypatch):
+        # a mu=0.5 robust trial whose pull batches skip rounds: round r's
+        # bits are still block r of the failure stream
+        n, seed, mu = 300, 3, 0.5
+        drawn, peered = [], set()
+        real_draw, real_peers = engine_module.draw_failures, Round.peers
 
-    @pytest.mark.parametrize("seed", [3, 2**40 + 1])
-    def test_rounds_across_blocks_match_reference(self, seed):
+        def recording_draw(model, index, *args, **kwargs):
+            bits = real_draw(model, index, *args, **kwargs)
+            drawn.append((index, bits))
+            return bits
+
+        def recording_peers(rd, *args, **kwargs):
+            peered.add(rd.index)
+            return real_peers(rd, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "draw_failures", recording_draw)
+        monkeypatch.setattr(Round, "peers", recording_peers)
+        config = SimConfig(n=n, seed=seed,
+                           failure=FailureModel(mode="uniform", mu=mu, seed=seed))
+        rounds = robust_approx_quantile(0.3, 0.05, 7, config).rounds
+        assert [index for index, _ in drawn] == list(range(rounds))
+        assert len(peered) < rounds  # some rounds drew no peers
+        blocks = derive_rng(seed, STREAM_FAILURE).random((rounds, n)) < mu
+        assert np.array_equal(np.array([bits for _, bits in drawn]), blocks)
+
+    @pytest.mark.parametrize("seed", _SEED_EDGES)
+    def test_peers_are_successive_round_stream_draws(self, seed):
+        # failure draws come from their own stream and shift no peer
         n = 40
         model = FailureModel(mode="uniform", mu=0.3)
         engine = RoundEngine(SimConfig(n=n, seed=seed, failure=model))
-        for index in range(601):
+        reference = derive_rng(seed, STREAM_ROUND)
+        for index in range(300):
             rd = engine.next_round()
             assert rd.index == index
-            expected = derive_rng(seed, STREAM_ROUND, index).integers(0, n, size=n)
-            assert np.array_equal(rd.peers(), expected)
-            assert np.array_equal(rd.failed, draw_failures(model, index, n, seed))
+            assert np.array_equal(rd.peers(), reference.integers(0, n, size=n))
 
-    def test_held_round_keeps_its_stream(self):
-        # phase I draws from an earlier round after later rounds exist
+    def test_protocol_draws_follow_call_order(self):
+        # phase I draws its coins from a round it holds after later rounds
+        # exist: they are the next draws of the round stream
         engine = RoundEngine(SimConfig(n=16, seed=9))
         held = engine.next_round()
-        later = [engine.next_round() for _ in range(300)]
-        assert np.array_equal(later[-1].rng.random(8),
-                              derive_rng(9, STREAM_ROUND, 300).random(8))
-        assert np.array_equal(held.rng.random(8),
-                              derive_rng(9, STREAM_ROUND, 0).random(8))
+        later = engine.next_round()
+        reference = derive_rng(9, STREAM_ROUND)
+        assert np.array_equal(later.peers(), reference.integers(0, 16, size=16))
+        assert np.array_equal(held.rng.random(8), reference.random(8))
 
-    def test_index_beyond_32_bits_falls_back(self, monkeypatch):
+    @pytest.mark.parametrize("mu, streams", [
+        (0.0, [STREAM_ROUND]), (0.5, [STREAM_ROUND, STREAM_FAILURE]),
+    ])
+    def test_each_stream_built_once(self, monkeypatch, mu, streams):
         calls = []
         reference = engine_module.derive_rng
 
@@ -172,13 +194,11 @@ class TestKeyedRounds:
             return reference(seed, *key)
 
         monkeypatch.setattr(engine_module, "derive_rng", recording)
-        index = 2**32 + 5
-        rng = _RoundKeys(7, STREAM_FAILURE).rng(index)
-        assert calls == [(7, STREAM_FAILURE, index)]
-        draws = rng.random(8)
-        assert np.array_equal(draws, reference(7, STREAM_FAILURE, index).random(8))
-        # a truncated index would have reused round 5's stream
-        assert not np.array_equal(draws, reference(7, STREAM_FAILURE, 5).random(8))
+        failure = FailureModel(mode="uniform", mu=mu) if mu else FailureModel()
+        engine = RoundEngine(SimConfig(n=8, seed=4, failure=failure))
+        for _ in range(600):
+            engine.next_round().peers()
+        assert calls == [(4, tag) for tag in streams]
 
 
 class TestCanonicalIds:

@@ -108,13 +108,32 @@ class TestDistributeTokens:
 
     def test_weight_conservation_via_final_multiplicity(self):
         # splits preserve the per-origin weight sum, so exactly m weight-1
-        # copies of every origin must exist at the end
+        # copies of every origin must exist at the end; 22 origins x 16
+        # copies on 512 nodes is 69% fill, under the FILL_CAP the protocol
+        # never exceeds
         engine = RoundEngine(SimConfig(n=512, seed=5))
-        holders = engine.values_rng().choice(512, size=30, replace=False)
+        holders = engine.values_rng().choice(512, size=22, replace=False)
         dist = distribute_tokens(holders, 16, engine)
         placed = dist.key_index >= 0
-        counts = np.bincount(dist.key_index[placed], minlength=30)
+        counts = np.bincount(dist.key_index[placed], minlength=22)
         assert (counts == 16).all()
+
+    def test_overfilled_population_conserves_or_fails_cleanly(self):
+        # 30 x 16 copies on 512 nodes is 94% fill, above FILL_CAP:
+        # relocation may run out of phases, but it must then raise its own
+        # failure, never return a wrong multiplicity
+        from gossipq.exact import TrialFailure
+        for seed in range(60):
+            engine = RoundEngine(SimConfig(n=512, seed=seed))
+            holders = engine.values_rng().choice(512, size=30, replace=False)
+            try:
+                dist = distribute_tokens(holders, 16, engine)
+            except TrialFailure as exc:
+                assert str(exc) == "token relocation exceeded its phase cap"
+                continue
+            placed = dist.key_index >= 0
+            counts = np.bincount(dist.key_index[placed], minlength=30)
+            assert (counts == 16).all()
 
     def test_refuses_overfull_population(self):
         engine = RoundEngine(SimConfig(n=16, seed=1))

@@ -1,11 +1,10 @@
 """Golden CLI rows: fixed-seed CSV output must stay byte-identical.
 
-Each case is one small CLI run whose CSV file was captured from the
-implementation before the robust pull batch was vectorised; the selfq
-case and the cases with a non-default --k-sample, --t-extra,
---max-iterations or --exact-eps were captured before the subcommands
-were built from the experiment table, so each option's path to the
-trial runner is checked byte for byte. A change that alters any stream
+Each case is one small CLI run whose CSV file was captured when the
+engine moved to one generator per stream, a deliberate change of every
+engine stream and of the sketch input. The cases with a non-default
+--k-sample, --t-extra, --max-iterations or --exact-eps check each
+option's path to the trial runner byte for byte. A change that alters any stream
 (peer, failure, protocol or input draws) shows here as a differing row;
 such a change must be deliberate and documented, and then the captured
 rows are replaced in the same change.
@@ -20,39 +19,39 @@ GOLDEN = [
     (
         ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--trials", "3", "--seed", "1"],
-        "approx,2000,0.3,0.05,0.0,1,63,126000,8,1\n"
-        "approx,2000,0.3,0.05,0.0,2,63,126000,53,1\n"
-        "approx,2000,0.3,0.05,0.0,3,63,126000,11,1\n",
+        "approx,2000,0.3,0.05,0.0,1,63,126000,20,1\n"
+        "approx,2000,0.3,0.05,0.0,2,63,126000,49,1\n"
+        "approx,2000,0.3,0.05,0.0,3,63,126000,17,1\n",
     ),
     (
         # phi = 0.5: phase II and the K-sample batch only
         ["robust", "--n", "2000", "--phi", "0.5", "--eps", "0.05",
          "--mu", "0.5", "--trials", "2", "--seed", "1"],
-        "robust,2000,0.5,0.05,0.5,1,499,498411,21,1\n"
-        "robust,2000,0.5,0.05,0.5,2,499,499556,9,1\n",
+        "robust,2000,0.5,0.05,0.5,1,499,499578,18,1\n"
+        "robust,2000,0.5,0.05,0.5,2,499,499418,43,1\n",
     ),
     (
         # phi = 0.3: phase I with its first-round hook as well
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--mu", "0.5", "--trials", "2", "--seed", "3"],
-        "robust,2000,0.3,0.05,0.5,3,524,523515,29,1\n"
-        "robust,2000,0.3,0.05,0.5,4,524,523911,41,1\n",
+        "robust,2000,0.3,0.05,0.5,3,524,524042,57,1\n"
+        "robust,2000,0.3,0.05,0.5,4,524,525004,57,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,2069,644650,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,970,289141,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,705,207151,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,978,288241,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.5,1,4723,640463,0,1\n"
-        "exact,256,0.3,0.08,0.5,2,4160,558384,0,1\n",
+        "exact,256,0.3,0.08,0.5,1,5943,817289,0,1\n"
+        "exact,256,0.3,0.08,0.5,2,4625,629378,0,1\n",
     ),
     (
         ["sketch", "--nprime", "1024", "--k", "16", "--trials", "2", "--seed", "1"],
-        "sketch,1024,,,0.0,1,11,0,145,1\n"
-        "sketch,1024,,,0.0,2,11,0,131,1\n",
+        "sketch,1024,,,0.0,1,11,0,146,1\n"
+        "sketch,1024,,,0.0,2,11,0,136,1\n",
     ),
     (
         ["spread", "--n", "10000", "--eps", "0.01", "--trials", "2", "--seed", "1"],
@@ -61,49 +60,49 @@ GOLDEN = [
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "2", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,577,577000,119,1\n"
-        "selfq,1000,,0.1,0.0,2,577,577000,149,1\n",
+        "selfq,1000,,0.1,0.0,1,577,577000,113,1\n"
+        "selfq,1000,,0.1,0.0,2,577,577000,136,1\n",
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--k-sample", "10",
          "--trials", "1", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,397,397000,121,1\n",
+        "selfq,1000,,0.1,0.0,1,397,397000,112,1\n",
     ),
     (
         ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--k-sample", "5", "--trials", "2", "--seed", "1"],
-        "approx,2000,0.3,0.05,0.0,1,37,74000,32,1\n"
-        "approx,2000,0.3,0.05,0.0,2,37,74000,63,1\n",
+        "approx,2000,0.3,0.05,0.0,1,37,74000,37,1\n"
+        "approx,2000,0.3,0.05,0.0,2,37,74000,65,1\n",
     ),
     (
         # two answer-less or wrong nodes: success needs 2 <= 300 / 2**t_extra,
         # which the default t_extra = 10 fails
         ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02", "--mu", "0.5",
-         "--t-extra", "7", "--trials", "1", "--seed", "3"],
-        "robust,300,0.3,0.02,0.5,3,549,82367,7,1\n",
+         "--t-extra", "7", "--trials", "1", "--seed", "10"],
+        "robust,300,0.3,0.02,0.5,10,549,82500,8,1\n",
     ),
     (
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05", "--mu", "0.5",
          "--k-sample", "7", "--trials", "1", "--seed", "1"],
-        "robust,2000,0.3,0.05,0.5,1,332,331538,36,1\n",
+        "robust,2000,0.3,0.05,0.5,1,332,332316,50,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.1,0.0,1,2142,656073,0,1\n"
-        "exact,256,0.5,0.1,0.0,2,1433,435048,0,1\n",
+        "exact,256,0.5,0.1,0.0,1,933,277251,0,1\n"
+        "exact,256,0.5,0.1,0.0,2,1184,354728,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--max-iterations", "2",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,1095,338213,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,693,204552,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,705,207151,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,686,200526,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--k-sample", "10",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.0,1,591,177448,0,1\n"
-        "exact,256,0.3,0.08,0.0,2,595,178892,0,1\n",
+        "exact,256,0.3,0.08,0.0,1,1249,389403,0,1\n"
+        "exact,256,0.3,0.08,0.0,2,863,261027,0,1\n",
     ),
 ]
 

@@ -154,9 +154,8 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
     n = config.n
-    engine = RoundEngine(config)
     if values is None:
-        values = engine.values_rng().permutation(n)
+        values = derive_rng(config.seed, STREAM_VALUES).permutation(n)
     values = np.asarray(values)
     ids, _ = canonical_ids(values)
     grid = [j * eps for j in range(1, math.ceil(1.0 / eps))]

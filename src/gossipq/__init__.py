@@ -46,15 +46,7 @@ from .schedules import (
     three_tournament_schedule,
     two_tournament_schedule,
 )
-from .sketch import (
-    CompactedBuffer,
-    compaction_error_check,
-    deserialize_buffer,
-    doubling_update,
-    quantile_query,
-    rank_query,
-    serialize_buffer,
-)
+from .sketch import compaction_error_check
 from .tournament import (
     approx_quantile,
     final_median_sample,

@@ -59,19 +59,13 @@ class CountResult:
 
 def _gossip_exchange(cur: np.ndarray, engine: RoundEngine, reduce_fn) -> np.ndarray:
     """One push round and one pull round of a monotone reduction."""
-    snapshot = cur.copy()
     rd_push = engine.next_round()
     targets = rd_push.peers()
     ok = rd_push.ok()
     senders = np.arange(engine.n) if ok is None else np.nonzero(ok)[0]
     nxt = cur.copy()
-    reduce_fn.at(nxt, targets[senders], snapshot[senders])
-    rd_pull = engine.next_round()
-    sources = rd_pull.peers()
-    pulled = snapshot[sources]
-    if rd_pull.failed is not None:
-        pulled = np.where(rd_pull.failed, snapshot, pulled)
-    return reduce_fn(nxt, pulled)
+    reduce_fn.at(nxt, targets[senders], cur[senders])
+    return reduce_fn(nxt, engine.next_round().pull(cur))
 
 
 def spread_min_max(

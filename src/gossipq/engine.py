@@ -17,9 +17,10 @@ them, so a round whose draws are skipped shifts every later draw,
 deterministically.
 
 One engine round corresponds to one push or pull of a single value per
-node. Protocols that perform ``k`` pulls per iteration advance the engine
-``k`` times, so reported rounds count per-node sequential communication
-steps.
+node; :meth:`Round.pull` is the one plain pull, and a node whose pull
+fails keeps its own value. Protocols that perform ``k`` pulls per
+iteration advance the engine ``k`` times, so reported rounds count
+per-node sequential communication steps.
 """
 from __future__ import annotations
 
@@ -154,6 +155,20 @@ class Round:
             performed = int(np.count_nonzero(acting))
         self._engine.messages += message_weight * performed
         return targets
+
+    def pull(self, values: np.ndarray, actors: np.ndarray | None = None,
+             message_weight: int = 1) -> np.ndarray:
+        """Each node's pull of ``values`` (indexed by node, 1-D or
+        ``(n, size)``) from its contact, drawn and counted by :meth:`peers`.
+
+        A node whose pull failed keeps its own row: the one failure rule
+        every plain pull shares.
+        """
+        pulled = values[self.peers(actors, message_weight)]
+        if self.failed is None:
+            return pulled
+        failed = self.failed.reshape((-1,) + (1,) * (values.ndim - 1))
+        return np.where(failed, values, pulled)
 
     def count_messages(self, count: int) -> None:
         self._engine.messages += int(count)

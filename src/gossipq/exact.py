@@ -147,6 +147,16 @@ class TokenDistribution:
     max_tokens_per_node: int
 
 
+def _pile_positions(holders):
+    """Each token's 0-based position in its holder's pile, in token order."""
+    order = np.argsort(holders, kind="stable")
+    sorted_holders = holders[order]
+    pos = np.empty(len(holders), dtype=np.int64)
+    # a pile starts where its holder first appears in the sorted holders
+    pos[order] = np.arange(len(holders)) - np.searchsorted(sorted_holders, sorted_holders)
+    return pos
+
+
 def _push_token_rounds(holders, engine):
     """Draw the per-round peer/failure vectors a token phase needs.
 
@@ -154,17 +164,7 @@ def _push_token_rounds(holders, engine):
     node pushes uses round j's draws, so failures stay per (node, round).
     Returns per-token targets and failure bits.
     """
-    order = np.argsort(holders, kind="stable")
-    pos = np.empty(len(holders), dtype=np.int64)
-    # position of each token within its holder's pushing sequence
-    sorted_holders = holders[order]
-    boundaries = np.empty(len(holders), dtype=bool)
-    if len(holders):
-        boundaries[0] = True
-        boundaries[1:] = sorted_holders[1:] != sorted_holders[:-1]
-        idx = np.arange(len(holders))
-        start = np.maximum.accumulate(np.where(boundaries, idx, 0))
-        pos[order] = idx - start
+    pos = _pile_positions(holders)
     n_rounds = int(pos.max()) + 1 if len(holders) else 0
     targets = np.empty(len(holders), dtype=np.int64)
     failed = np.zeros(len(holders), dtype=bool)
@@ -266,12 +266,8 @@ def distribute_tokens(
             break
         if relocate_phases >= 2 * phase_cap:
             raise TrialFailure("token relocation exceeded its phase cap")
-        order = np.argsort(holder, kind="stable")
-        sorted_holders = holder[order]
-        first_of_group = np.empty(len(holder), dtype=bool)
-        first_of_group[0] = True
-        first_of_group[1:] = sorted_holders[1:] != sorted_holders[:-1]
-        movers = order[~first_of_group]
+        # every token but the first of each pile moves
+        movers = np.flatnonzero(_pile_positions(holder) > 0)
         targets, failed, _ = _push_token_rounds(holder[movers], engine)
         holder[movers[~failed]] = targets[~failed]
         relocate_phases += 1

@@ -36,17 +36,13 @@ class Phase1Schedule:
     t: int
     threshold: float
 
-    def __iter__(self):
-        return iter(self.delta)
-
 
 @dataclass(frozen=True)
 class Phase2Schedule:
     """Driving sequence for the three-pull median-amplification phase.
 
     l[0] = 1/2 - eps, l[i+1] = 3 l[i]^2 - 2 l[i]^3, stopping at the first
-    entry at or below T2 = n^(-1/3). ``k_sample`` is the size of the final
-    uniform sample whose median each node outputs.
+    entry at or below T2 = n^(-1/3).
     """
 
     eps: float
@@ -54,7 +50,6 @@ class Phase2Schedule:
     l: tuple[float, ...]
     t: int
     threshold: float
-    k_sample: int = 30
 
 
 def two_tournament_schedule(phi: float, eps: float) -> Phase1Schedule:
@@ -89,7 +84,7 @@ def two_tournament_schedule(phi: float, eps: float) -> Phase1Schedule:
     )
 
 
-def three_tournament_schedule(eps: float, n: int, k_sample: int = 30) -> Phase2Schedule:
+def three_tournament_schedule(eps: float, n: int) -> Phase2Schedule:
     """Schedule for concentrating mass at the median.
 
     Requires 0 < eps < 1/2 and n >= 2. The recurrence strictly decreases
@@ -108,8 +103,7 @@ def three_tournament_schedule(eps: float, n: int, k_sample: int = 30) -> Phase2S
         x = 3.0 * x * x - 2.0 * x * x * x
         seq.append(x)
     return Phase2Schedule(
-        eps=eps, n=n, l=tuple(seq), t=len(seq) - 1,
-        threshold=threshold, k_sample=k_sample,
+        eps=eps, n=n, l=tuple(seq), t=len(seq) - 1, threshold=threshold,
     )
 
 

@@ -1,4 +1,4 @@
-"""The compacting buffer and its deterministic error bound.
+"""Compacting sample buffers, as rows of one array, and their error bound.
 
 The doubling algorithm merges equal-weight buffers each round; once a
 buffer would exceed its capacity it is compacted: sorted ascending and
@@ -11,41 +11,18 @@ check sweeps 2 * len(tilde) points, not n': the compacted rank is flat
 between compacted elements while the full rank rises, so over the data
 the error peaks at a compacted element or the data element just below.
 
-Buffers are value-like: merging consumes both inputs. Elements are stored
-as int64 keys (distinct totally-ordered ids; duplicate raw values get
-distinct keys upstream, in node order, from ``engine.canonical_ids``);
-other input types are rejected.
+Elements are int64 keys (distinct totally-ordered ids; duplicate raw
+values get distinct keys upstream, in node order, from
+``engine.canonical_ids``); other input types are rejected.
 """
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import RoundEngine
 from .schedules import compaction_error_bound
-
-
-@dataclass(frozen=True)
-class CompactedBuffer:
-    """Sorted weighted sample: each element stands for ``weight`` copies."""
-
-    elements: np.ndarray      # sorted int64 keys
-    weight: int               # power of two
-    capacity: int             # power of two
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _int64_keys(self.elements))
-
-    @property
-    def weighted_size(self) -> int:
-        return self.weight * len(self.elements)
-
-    @staticmethod
-    def singleton(key: int, capacity: int) -> "CompactedBuffer":
-        return CompactedBuffer([key], 1, capacity)
 
 
 def _int64_keys(values) -> np.ndarray:
@@ -65,49 +42,6 @@ def _merge_compact(left, right, k, out=None):
     if merged.shape[1] > k:
         return merged[:, 1::2], 2
     return merged, 1
-
-
-def doubling_update(buf_a: CompactedBuffer, buf_b: CompactedBuffer) -> CompactedBuffer:
-    """Merge two equal-weight buffers, compacting once if over capacity."""
-    if buf_a.weight != buf_b.weight:
-        raise ValueError("equal-round merge requires equal weights")
-    if buf_a.capacity != buf_b.capacity:
-        raise ValueError("buffers must share a capacity")
-    k = buf_a.capacity
-    merged, factor = _merge_compact(buf_a.elements[None], buf_b.elements[None], k)
-    return CompactedBuffer(merged[0], buf_a.weight * factor, k)
-
-
-def rank_query(buffer: CompactedBuffer, z) -> int:
-    """Weighted count of buffer elements at or below z."""
-    if len(buffer.elements) == 0:
-        raise ValueError("rank query on an empty buffer")
-    return buffer.weight * int(
-        np.searchsorted(buffer.elements, z, side="right")
-    )
-
-
-def quantile_query(buffer: CompactedBuffer, z) -> float:
-    """rank_query normalised by the buffer's weighted size."""
-    return rank_query(buffer, z) / buffer.weighted_size
-
-
-# ---------------------------------------------------------------------------
-# serialization: little-endian int64s, length-prefixed element list
-
-
-def serialize_buffer(buffer: CompactedBuffer) -> bytes:
-    head = struct.pack("<q", len(buffer.elements))
-    body = buffer.elements.astype("<i8").tobytes()
-    tail = struct.pack("<qq", buffer.weight, buffer.capacity)
-    return head + body + tail
-
-
-def deserialize_buffer(data: bytes) -> CompactedBuffer:
-    (count,) = struct.unpack_from("<q", data, 0)
-    elements = np.frombuffer(data, dtype="<i8", count=count, offset=8).copy()
-    weight, capacity = struct.unpack_from("<qq", data, 8 + 8 * count)
-    return CompactedBuffer(elements, weight, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +120,11 @@ def doubling_gossip_estimate(
 
     Round 0 seeds each node's buffer with one uniformly sampled value;
     each later round merges in the contacted node's buffer (compacting at
-    capacity k). Returns (buffers sorted row-wise, weight); all buffers
-    share one size and weight on the synchronous schedule, and hold int32
-    when every id fits in it, int64 otherwise. Ids that are not int64-range
-    integers raise ValueError.
+    capacity k). Every round is a ``Round.pull``, so a node whose pull
+    failed samples its own id, or merges its own buffer. Returns (buffers
+    sorted row-wise, weight); all buffers share one size and weight on the
+    synchronous schedule, and hold int32 when every id fits in it, int64
+    otherwise. Ids that are not int64-range integers raise ValueError.
     """
     n = engine.n
     if n_prime < 2 or n_prime & (n_prime - 1):
@@ -197,18 +132,16 @@ def doubling_gossip_estimate(
     rounds = int(math.log2(n_prime)) + 1
     ids = _int64_keys(ids)
     wide = ids.size and (ids.min() < -(2**31) or ids.max() >= 2**31)
-    rd = engine.next_round()
-    seed_peers = rd.peers()
-    buffers = ids.astype(np.int64 if wide else np.int32)[seed_peers].reshape(n, 1)
+    ids = ids.astype(np.int64 if wide else np.int32)
+    buffers = engine.next_round().pull(ids).reshape(n, 1)
     scratch = None
     for _ in range(rounds - 1):
-        rd = engine.next_round()
         size = buffers.shape[1]
-        peers = rd.peers(message_weight=size)
+        pulled = engine.next_round().pull(buffers, message_weight=size)
         if 2 * size > k and scratch is None:
             # every later round compacts back to this size
             scratch = np.empty((n, 2 * size), dtype=buffers.dtype)
-        merged, factor = _merge_compact(buffers, buffers[peers], k, scratch)
+        merged, factor = _merge_compact(buffers, pulled, k, scratch)
         if factor == 1:
             buffers = merged
         else:

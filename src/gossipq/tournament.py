@@ -94,18 +94,14 @@ def phase2_step(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # plain (failure-oblivious) iterations
 #
-# Under failures the plain protocols substitute the puller's own previous
-# value for each failed pull; the robust variants below are the ones meant
-# to run with failures enabled.
+# Under failures a failed pull returns the puller's own previous value
+# (``Round.pull``); the robust variants below are the ones meant to run
+# with failures enabled.
 
 
 def _pull_values(values: np.ndarray, engine: RoundEngine) -> tuple[np.ndarray, "object"]:
     rd = engine.next_round()
-    peers = rd.peers()
-    pulled = values[peers]
-    if rd.failed is not None:
-        pulled = np.where(rd.failed, values, pulled)
-    return pulled, rd
+    return rd.pull(values), rd
 
 
 def phase1_iteration(
@@ -290,11 +286,10 @@ def adoption_rounds(
             break
         rd = engine.next_round()
         missing = ~has_output
-        peers = rd.peers(actors=missing)
-        can = missing & has_output[peers]
-        if rd.failed is not None:
-            can &= ~rd.failed
-        outputs[can] = outputs[peers[can]]
+        # answers are ids >= 0; -1 marks none, which a failed pull keeps
+        pulled = rd.pull(np.where(has_output, outputs, -1), actors=missing)
+        can = missing & (pulled >= 0)
+        outputs[can] = pulled[can]
         has_output |= can
     return outputs, has_output
 
@@ -334,7 +329,7 @@ def _tournament_core(
     n = engine.n
     phi_eff = target_rank / n
     sched1 = two_tournament_schedule(phi_eff, eps)
-    sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n, k_sample)
+    sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
     mu = engine.config.failure.mu if engine.config.failure.active else 0.0
     batch = phase_batch_size(mu)
     values = ids.astype(_id_dtype(n), copy=False)

@@ -130,6 +130,31 @@ class TestEngine:
         assert not np.array_equal(trial(5), trial(6))
 
 
+class TestPull:
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)])
+    def test_pull_is_a_gather_where_the_pull_succeeded(self, mu, shape):
+        n, seed = 50, 8
+        values = np.arange(np.prod(shape)).reshape(shape)
+        actors = np.arange(n) % 3 == 0
+        failure = FailureModel(mode="uniform", mu=mu) if mu else FailureModel()
+        pulling, peering = (RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+                            for _ in range(2))
+        for _ in range(4):
+            rd, ref = pulling.next_round(), peering.next_round()
+            pulled = rd.pull(values, actors=actors, message_weight=3)
+            peers = ref.peers(actors=actors, message_weight=3)
+            failed = np.zeros(n, dtype=bool) if mu == 0 else rd.failed
+            assert pulled.shape == shape
+            assert np.array_equal(pulled[failed], values[failed])
+            assert np.array_equal(pulled[~failed], values[peers][~failed])
+            assert pulling.messages == peering.messages
+        if mu:
+            assert failed.any() and not failed.all()
+        # the pull drew exactly what peers() draws: the streams stay aligned
+        assert np.array_equal(rd.rng.random(4), ref.rng.random(4))
+
+
 class TestStreams:
     """One generator per stream: failure blocks per round, protocol draws
     in call order."""

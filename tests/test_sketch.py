@@ -1,4 +1,4 @@
-"""Compacting buffer, its deterministic error bound, doubling gossip."""
+"""Compaction kernel, its deterministic error bound, doubling gossip."""
 import math
 from unittest import mock
 
@@ -7,119 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gossipq import sketch
-from gossipq.engine import FailureModel, RoundEngine, SimConfig
+from gossipq.engine import STREAM_FAILURE, FailureModel, RoundEngine, SimConfig, derive_rng
 from gossipq.schedules import choose_buffer_size, compaction_error_bound
 from gossipq.sketch import (
-    CompactedBuffer,
     _tree_levels,
     compaction_error_check,
-    deserialize_buffer,
     doubling_gossip_estimate,
-    doubling_update,
-    quantile_query,
-    rank_query,
     sample_size,
-    serialize_buffer,
 )
-
-
-class TestDoublingUpdate:
-    def test_two_singletons_merge(self):
-        a = CompactedBuffer.singleton(4, 4)
-        b = CompactedBuffer.singleton(9, 4)
-        out = doubling_update(a, b)
-        assert list(out.elements) == [4, 9]
-        assert out.weight == 1
-
-    def test_two_full_buffers_compact_once(self):
-        a = CompactedBuffer(np.array([1, 3, 5, 7]), 1, 4)
-        b = CompactedBuffer(np.array([2, 4, 6, 8]), 1, 4)
-        out = doubling_update(a, b)
-        assert len(out.elements) == 4
-        assert out.weight == 2
-        assert list(out.elements) == [2, 4, 6, 8]
-
-    def test_weighted_size_additive(self):
-        a = CompactedBuffer(np.array([1, 3, 5, 7]), 2, 4)
-        b = CompactedBuffer(np.array([2, 4, 6, 8]), 2, 4)
-        out = doubling_update(a, b)
-        assert out.weighted_size == a.weighted_size + b.weighted_size
-
-    def test_mismatched_weights_rejected(self):
-        a = CompactedBuffer(np.array([1]), 1, 4)
-        b = CompactedBuffer(np.array([2]), 2, 4)
-        with pytest.raises(ValueError):
-            doubling_update(a, b)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=32),
-           st.integers(1, 16), st.integers(0, 2**30))
-    def test_depends_only_on_merged_multiset(self, items, k, shuffle_seed):
-        # any split of the same multiset into two buffers merges alike
-        shuffled = list(items)
-        np.random.default_rng(shuffle_seed).shuffle(shuffled)
-        outs = []
-        for seq in (items, shuffled):
-            half = len(seq) // 2
-            a = CompactedBuffer(np.sort(seq[:half]), 1, k)
-            b = CompactedBuffer(np.sort(seq[half:]), 1, k)
-            outs.append(doubling_update(a, b))
-        assert np.array_equal(outs[0].elements, outs[1].elements)
-        assert outs[0].weight == outs[1].weight
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**30), st.integers(1, 5))
-    def test_weighted_size_conserved_through_tree(self, seed, levels):
-        # 2^levels singletons merged pairwise keep total weighted size
-        rng = np.random.default_rng(seed)
-        k = 4
-        bufs = [CompactedBuffer.singleton(int(x), k)
-                for x in rng.integers(0, 10**6, size=2 ** levels)]
-        while len(bufs) > 1:
-            bufs = [doubling_update(bufs[i], bufs[i + 1])
-                    for i in range(0, len(bufs), 2)]
-        assert bufs[0].weighted_size == 2 ** levels
-
-
-class TestQueries:
-    def test_rank_examples(self):
-        b = CompactedBuffer(np.array([3, 7]), 2, 2)
-        assert rank_query(b, 2) == 0
-        assert rank_query(b, 5) == 2
-        assert rank_query(b, 9) == 4
-        assert quantile_query(b, 5) == 0.5
-
-    def test_compaction_rank_parity(self):
-        # z=4 over {1,3,5,7} w=1: rank 2 (even) is preserved; z=5: rank 3
-        # (odd) loses exactly the old weight
-        pre = CompactedBuffer(np.array([1, 3, 5, 7]), 1, 2)
-        post = CompactedBuffer(np.array([3, 7]), 2, 2)
-        assert rank_query(pre, 4) == 2 and rank_query(post, 4) == 2
-        assert rank_query(pre, 5) == 3 and rank_query(post, 5) == 2
-
-    def test_empty_buffer_query_error(self):
-        empty = CompactedBuffer(np.array([], dtype=np.int64), 1, 4)
-        with pytest.raises(ValueError):
-            rank_query(empty, 3)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        buf = CompactedBuffer(np.array([2, 4, 6, 8]), 2, 4)
-        again = deserialize_buffer(serialize_buffer(buf))
-        assert np.array_equal(again.elements, buf.elements)
-        assert again.weight == 2 and again.capacity == 4
-
-    def test_golden_bytes(self):
-        buf = CompactedBuffer(np.array([1, 300]), 4, 8)
-        expected = (
-            (2).to_bytes(8, "little")
-            + (1).to_bytes(8, "little")
-            + (300).to_bytes(8, "little")
-            + (4).to_bytes(8, "little")
-            + (8).to_bytes(8, "little")
-        )
-        assert serialize_buffer(buf) == expected
 
 
 class TestErrorBoundCheck:
@@ -146,20 +41,6 @@ class TestErrorBoundCheck:
         err = compaction_error_check(1024, 32, data, z_values=zs)
         assert err <= compaction_error_bound(1024, 32)
 
-    def test_vectorized_tree_matches_buffer_objects(self):
-        # same merge tree built from CompactedBuffer objects gives the
-        # same compacted summary as the level-vectorized engine
-        rng = np.random.default_rng(5)
-        data = rng.permutation(64).astype(np.int64)
-        k = 8
-        bufs = [CompactedBuffer.singleton(int(x), k) for x in data]
-        while len(bufs) > 1:
-            bufs = [doubling_update(bufs[i], bufs[i + 1])
-                    for i in range(0, len(bufs), 2)]
-        elements, weight = _tree_levels(data, k)
-        assert np.array_equal(bufs[0].elements, elements)
-        assert bufs[0].weight == weight
-
 
 class TestKeyTypes:
     def test_float_data_rejected(self):
@@ -172,11 +53,13 @@ class TestKeyTypes:
         with pytest.raises(ValueError):
             compaction_error_check(64, 8, data, z_values=[2.5])
 
-    def test_float_buffer_rejected(self):
+    def test_integral_floats_rejected(self):
+        # the dtype, not the values, decides: whole-number floats raise too
+        keys = np.arange(64, dtype=np.float64)
         with pytest.raises(ValueError):
-            CompactedBuffer([0.9, 1.5], 1, 4)
+            compaction_error_check(64, 8, keys)
         with pytest.raises(ValueError):
-            CompactedBuffer.singleton(0.5, 4)
+            doubling_gossip_estimate(RoundEngine(SimConfig(n=64, seed=1)), keys, 8, 4)
 
     def test_float_gossip_ids_rejected(self):
         engine = RoundEngine(SimConfig(n=64, seed=1))
@@ -184,17 +67,28 @@ class TestKeyTypes:
             doubling_gossip_estimate(engine, np.arange(64) + 0.75, 8, 4)
 
     def test_uint64_beyond_int64_rejected(self):
+        keys = np.arange(64, dtype=np.uint64)
+        keys[5] = 2**63
         with pytest.raises(ValueError):
-            CompactedBuffer(np.array([1, 2**63], dtype=np.uint64), 1, 4)
+            compaction_error_check(64, 8, keys)
+        with pytest.raises(ValueError):
+            compaction_error_check(64, 8, np.arange(64), z_values=keys)
+        with pytest.raises(ValueError):
+            doubling_gossip_estimate(RoundEngine(SimConfig(n=64, seed=1)), keys, 8, 4)
 
     def test_narrow_integer_dtypes_accepted(self):
         data = np.random.default_rng(2).permutation(256)
         want = compaction_error_check(256, 16, data)
         for dtype in (np.int32, np.uint16, np.uint64):
             assert compaction_error_check(256, 16, data.astype(dtype)) == want
-        buf = CompactedBuffer(np.array([3, 9], dtype=np.uint8), 1, 4)
-        assert buf.elements.dtype == np.int64
-        assert CompactedBuffer([], 1, 4).elements.dtype == np.int64
+        ids = data[:200]
+        runs = []
+        for dtype in (np.int64, np.uint8, np.int16, np.uint64):
+            engine = RoundEngine(SimConfig(n=200, seed=2))
+            runs.append(doubling_gossip_estimate(engine, ids.astype(dtype), 16, 4))
+        for buffers, weight in runs:
+            assert buffers.dtype == np.int32
+            assert np.array_equal(buffers, runs[0][0]) and weight == runs[0][1]
 
 
 def _reference_tree_levels(data, k):
@@ -227,30 +121,25 @@ def _reference_error(n_prime, k, data, z_values=None):
     return int(np.abs(r_full - r_tilde).max())
 
 
-def _reference_doubling_update(buf_a, buf_b):
-    """The one-dimensional merge doubling_update replaced."""
-    k = buf_a.capacity
-    merged = np.concatenate([buf_a.elements, buf_b.elements])
-    merged.sort()
-    if len(merged) <= k:
-        return merged, buf_a.weight
-    return merged[1::2], buf_a.weight * 2
-
-
 def _reference_gossip_estimate(engine, ids, n_prime, k, dtype):
     """The three-branch doubling_gossip_estimate replaced, with its
-    caller-chosen id dtype (int32 by default there)."""
+    caller-chosen id dtype (int32 by default there). A node whose pull
+    failed contacts itself: it samples its own id, or merges its own
+    buffer."""
     n = engine.n
     rounds = int(math.log2(n_prime)) + 1
-    rd = engine.next_round()
-    seed_peers = rd.peers()
-    buffers = np.asarray(ids, dtype=dtype)[seed_peers].reshape(n, 1)
+
+    def contacts(rd, size):
+        peers = rd.peers(message_weight=size)
+        return peers if rd.failed is None else np.where(rd.failed, np.arange(n), peers)
+
+    ids = np.asarray(ids, dtype=dtype)
+    buffers = ids[contacts(engine.next_round(), 1)].reshape(n, 1)
     weight = 1
     scratch = None
     for _ in range(rounds - 1):
-        rd = engine.next_round()
         size = buffers.shape[1]
-        peers = rd.peers(message_weight=size)
+        peers = contacts(engine.next_round(), size)
         if 2 * size > k:
             if scratch is None or scratch.shape[1] != 2 * size:
                 scratch = np.empty((n, 2 * size), dtype=dtype)
@@ -339,20 +228,6 @@ class TestErrorCheckMatchesReference:
 
 
 class TestMergeFormsMatchReference:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from(INT64_EDGES.tolist()) | st.integers(-50, 50),
-                    max_size=20),
-           st.lists(st.integers(-50, 50), max_size=20),
-           st.integers(0, 5), st.integers(0, 5))
-    def test_doubling_update(self, left, right, log_k, log_w):
-        k, weight = 2**log_k, 2**log_w
-        a = CompactedBuffer(np.sort(np.array(left, dtype=np.int64)), weight, k)
-        b = CompactedBuffer(np.sort(np.array(right, dtype=np.int64)), weight, k)
-        out = doubling_update(a, b)
-        want, want_weight = _reference_doubling_update(a, b)
-        assert np.array_equal(out.elements, want)
-        assert out.weight == want_weight and out.capacity == k
-
     @pytest.mark.parametrize("n_prime,k", [(2, 1), (64, 1), (64, 3), (64, 16),
                                            (64, 64), (64, 1000), (256, 6)])
     @pytest.mark.parametrize("mu", [0.0, 0.3])
@@ -384,6 +259,26 @@ class TestMergeFormsMatchReference:
         assert np.isin(b_new, ids).all()
         assert np.array_equal(b_new, b_ref)
         assert w_new == w_ref and m_new == m_ref
+
+
+class TestGossipFailures:
+    def test_failed_pulls_merge_the_own_buffer(self):
+        # failures draw on their own stream and shift no peer, so only the
+        # failed-pull rule tells a mu=0.3 run from a failure-free one
+        n, seed, mu = 300, 5, 0.3
+        ids = np.random.default_rng(seed).permutation(n)
+        runs = []
+        for failure in (FailureModel(), FailureModel(mode="uniform", mu=mu, seed=seed)):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            runs.append(doubling_gossip_estimate(engine, ids, 2, 4)[0])
+        free, failing = runs
+        assert not np.array_equal(free, failing)
+        # n' = 2 is a seed round and one merge round: a node failing both
+        # sampled its own id and then merged its own buffer
+        failed = derive_rng(seed, STREAM_FAILURE).random((2, n)) < mu
+        both = failed.all(axis=0)
+        assert both.any()
+        assert np.array_equal(failing[both], np.repeat(ids[both, None], 2, axis=1))
 
 
 class TestSampleSize:

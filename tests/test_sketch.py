@@ -10,11 +10,95 @@ from gossipq import sketch
 from gossipq.engine import STREAM_FAILURE, FailureModel, RoundEngine, SimConfig, derive_rng
 from gossipq.schedules import choose_buffer_size, compaction_error_bound
 from gossipq.sketch import (
+    _merge_compact,
     _tree_levels,
     compaction_error_check,
     doubling_gossip_estimate,
     sample_size,
 )
+
+
+class TestMergeCompact:
+    def test_two_singletons_merge(self):
+        block, factor = _merge_compact(np.array([[9]]), np.array([[4]]), 4)
+        assert block.tolist() == [[4, 9]]
+        assert factor == 1
+
+    def test_two_full_buffers_compact_once(self):
+        left, right = np.array([[1, 3, 5, 7]]), np.array([[2, 4, 6, 8]])
+        block, factor = _merge_compact(left, right, 4)
+        assert block.tolist() == [[2, 4, 6, 8]]
+        assert factor == 2
+
+    def test_compaction_rank_parity(self):
+        # z=4 over {1,3,5,7} at weight 1: rank 2 (even) is kept; z=5: rank 3
+        # (odd) loses exactly the old weight
+        full = np.array([1, 3, 5, 7])
+        block, factor = _merge_compact(np.array([[1, 5]]), np.array([[3, 7]]), 2)
+        assert block.tolist() == [[3, 7]] and factor == 2
+        for z, want_full, want_tilde in ((4, 2, 2), (5, 3, 2), (0, 0, 0), (9, 4, 4)):
+            assert np.searchsorted(full, z, side="right") == want_full
+            assert factor * np.searchsorted(block[0], z, side="right") == want_tilde
+
+    def test_rows_merge_independently(self):
+        rng = np.random.default_rng(4)
+        left = np.sort(rng.integers(0, 100, size=(5, 4)), axis=1)
+        right = np.sort(rng.integers(0, 100, size=(5, 4)), axis=1)
+        block, factor = _merge_compact(left, right, 4)
+        assert factor == 2
+        for row in range(5):
+            want = np.sort(np.concatenate([left[row], right[row]]))[1::2]
+            assert np.array_equal(block[row], want)
+
+    @pytest.mark.parametrize("k", [8, 4])
+    def test_merges_into_the_given_block(self, k):
+        left, right = np.array([[1, 3, 5, 7]]), np.array([[2, 4, 6, 8]])
+        out = np.empty((1, 8), dtype=left.dtype)
+        block, _ = _merge_compact(left, right, k, out)
+        assert np.shares_memory(block, out)
+        assert out.tolist() == [[1, 2, 3, 4, 5, 6, 7, 8]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=32),
+           st.integers(1, 16), st.integers(0, 2**30))
+    def test_depends_only_on_merged_multiset(self, items, k, shuffle_seed):
+        # any split of the same multiset into two halves merges alike
+        shuffled = list(items)
+        np.random.default_rng(shuffle_seed).shuffle(shuffled)
+        outs = []
+        for seq in (items, shuffled):
+            half = len(seq) // 2
+            left = np.sort(seq[:half]).reshape(1, -1)
+            right = np.sort(seq[half:]).reshape(1, -1)
+            outs.append(_merge_compact(left, right, k))
+        assert np.array_equal(outs[0][0], outs[1][0])
+        assert outs[0][1] == outs[1][1]
+
+
+class TestTreeLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 10), st.integers(0, 10))
+    def test_weighted_size_conserved_through_tree(self, seed, levels, k_levels):
+        # 2^levels keys merged pairwise keep their total weighted size
+        n_prime, k = 2**levels, 2 ** min(k_levels, levels)
+        data = np.random.default_rng(seed).integers(0, 10**6, size=n_prime)
+        tilde, weight = _tree_levels(data, k)
+        assert len(tilde) * weight == n_prime
+        assert len(tilde) == min(k, n_prime)
+        assert np.all(np.diff(tilde) >= 0)
+
+
+class TestInputChecks:
+    def test_error_check_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="n_prime"):
+            compaction_error_check(64, 8, np.arange(32))
+
+    @pytest.mark.parametrize("n_prime", [0, 1, 3, 12])
+    def test_gossip_rejects_n_prime_not_a_power_of_two(self, n_prime):
+        engine = RoundEngine(SimConfig(n=64, seed=1))
+        with pytest.raises(ValueError, match="power of two"):
+            doubling_gossip_estimate(engine, np.arange(64), n_prime, 4)
+        assert engine.rounds == 0
 
 
 class TestErrorBoundCheck:

@@ -33,7 +33,6 @@ from .exact import (
     compute_m,
     distribute_tokens,
     exact_quantile,
-    filter_range,
     rank_update,
 )
 from .harness import self_quantile, spread_experiment

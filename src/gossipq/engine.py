@@ -228,8 +228,6 @@ class TrialReport:
 
     ``outputs`` holds per-node output values (NaN where a node produced
     none); ``output_ranks`` the matching 1-based initial ranks (0 = none).
-    ``details["lmh_phase1"]`` and ``details["lmh_phase2"]`` record
-    (|L|, |M|, |H|) after each tournament iteration when asked to.
     """
 
     rounds: int = 0

@@ -1,10 +1,11 @@
 """Exact quantile computation by repeated approximate narrowing.
 
 Each iteration brackets the answer with two approximate quantile runs,
-spreads the global extremes of those approximations, filters every value
-outside the bracket, duplicates the survivors onto valueless nodes via
-weight-halving tokens and re-targets the rank accordingly. Once enough
-copies of the answer exist, one last approximate run pins it down.
+spreads the global extremes of those approximations, counts the rank of
+each extreme by push-sum, filters every value outside the bracket,
+duplicates the survivors onto valueless nodes via weight-halving tokens
+and re-targets the rank accordingly. Once enough copies of the answer
+exist, one last approximate run pins it down.
 
 Internally a trial's value multiset is always a permutation of the key
 ids ``0..n-1`` (valueless nodes hold dedicated top-ranked sentinel ids
@@ -16,6 +17,10 @@ valued count, duplication factor ``m``) are global values every node
 derives from the same broadcast counts, so the per-iteration consistency
 checks below are node-computable: an iteration whose counts show the
 bracket missed the target rank is simply re-run with fresh randomness.
+Since ids are distinct, the count of ids at or below an id is that id
+plus one, so the valued count inside the bracket follows from its two
+rank counts with no count of its own:
+``min(r_max, real_count) - r_min + 1``.
 
 Push-sum counts and min/max spreading run at their primitives' default
 budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``), scaled by
@@ -121,16 +126,6 @@ def rank_update(k_prev: int, r_min: int, m: int) -> int:
     if r_min > k_prev:
         raise InvariantViolation("minimum landed above the target rank")
     return m * (k_prev - r_min + 1)
-
-
-def filter_range(ids: np.ndarray, min_id: int, max_id: int, real_count: int) -> np.ndarray:
-    """Valued mask after bracketing: inside [min, max] and not a sentinel.
-
-    Filtering only ever turns nodes valueless; a sentinel (id at or above
-    ``real_count``) never becomes valued even when the bracket's upper
-    end is itself a sentinel key.
-    """
-    return (ids >= min_id) & (ids <= max_id) & (ids < real_count)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +291,6 @@ def narrow_window(
     eps: float,
     engine: RoundEngine,
     params: ExactParams,
-    robust: bool,
     scale: int,
 ) -> tuple[int, int, int, int, int]:
     """Bracket the target rank: approximate both window ends, spread their
@@ -326,16 +320,14 @@ def narrow_window(
             min_pool = np.where(valued_now, state.ids, n)
         else:
             lo_out, lo_has, _ = _tournament_core(
-                state.ids, lo_rank, eps / 2.0, engine, params.k_sample,
-                robust=robust,
+                state.ids, lo_rank, eps / 2.0, engine, params.k_sample
             )
             min_pool = np.where(lo_has, lo_out, n)
         if hi_degenerate:
             max_pool = np.where(valued_now, state.ids, -1)
         else:
             hi_out, hi_has, _ = _tournament_core(
-                state.ids, hi_rank, eps / 2.0, engine, params.k_sample,
-                robust=robust,
+                state.ids, hi_rank, eps / 2.0, engine, params.k_sample
             )
             max_pool = np.where(hi_has, hi_out, -1)
         spread = spread_min_max(
@@ -439,15 +431,12 @@ def exact_quantile(
             break
 
         min_id, max_id, r_min, r_max, attempts = narrow_window(
-            state, k, eps, engine, params, robust, scale
+            state, k, eps, engine, params, scale
         )
         retries_used += attempts - 1
 
-        valued = filter_range(state.ids, min_id, max_id, state.real_count)
-        count = exact_count_multi(valued[np.newaxis, :], engine, budget_scale=scale)
-        if count is None:
-            raise TrialFailure("valued-count stayed ambiguous after retries")
-        v_count = count[0]
+        # valued ids inside [min_id, max_id]; below 1 when min_id is a sentinel
+        v_count = min(r_max, state.real_count) - r_min + 1
         if v_count < 1:
             raise TrialFailure("no valued nodes survived the filter")
         m = capped_m(n, v_count)
@@ -475,8 +464,7 @@ def exact_quantile(
     for _ in range(MAX_RETRIES + 1):
         final_rank = clamped_rank(k - eps / 2.0 * n, n)
         outputs, has_output, _ = _tournament_core(
-            state.ids, final_rank, eps / 3.0, engine, params.k_sample,
-            robust=robust,
+            state.ids, final_rank, eps / 3.0, engine, params.k_sample
         )
         if not has_output.any():
             raise TrialFailure("final run produced no outputs")

@@ -161,7 +161,7 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
             max_rounds=config.max_rounds,
         )
         report = approx_quantile(phi_j, eps / 2.0, sub, values=values,
-                                 k_sample=k_sample, record_lmh=False)
+                                 k_sample=k_sample)
         total_rounds += report.rounds
         total_messages += report.messages
         grid_rank = report.output_ranks  # 1-based per node

@@ -9,10 +9,11 @@ lets every node output the median of a uniform sample.
 
 The failure-robust variants pull from a larger batch per iteration and
 use the first "good" pulls, a pull being good when it neither failed nor
-contacted a node that was bad at the end of the previous iteration. With
-``mu == 0`` the batch collapses to the exact number of pulls the plain
-protocol makes, so both variants consume identical randomness and produce
-identical trials.
+contacted a node that was bad at the end of the previous iteration.
+``_tournament_core`` takes them exactly when the engine's failure model
+is active. With ``mu == 0`` the batch would collapse to the exact number
+of pulls the plain protocol makes, so both variants consume identical
+randomness and that choice moves no draw.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
@@ -94,9 +95,10 @@ def phase2_step(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # plain (failure-oblivious) iterations
 #
-# Under failures a failed pull returns the puller's own previous value
-# (``Round.pull``); the robust variants below are the ones meant to run
-# with failures enabled.
+# ``_tournament_core`` runs these only while the failure model is
+# inactive, and the good-pull variants below whenever it is active. Called
+# directly under failures, a failed pull keeps the puller's own previous
+# value (``Round.pull``).
 
 
 def _pull_values(values: np.ndarray, engine: RoundEngine) -> tuple[np.ndarray, "object"]:
@@ -315,28 +317,25 @@ def _tournament_core(
     eps: float,
     engine: RoundEngine,
     k_sample: int,
-    *,
-    robust: bool = False,
-    record_lmh: bool = False,
 ):
     """Run Phase I + Phase II + final sample over an id state.
 
     Returns ``(outputs, has_output, info)`` with per-node int64 output
     ids. The state runs as int32 when every id fits (see the module
-    docstring). ``robust`` switches every pull to the good-pull batch
-    machinery, with batch sizes derived from the engine's failure bound mu.
+    docstring). Every pull uses the good-pull batch machinery exactly
+    when the engine's failure model is active, with batch sizes derived
+    from its bound mu.
     """
     n = engine.n
     phi_eff = target_rank / n
     sched1 = two_tournament_schedule(phi_eff, eps)
     sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
-    mu = engine.config.failure.mu if engine.config.failure.active else 0.0
+    robust = engine.config.failure.active
+    mu = engine.config.failure.mu if robust else 0.0
     batch = phase_batch_size(mu)
     values = ids.astype(_id_dtype(n), copy=False)
     good = np.ones(n, dtype=bool)
     good_trace: list[int] = []
-    lmh1: list[tuple[int, int, int]] = []
-    lo_cut, hi_start = quantile_cuts(n, phi_eff - eps, phi_eff + eps)
     for delta in sched1.delta:
         if robust:
             values, good = robust_phase1_iteration(
@@ -345,24 +344,12 @@ def _tournament_core(
             good_trace.append(int(good.sum()))
         else:
             values = phase1_iteration(values, delta, sched1.direction, engine)
-        if record_lmh:
-            lmh1.append(lmh_counts(values, lo_cut, hi_start))
-    lmh2: list[tuple[int, int, int]] = []
-    if record_lmh:
-        entry_sorted = np.sort(values)
-        lo2, hi2 = quantile_cuts(n, 0.5 - sched2.eps, 0.5 + sched2.eps)
-        lo_val = entry_sorted[lo2] if lo2 < n else n
-        hi_val = entry_sorted[hi2] if hi2 < n else n
     for _ in range(sched2.t):
         if robust:
             values, good = robust_phase2_iteration(values, good, batch, engine)
             good_trace.append(int(good.sum()))
         else:
             values = phase2_iteration(values, engine)
-        if record_lmh:
-            low = int(np.count_nonzero(values < lo_val))
-            high = int(np.count_nonzero(values >= hi_val))
-            lmh2.append((low, n - low - high, high))
     if robust:
         sample_batch = sample_batch_size(mu, _odd(max(1, k_sample)))
         outputs, has_output = robust_final_median_sample(
@@ -374,9 +361,6 @@ def _tournament_core(
     info = {
         "phase1_iterations": sched1.t,
         "phase2_iterations": sched2.t,
-        "lmh_phase1": lmh1,
-        "lmh_phase2": lmh2,
-        "direction": sched1.direction,
         "good_trace": good_trace,
     }
     return outputs.astype(np.int64), has_output, info
@@ -431,13 +415,15 @@ def approx_quantile(
     values=None,
     *,
     k_sample: int = 30,
-    record_lmh: bool = True,
 ) -> TrialReport:
     """The epsilon-approximate phi-quantile protocol, one full trial.
 
     Every node ends up holding an output whose initial rank should lie in
     [(phi - eps) n, (phi + eps) n]. Input values default to a seeded
-    permutation; pass an array to run on specific data.
+    permutation; pass an array to run on specific data. Under an active
+    failure model every pull uses the good-pull batch, and a node without
+    K good sample pulls outputs nothing (NaN, rank 0): the trial equals
+    :func:`robust_approx_quantile` with ``t_extra=0`` draw for draw.
     """
     engine, ids, value_by_rank = _make_state(config, values)
     n = config.n
@@ -448,13 +434,9 @@ def approx_quantile(
             engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
             value_by_rank, target_rank,
         )
-    outputs, has_output, info = _tournament_core(
-        ids, target_rank, eps, engine, k_sample, record_lmh=record_lmh
-    )
+    outputs, has_output, info = _tournament_core(ids, target_rank, eps, engine, k_sample)
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
-    report.details["lmh_phase1"] = info["lmh_phase1"]
-    report.details["lmh_phase2"] = info["lmh_phase2"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)
 
 
@@ -466,7 +448,6 @@ def robust_approx_quantile(
     values=None,
     *,
     k_sample: int = 30,
-    record_lmh: bool = False,
 ) -> TrialReport:
     """Failure-robust approximate quantile with t_extra adoption rounds.
 
@@ -482,14 +463,10 @@ def robust_approx_quantile(
             engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
             value_by_rank, target_rank,
         )
-    outputs, has_output, info = _tournament_core(
-        ids, target_rank, eps, engine, k_sample, robust=True, record_lmh=record_lmh
-    )
+    outputs, has_output, info = _tournament_core(ids, target_rank, eps, engine, k_sample)
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
     report.details["good_trace"] = info["good_trace"]
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
-    report.details["lmh_phase1"] = info["lmh_phase1"]
-    report.details["lmh_phase2"] = info["lmh_phase2"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gossipq import exact
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.exact import (
     ExactParams,
@@ -12,7 +14,6 @@ from gossipq.exact import (
     compute_m,
     distribute_tokens,
     exact_quantile,
-    filter_range,
     rank_update,
 )
 
@@ -57,20 +58,81 @@ class TestRankUpdate:
             rank_update(5, 0, 2)
 
 
-class TestFilterRange:
-    def test_point_window(self):
-        ids = np.array([3, 0, 2, 1])
-        mask = filter_range(ids, 2, 2, 4)
-        assert list(mask) == [False, False, True, False]
+def _valued_in_bracket(ids, min_id, max_id, real_count):
+    """Ids inside [min_id, max_id] that are not sentinels, counted directly."""
+    return int(np.count_nonzero((ids >= min_id) & (ids <= max_id) & (ids < real_count)))
 
-    def test_unbounded_window_changes_nothing(self):
-        ids = np.array([3, 0, 2, 1])
-        assert filter_range(ids, 0, 3, 4).all()
 
-    def test_sentinels_never_become_valued(self):
-        ids = np.array([0, 1, 2, 3])
-        mask = filter_range(ids, 0, 3, real_count=2)
-        assert list(mask) == [True, True, False, False]
+class TestValuedCountIdentity:
+    """The valued count exact_quantile derives from the two bracket counts,
+    min(r(max), real_count) - r(min) + 1 with r(x) = count(ids <= x)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_direct_count_with_sentinels(self, data):
+        n = data.draw(st.integers(1, 40))
+        ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        real_count = data.draw(st.integers(1, n))
+        # either end may be a sentinel (id >= real_count), in either order
+        min_id = data.draw(st.integers(0, n - 1))
+        max_id = data.draw(st.integers(0, n - 1))
+        r_min = int(np.count_nonzero(ids <= min_id))
+        r_max = int(np.count_nonzero(ids <= max_id))
+        derived = min(r_max, real_count) - r_min + 1
+        direct = _valued_in_bracket(ids, min_id, max_id, real_count)
+        assert (derived < 1) == (direct == 0)
+        if direct:
+            assert derived == direct
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sentinel_upper_end_counts_only_valued_ids(self, monkeypatch, seed):
+        # widen the second bracket up to the top id, a sentinel by then:
+        # the bracket still holds rank k, and the derived count must leave
+        # the sentinels out
+        original = exact.narrow_window
+        direct = []
+
+        def widened(state, *args):
+            min_id, max_id, r_min, r_max, attempts = original(state, *args)
+            if len(direct) == 1:
+                assert state.real_count < len(state.ids)
+                max_id = len(state.ids) - 1
+                r_max = max_id + 1
+            direct.append(_valued_in_bracket(state.ids, min_id, max_id, state.real_count))
+            return min_id, max_id, r_min, r_max, attempts
+
+        monkeypatch.setattr(exact, "narrow_window", widened)
+        cfg = SimConfig(n=256, seed=seed)
+        values = RoundEngine(cfg).values_rng().permutation(256)
+        res = exact_quantile(0.5, cfg, values=values)
+        assert res.value == float(np.sort(values)[127])
+        assert res.iterations >= 2
+        assert res.details["v_trace"] == direct
+
+    @pytest.mark.parametrize("mu, seed", [(0.0, s) for s in range(4)] + [(0.5, 0), (0.5, 1)])
+    def test_every_iteration_keeps_the_direct_count(self, monkeypatch, mu, seed):
+        # each iteration's v_trace entry equals the direct count over the
+        # bracket narrow_window returned, and the rebuilt state holds m
+        # copies of each of those values
+        original = exact.narrow_window
+        direct, real_counts = [], []
+
+        def recording(state, *args):
+            out = original(state, *args)
+            direct.append(_valued_in_bracket(state.ids, out[0], out[1], state.real_count))
+            return out
+
+        monkeypatch.setattr(exact, "narrow_window", recording)
+        failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+        res = exact_quantile(
+            0.5, SimConfig(n=256, seed=seed, failure=failure),
+            iteration_callback=lambda state, k, copies: real_counts.append(state.real_count),
+        )
+        assert res.iterations >= 1
+        assert res.details["v_trace"] == direct
+        assert real_counts == [
+            m * v for m, v in zip(res.details["m_trace"], res.details["v_trace"])
+        ]
 
 
 class TestDistributeTokens:

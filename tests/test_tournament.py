@@ -193,13 +193,6 @@ class TestApproxQuantile:
         assert rep.rounds == expected
         assert rep.messages == expected * 5000
 
-    def test_lmh_triples_sum_to_n(self):
-        rep = approx_quantile(0.3, 0.05, SimConfig(n=4000, seed=9))
-        lmh = rep.details["lmh_phase1"] + rep.details["lmh_phase2"]
-        assert lmh
-        for l, m, h in lmh:
-            assert l + m + h == 4000
-
     def test_deterministic(self):
         cfg = SimConfig(n=3000, seed=21)
         a = approx_quantile(0.4, 0.06, cfg)
@@ -248,6 +241,17 @@ class TestRobust:
         plain = approx_quantile(0.3, 0.05, cfg)
         robust = robust_approx_quantile(0.3, 0.05, 10, cfg)
         assert np.array_equal(plain.outputs, robust.outputs)
+        assert plain.rounds == robust.rounds
+        assert plain.messages == robust.messages
+
+    def test_active_failures_take_the_good_pull_path(self):
+        # the failure model alone picks the path: under failures the plain
+        # entry point is the robust protocol without adoption, draw for draw
+        cfg = SimConfig(n=2000, seed=1, failure=FailureModel("uniform", 0.5))
+        plain = approx_quantile(0.3, 0.05, cfg)
+        robust = robust_approx_quantile(0.3, 0.05, 0, cfg)
+        assert np.array_equal(plain.outputs, robust.outputs, equal_nan=True)
+        assert np.array_equal(plain.output_ranks, robust.output_ranks)
         assert plain.rounds == robust.rounds
         assert plain.messages == robust.messages
 

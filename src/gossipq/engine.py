@@ -13,8 +13,9 @@ adversary's choice, made before execution.
 
 Protocol draws follow call order. Peer vectors and the protocol's own
 coins come from the round stream in the order the protocol asks for
-them, so a round whose draws are skipped shifts every later draw,
-deterministically.
+them, not one block per round: a protocol may draw for several rounds
+at once (``tournament.robust_pull_batch`` draws once per batch) or not
+at all in a round, and every later draw follows deterministically.
 
 One engine round corresponds to one push or pull of a single value per
 node; :meth:`Round.pull` is the one plain pull, and a node whose pull

@@ -7,13 +7,15 @@ previous-iteration values, performing the step only with probability
 pulls three peers and keeps the median value. A final round of K pulls
 lets every node output the median of a uniform sample.
 
-The failure-robust variants pull from a larger batch per iteration and
-use the first "good" pulls, a pull being good when it neither failed nor
-contacted a node that was bad at the end of the previous iteration.
-``_tournament_core`` takes them exactly when the engine's failure model
-is active. With ``mu == 0`` the batch would collapse to the exact number
-of pulls the plain protocol makes, so both variants consume identical
-randomness and that choice moves no draw.
+The failure-robust variants spend a larger batch of rounds per iteration
+and use each node's first "good" pulls, a pull being good when it
+neither failed nor contacted a node that was bad at the end of the
+previous iteration; a node with too few turns bad. ``_tournament_core``
+takes them exactly when the engine's failure model is active, with batch
+sizes from its bound mu. ``robust_pull_batch`` samples a batch's good
+pulls in distribution (a binomial count per node, then uniform picks
+from the good nodes) rather than drawing a contact per node per round;
+the failure bits and message counts stay those of the per-round loop.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
@@ -151,21 +153,13 @@ def final_median_sample(values: np.ndarray, k_sample: int, engine: RoundEngine) 
 
 
 def phase_batch_size(mu: float) -> int:
-    """Pulls per robust tournament iteration: ceil((4/(1-mu)) * log2(4/(1-mu))) + 1.
-
-    Collapses to the plain protocol's pull count when mu == 0 (batch
-    sizing is inflated only when failures are possible).
-    """
-    if mu <= 0.0:
-        return 0  # caller substitutes the required pull count
+    """Pulls per robust tournament iteration: ceil((4/(1-mu)) * log2(4/(1-mu))) + 1."""
     base = 4.0 / (1.0 - mu)
     return int(math.ceil(base * math.log2(base))) + 1
 
 
 def sample_batch_size(mu: float, k_sample: int) -> int:
     """Pulls backing the final K-sample under failures: ceil(4K/(1-mu)) + 1."""
-    if mu <= 0.0:
-        return k_sample
     return int(math.ceil(4.0 * k_sample / (1.0 - mu))) + 1
 
 
@@ -177,40 +171,42 @@ def robust_pull_batch(
     engine: RoundEngine,
     first_round_hook=None,
 ) -> tuple[np.ndarray, np.ndarray, object]:
-    """Collect each node's first ``need`` good pulls out of ``batch`` rounds.
+    """Each node's good pulls over ``batch`` rounds, sampled in distribution.
 
-    Returns ``(picked, counts, hook_result)`` where ``picked[j, v]`` is
-    the value of node v's (j+1)-th good pull (undefined past ``counts[v]``)
-    and ``counts[v]`` is v's total number of good pulls in the batch.
+    Returns ``(picked, counts, hook_result)`` where ``counts[v]`` is v's
+    number of good pulls in the batch and ``picked[j, v]`` the value of
+    its (j+1)-th (undefined past ``counts[v]``). A count never exceeds
+    ``batch``, so a batch shorter than ``need`` leaves every node short.
+
+    Every batch round is an engine round: it checks the budget, draws its
+    failure bits and counts a message for each puller that did not fail.
+    Such a pull contacts a uniform node, which is good with probability
+    g = |good_prev| / n, and a good contact's value is uniform over the
+    good nodes, independently across rounds and nodes. So instead of a
+    contact per node per round, the round stream draws, in this order:
+    the hook's coins (``first_round_hook`` runs once, on the last batch
+    round's handle), ``counts ~ Binomial(live, g)`` where ``live[v]``
+    counts the rounds v's pull did not fail, and ``need`` rows of uniform
+    picks from the good nodes' values, one row at a time to bound memory.
     """
+    if batch < 1:
+        raise ValueError("a pull batch needs at least one round")
     n = engine.n
-    picked = np.zeros((need, n), dtype=values.dtype)
-    # flat view: pull slot (j, v) sits at j * n + v
-    picked_flat = picked.ravel()
-    counts = np.zeros(n, dtype=np.int64)
-    hook_result = None
-    satisfied = False
-    for j in range(batch):
+    live = np.full(n, batch, dtype=np.int32)
+    for _ in range(batch):
         rd = engine.next_round()
-        if satisfied:
-            # every node already has its pulls; the remaining batch rounds
-            # still happen (round/message accounting) but cannot change
-            # state, so they draw no peers, and every later protocol draw
-            # comes that much earlier in the round stream (deterministically;
-            # the failure bits stay per round)
-            failed = 0 if rd.failed is None else int(np.count_nonzero(rd.failed))
-            rd.count_messages(n - failed)
-            continue
-        peers = rd.peers()
-        if j == 0 and first_round_hook is not None:
-            hook_result = first_round_hook(rd)
-        good_pull = good_prev[peers]
-        if rd.failed is not None:
-            good_pull &= ~rd.failed
-        nodes = np.flatnonzero(good_pull & (counts < need))
-        picked_flat[counts[nodes] * n + nodes] = values[peers[nodes]]
-        counts += good_pull
-        satisfied = bool(counts.min() >= need)
+        if rd.failed is None:
+            rd.count_messages(n)
+        else:
+            rd.count_messages(n - np.count_nonzero(rd.failed))
+            live -= rd.failed
+    hook_result = None if first_round_hook is None else first_round_hook(rd)
+    good_values = values[good_prev]
+    counts = rd.rng.binomial(live, good_values.size / n)
+    picked = np.zeros((need, n), dtype=values.dtype)
+    if good_values.size:
+        for row in picked:
+            np.take(good_values, rd.rng.integers(0, good_values.size, size=n), out=row)
     return picked, counts, hook_result
 
 
@@ -232,7 +228,7 @@ def robust_phase1_iteration(
     if delta < 1.0:
         hook = lambda rd: rd.rng.random(n) < delta  # noqa: E731
     picked, counts, do_t = robust_pull_batch(
-        values, good_prev, 2, max(batch, 2), engine, first_round_hook=hook
+        values, good_prev, 2, batch, engine, first_round_hook=hook
     )
     required = np.full(n, 2) if do_t is None else np.where(do_t, 2, 1)
     good = counts >= required
@@ -247,7 +243,7 @@ def robust_phase2_iteration(
     engine: RoundEngine,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust three-pull median iteration."""
-    picked, counts, _ = robust_pull_batch(values, good_prev, 3, max(batch, 3), engine)
+    picked, counts, _ = robust_pull_batch(values, good_prev, 3, batch, engine)
     good = counts >= 3
     stepped = phase2_step(picked[0], picked[1], picked[2])
     return np.where(good, stepped, values), good
@@ -263,7 +259,7 @@ def robust_final_median_sample(
     """Robust K-sample: nodes with K good pulls output the median of the
     first K, the rest output nothing (returned mask False)."""
     k = _odd(max(1, k_sample))
-    picked, counts, _ = robust_pull_batch(values, good_prev, k, max(batch, k), engine)
+    picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
     has_output = counts >= k
     picked.partition(k // 2, axis=0)  # private scratch: no copy
     return picked[k // 2], has_output
@@ -331,7 +327,7 @@ def _tournament_core(
     sched1 = two_tournament_schedule(phi_eff, eps)
     sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
     robust = engine.config.failure.active
-    mu = engine.config.failure.mu if robust else 0.0
+    mu = engine.config.failure.mu
     batch = phase_batch_size(mu)
     values = ids.astype(_id_dtype(n), copy=False)
     good = np.ones(n, dtype=bool)
@@ -408,52 +404,9 @@ def _finish_report(
     return report
 
 
-def approx_quantile(
-    phi: float,
-    eps: float,
-    config: SimConfig,
-    values=None,
-    *,
-    k_sample: int = 30,
-) -> TrialReport:
-    """The epsilon-approximate phi-quantile protocol, one full trial.
-
-    Every node ends up holding an output whose initial rank should lie in
-    [(phi - eps) n, (phi + eps) n]. Input values default to a seeded
-    permutation; pass an array to run on specific data. Under an active
-    failure model every pull uses the good-pull batch, and a node without
-    K good sample pulls outputs nothing (NaN, rank 0): the trial equals
-    :func:`robust_approx_quantile` with ``t_extra=0`` draw for draw.
-    """
-    engine, ids, value_by_rank = _make_state(config, values)
-    n = config.n
-    target_rank = clamped_rank(phi * n, n)
-    report = TrialReport()
-    if n == 1:
-        return _finish_report(
-            engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
-            value_by_rank, target_rank,
-        )
-    outputs, has_output, info = _tournament_core(ids, target_rank, eps, engine, k_sample)
-    report.phase1_iterations = info["phase1_iterations"]
-    report.phase2_iterations = info["phase2_iterations"]
-    return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)
-
-
-def robust_approx_quantile(
-    phi: float,
-    eps: float,
-    t_extra: int,
-    config: SimConfig,
-    values=None,
-    *,
-    k_sample: int = 30,
-) -> TrialReport:
-    """Failure-robust approximate quantile with t_extra adoption rounds.
-
-    With mu == 0 this reproduces :func:`approx_quantile` bit for bit given
-    the same config.
-    """
+def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
+    """One approximate-quantile trial: the tournaments, then ``t_extra``
+    adoption rounds for nodes without an answer."""
     engine, ids, value_by_rank = _make_state(config, values)
     n = config.n
     target_rank = clamped_rank(phi * n, n)
@@ -470,3 +423,40 @@ def robust_approx_quantile(
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)
+
+
+def approx_quantile(
+    phi: float,
+    eps: float,
+    config: SimConfig,
+    values=None,
+    *,
+    k_sample: int = 30,
+) -> TrialReport:
+    """The epsilon-approximate phi-quantile protocol, one full trial.
+
+    Every node ends up holding an output whose initial rank should lie in
+    [(phi - eps) n, (phi + eps) n]. Input values default to a seeded
+    permutation; pass an array to run on specific data. Under an active
+    failure model every pull uses the good-pull batch, and a node without
+    K good sample pulls outputs nothing (NaN, rank 0): the trial is
+    :func:`robust_approx_quantile` with ``t_extra=0``.
+    """
+    return _approx_trial(phi, eps, 0, config, values, k_sample)
+
+
+def robust_approx_quantile(
+    phi: float,
+    eps: float,
+    t_extra: int,
+    config: SimConfig,
+    values=None,
+    *,
+    k_sample: int = 30,
+) -> TrialReport:
+    """Failure-robust approximate quantile with t_extra adoption rounds.
+
+    With mu == 0 every node has an answer after the tournaments, so no
+    adoption round runs and this is :func:`approx_quantile` draw for draw.
+    """
+    return _approx_trial(phi, eps, t_extra, config, values, k_sample)

@@ -104,9 +104,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key, value, argv", [
         ("k_sample", 5, ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05"]),
-        # 2 bad nodes pass only when 2 <= 300 / 2**t_extra (exit 1 at t_extra 10)
+        # 1 bad node passes only when 1 <= 300 / 2**t_extra (exit 1 at t_extra 10)
         ("t_extra", 7, ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02",
-                        "--mu", "0.5", "--seed", "10"]),
+                        "--mu", "0.5", "--seed", "35"]),
         ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5", "--seed", "2"]),
     ])
     def test_file_value_beats_default(self, tmp_path, key, value, argv):

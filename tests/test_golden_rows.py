@@ -7,6 +7,10 @@ captured again when the exact protocol stopped counting each iteration's
 valued keys by push-sum and derived that count from the two bracket
 counts instead: one push-sum fewer per iteration moves every later draw
 of the exact stream, and with it those rows' rounds and messages. The
+five rows under failures (four ``robust`` rows and ``exact --mu 0.5``)
+were captured again when the robust pull batch began to sample its good
+pulls in distribution instead of drawing a contact per node per round,
+which moves the round stream wherever failures are on. The
 cases with a non-default --k-sample, --t-extra, --max-iterations or
 --exact-eps check each option's path to the trial runner byte for byte.
 A change that alters any stream (peer, failure, protocol or input
@@ -31,15 +35,15 @@ GOLDEN = [
         # phi = 0.5: phase II and the K-sample batch only
         ["robust", "--n", "2000", "--phi", "0.5", "--eps", "0.05",
          "--mu", "0.5", "--trials", "2", "--seed", "1"],
-        "robust,2000,0.5,0.05,0.5,1,499,499578,18,1\n"
-        "robust,2000,0.5,0.05,0.5,2,499,499418,43,1\n",
+        "robust,2000,0.5,0.05,0.5,1,499,499578,21,1\n"
+        "robust,2000,0.5,0.05,0.5,2,499,499418,20,1\n",
     ),
     (
         # phi = 0.3: phase I with its first-round hook as well
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--mu", "0.5", "--trials", "2", "--seed", "3"],
-        "robust,2000,0.3,0.05,0.5,3,524,524042,57,1\n"
-        "robust,2000,0.3,0.05,0.5,4,524,525004,57,1\n",
+        "robust,2000,0.3,0.05,0.5,3,524,524042,39,1\n"
+        "robust,2000,0.3,0.05,0.5,4,524,525004,14,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
@@ -49,8 +53,8 @@ GOLDEN = [
     (
         ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.5,1,7063,975322,0,1\n"
-        "exact,256,0.3,0.08,0.5,2,5636,776789,0,1\n",
+        "exact,256,0.3,0.08,0.5,1,5531,764337,0,1\n"
+        "exact,256,0.3,0.08,0.5,2,6589,905292,0,1\n",
     ),
     (
         ["sketch", "--nprime", "1024", "--k", "16", "--trials", "2", "--seed", "1"],
@@ -79,16 +83,16 @@ GOLDEN = [
         "approx,2000,0.3,0.05,0.0,2,37,74000,65,1\n",
     ),
     (
-        # two answer-less or wrong nodes: success needs 2 <= 300 / 2**t_extra,
-        # which the default t_extra = 10 fails
+        # one wrong node: success needs 1 <= 300 / 2**t_extra, which the
+        # default t_extra = 10 fails
         ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02", "--mu", "0.5",
-         "--t-extra", "7", "--trials", "1", "--seed", "10"],
-        "robust,300,0.3,0.02,0.5,10,549,82500,8,1\n",
+         "--t-extra", "7", "--trials", "1", "--seed", "35"],
+        "robust,300,0.3,0.02,0.5,35,549,82352,9,1\n",
     ),
     (
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05", "--mu", "0.5",
          "--k-sample", "7", "--trials", "1", "--seed", "1"],
-        "robust,2000,0.3,0.05,0.5,1,332,332316,50,1\n",
+        "robust,2000,0.3,0.05,0.5,1,332,332316,63,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",

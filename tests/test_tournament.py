@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from gossipq import harness, tournament
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
@@ -231,9 +232,9 @@ class TestPhaseOneComposition:
 
 class TestRobust:
     def test_batch_sizes(self):
-        assert phase_batch_size(0.0) == 0
+        assert phase_batch_size(0.0) == 9  # ceil(4 log2 4) + 1
         assert phase_batch_size(0.5) == 25  # ceil(8 log2 8) + 1
-        assert sample_batch_size(0.0, 31) == 31
+        assert sample_batch_size(0.0, 31) == 125
         assert sample_batch_size(0.5, 31) == 249
 
     def test_mu_zero_identical_to_plain(self):
@@ -255,20 +256,22 @@ class TestRobust:
         assert plain.rounds == robust.rounds
         assert plain.messages == robust.messages
 
-    def test_pull_batch_first_good_selection(self):
-        # all nodes good, no failures: picked rows are simply the first
-        # `need` pull values in round order
+    def test_pull_batch_all_good_fills_every_node(self):
+        # all nodes good, no failures: every pull is good, so each node
+        # counts every batch round and its picks are uniform over all values
         engine = RoundEngine(SimConfig(n=200, seed=7))
         ids = engine.values_rng().permutation(200)
         good = np.ones(200, dtype=bool)
-        picked, counts, _ = robust_pull_batch(ids, good, 2, 2, engine)
-        assert (counts == 2).all()
-        engine2 = RoundEngine(SimConfig(n=200, seed=7))
-        engine2.values_rng().permutation(200)
-        p1 = engine2.next_round().peers()
-        p2 = engine2.next_round().peers()
-        assert np.array_equal(picked[0], ids[p1])
-        assert np.array_equal(picked[1], ids[p2])
+        picked, counts, _ = robust_pull_batch(ids, good, 2, 5, engine)
+        assert (counts == 5).all()
+        assert np.isin(picked, ids).all()
+        assert (engine.rounds, engine.messages) == (5, 5 * 200)
+
+    def test_pull_batch_needs_a_round(self):
+        engine = RoundEngine(SimConfig(n=10, seed=1))
+        with pytest.raises(ValueError):
+            robust_pull_batch(np.arange(10), np.ones(10, dtype=bool), 2, 0, engine)
+        assert engine.rounds == 0
 
     def test_bad_peers_are_never_pulled(self):
         engine = RoundEngine(SimConfig(n=300, seed=19))
@@ -337,8 +340,10 @@ class TestRobust:
 
 def _reference_pull_batch(values, good_prev, need, batch, engine,
                           first_round_hook=None):
-    """The per-round loop robust_pull_batch replaced (boolean-index
-    increment), kept as the reference its draws must match."""
+    """The per-round loop robust_pull_batch replaced: one contact per node
+    per round, each node keeping its first ``need`` good pulls. Kept as the
+    reference whose rounds, messages and failure draws robust_pull_batch
+    must match exactly, and whose pulls it must match in distribution."""
     n = engine.n
     picked = np.zeros((need, n), dtype=values.dtype)
     counts = np.zeros(n, dtype=np.int64)
@@ -366,16 +371,20 @@ def _reference_pull_batch(values, good_prev, need, batch, engine,
     return picked, counts, hook_result
 
 
-class TestPullBatchMatchesReference:
+def _filled(counts, need):
+    """Mask of the pick slots (j, v) with j < min(counts[v], need)."""
+    return np.arange(need)[:, None] < np.minimum(counts, need)[None, :]
+
+
+class TestPullBatchAgainstReference:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("need", [2, 3, 31])
     @pytest.mark.parametrize("bad_share", [0.0, 0.3])
     @pytest.mark.parametrize("with_hook", [False, True])
-    def test_same_pulls_rounds_and_messages(self, mu, need, bad_share, with_hook):
+    def test_same_rounds_messages_and_failure_stream(self, mu, need, bad_share, with_hook):
         n, seed = 400, 11
         failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
-        batch = (sample_batch_size(mu, need) if need > 3
-                 else max(phase_batch_size(mu), need))
+        batch = sample_batch_size(mu, need) if need > 3 else phase_batch_size(mu)
         values = np.random.default_rng(seed).permutation(n)
         good = np.random.default_rng(seed + 1).random(n) >= bad_share
         hook = (lambda rd: rd.rng.random(n) < 0.4) if with_hook else None
@@ -384,17 +393,45 @@ class TestPullBatchMatchesReference:
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
             picked, counts, hooked = fn(values, good, need, batch, engine,
                                         first_round_hook=hook)
-            runs.append((picked, counts, hooked, engine.rounds, engine.messages))
-        (p_new, c_new, h_new, r_new, m_new), (p_ref, c_ref, h_ref, r_ref, m_ref) = runs
-        assert np.array_equal(c_new, c_ref)
-        filled = np.arange(need)[:, None] < np.minimum(c_ref, need)[None, :]
-        assert np.array_equal(p_new[filled], p_ref[filled])
+            # the next round's failure bits show the failure stream's position
+            after = engine.next_round().failed
+            runs.append((picked, counts, hooked, engine.rounds, engine.messages, after))
+        (p_new, c_new, h_new, r_new, m_new, f_new), (_, _, h_ref, r_ref, m_ref, f_ref) = runs
+        assert r_new == r_ref == batch + 1
+        assert m_new == m_ref
+        if mu:
+            assert np.array_equal(f_new, f_ref)
+        else:
+            assert f_new is None and f_ref is None
         if with_hook:
-            assert np.array_equal(h_new, h_ref)
+            assert h_new.shape == h_ref.shape == (n,) and h_new.dtype == bool
         else:
             assert h_new is None and h_ref is None
-        assert r_new == r_ref == batch
-        assert m_new == m_ref
+        assert (c_new >= 0).all() and (c_new <= batch).all()
+        assert np.isin(p_new[_filled(c_new, need)], values[good]).all()
+
+    def test_same_distribution_of_counts_and_picks(self):
+        # 300 engine seeds over one input with 30% bad nodes at mu 0.5;
+        # nodes are independent given the good set, so every node of every
+        # seed is one sample of min(count, need) and of its picks
+        n, need, batch, mu = 400, 3, 9, 0.5
+        values = np.random.default_rng(5).permutation(n)
+        good = np.random.default_rng(6).random(n) >= 0.3
+        capped = {fn: np.zeros(need + 1, dtype=np.int64)
+                  for fn in (robust_pull_batch, _reference_pull_batch)}
+        picks = {fn: [] for fn in capped}
+        for seed in range(300):
+            failure = FailureModel(mode="uniform", mu=mu, seed=seed)
+            for fn in capped:
+                engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+                picked, counts, _ = fn(values, good, need, batch, engine)
+                capped[fn] += np.bincount(np.minimum(counts, need), minlength=need + 1)
+                picks[fn].append(picked[_filled(counts, need)])
+        table = np.array([capped[robust_pull_batch], capped[_reference_pull_batch]])
+        assert stats.chi2_contingency(table).pvalue > 0.01
+        new, ref = (np.concatenate(picks[fn]) for fn in capped)
+        assert stats.ks_2samp(new, ref).pvalue > 0.01
+        assert np.isin(new, values[good]).all()
 
 
 class TestQuantileCuts:
@@ -431,7 +468,7 @@ def _reference_final_median_sample(values, k_sample, engine):
 
 def _reference_robust_final_median_sample(values, good_prev, k_sample, batch, engine):
     k = k_sample if k_sample % 2 else k_sample + 1
-    picked, counts, _ = robust_pull_batch(values, good_prev, k, max(batch, k), engine)
+    picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
     return np.partition(picked, k // 2, axis=0)[k // 2], counts >= k
 
 

@@ -139,7 +139,6 @@ class TokenDistribution:
     split_phases: int
     relocate_phases: int
     phi_trace: list[float]
-    max_tokens_per_node: int
 
 
 def _pile_positions(holders):
@@ -203,7 +202,7 @@ def distribute_tokens(
     if m == 1:
         key_index[origin_holders] = np.arange(v_count)
         copy_rank[origin_holders] = 0
-        return TokenDistribution(key_index, copy_rank, 0, 0, [], 1)
+        return TokenDistribution(key_index, copy_rank, 0, 0, [])
     if m * v_count > n:
         raise TrialFailure("cannot place m copies per value on n nodes")
 
@@ -212,12 +211,11 @@ def distribute_tokens(
     weight = np.full(v_count, m, dtype=np.int64)
     offset = np.zeros(v_count, dtype=np.int64)
 
-    mu = engine.config.failure.mu if engine.config.failure.active else 0.0
+    mu = engine.config.failure.mu
     scale = 1.0 if mu == 0.0 else 2.0 / (1.0 - mu)
     phase_cap = int(math.ceil(SPLIT_CAP_C * scale * math.log2(max(2, n))))
     split_cap = max(math.ceil(math.log2(m)), phase_cap)
     phi_trace: list[float] = []
-    max_tokens = 1
 
     def record_phi():
         heavy = weight >= 2
@@ -249,9 +247,7 @@ def distribute_tokens(
         split_phases += 1
         if track_phi:
             record_phi()
-        per_node = np.bincount(holder, minlength=n)
-        max_tokens = max(max_tokens, int(per_node.max()))
-        if max_tokens > TOKENS_PER_NODE_CAP:
+        if int(np.bincount(holder, minlength=n).max()) > TOKENS_PER_NODE_CAP:
             raise TrialFailure("per-node token pile exceeded its cap")
 
     relocate_phases = 0
@@ -269,9 +265,7 @@ def distribute_tokens(
 
     key_index[holder] = key
     copy_rank[holder] = offset
-    return TokenDistribution(
-        key_index, copy_rank, split_phases, relocate_phases, phi_trace, max_tokens
-    )
+    return TokenDistribution(key_index, copy_rank, split_phases, relocate_phases, phi_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +395,7 @@ def exact_quantile(
         return ExactResult(float(values[0]), 0, 0, 0, 1)
     state = _State(ids, value_by_id.astype(float), n)
     robust = config.failure.active
-    mu = config.failure.mu if robust else 0.0
-    scale = 1 if mu == 0.0 else int(math.ceil(1.0 / (1.0 - mu)))
+    scale = int(math.ceil(1.0 / (1.0 - config.failure.mu)))
     eps = params.effective_eps(n)
 
     k = k0

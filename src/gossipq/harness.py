@@ -45,12 +45,6 @@ def rank_window(n: int, phi: float, eps: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _failure(mu: float, seed: int) -> FailureModel:
-    if mu <= 0:
-        return FailureModel()
-    return FailureModel(mode="uniform", mu=mu, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # trial runners
 #
@@ -70,7 +64,7 @@ def run_approx_trial(n, phi, eps, seed, k_sample=30):
 
 
 def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
-    config = SimConfig(n=n, seed=seed, failure=_failure(mu, seed))
+    config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     report = robust_approx_quantile(phi, eps, t_extra, config, k_sample=k_sample)
     lo, hi = rank_window(n, phi, eps)
     ranks = report.output_ranks
@@ -81,7 +75,7 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
 
 
 def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
-    config = SimConfig(n=n, seed=seed, failure=_failure(mu, seed))
+    config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     values = derive_rng(seed, STREAM_VALUES).permutation(n)
     k0 = clamped_rank(phi * n, n)
     oracle = float(np.sort(values)[k0 - 1])

@@ -7,15 +7,20 @@ previous-iteration values, performing the step only with probability
 pulls three peers and keeps the median value. A final round of K pulls
 lets every node output the median of a uniform sample.
 
-The failure-robust variants spend a larger batch of rounds per iteration
-and use each node's first "good" pulls, a pull being good when it
+Every step pulls through one good-pull batch, ``robust_pull_batch``: a
+node uses its first "good" pulls of the batch, a pull being good when it
 neither failed nor contacted a node that was bad at the end of the
-previous iteration; a node with too few turns bad. ``_tournament_core``
-takes them exactly when the engine's failure model is active, with batch
-sizes from its bound mu. ``robust_pull_batch`` samples a batch's good
-pulls in distribution (a binomial count per node, then uniform picks
-from the good nodes) rather than drawing a contact per node per round;
-the failure bits and message counts stay those of the per-round loop.
+previous iteration; a node with too few keeps its value and turns bad
+(in the K-sample, it outputs nothing). ``_tournament_core`` sizes the
+batches from the failure model: from its bound mu when it is active,
+otherwise exactly as long as the pulls each step needs (2, 3 and K),
+where every pull is good and this is the plain protocol. The batch
+samples its good pulls in distribution (a binomial count per node, then
+uniform picks from the good nodes) rather than drawing a contact per
+node per round; the failure bits and message counts stay those of the
+per-round loop. With no failures and every node good no binomial is
+drawn, so a step draws the contacts of one plain pull per node per
+round, after the phase-I coins if it has any.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
@@ -95,65 +100,15 @@ def phase2_step(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plain (failure-oblivious) iterations
-#
-# ``_tournament_core`` runs these only while the failure model is
-# inactive, and the good-pull variants below whenever it is active. Called
-# directly under failures, a failed pull keeps the puller's own previous
-# value (``Round.pull``).
-
-
-def _pull_values(values: np.ndarray, engine: RoundEngine) -> tuple[np.ndarray, "object"]:
-    rd = engine.next_round()
-    return rd.pull(values), rd
-
-
-def phase1_iteration(
-    values: np.ndarray,
-    delta: float,
-    direction: str,
-    engine: RoundEngine,
-) -> np.ndarray:
-    """One two-pull iteration; costs 2 rounds regardless of the branch."""
-    v1, rd1 = _pull_values(values, engine)
-    do_t = None
-    if delta < 1.0:
-        do_t = rd1.rng.random(engine.n) < delta
-    v2, _ = _pull_values(values, engine)
-    return phase1_step(v1, v2, direction, do_t)
-
-
-def phase2_iteration(values: np.ndarray, engine: RoundEngine) -> np.ndarray:
-    """One three-pull median iteration; costs 3 rounds."""
-    v1, _ = _pull_values(values, engine)
-    v2, _ = _pull_values(values, engine)
-    v3, _ = _pull_values(values, engine)
-    return phase2_step(v1, v2, v3)
+# the good-pull batch and the steps that pull through it
 
 
 def _odd(k: int) -> int:
     return k if k % 2 == 1 else k + 1
 
 
-def final_median_sample(values: np.ndarray, k_sample: int, engine: RoundEngine) -> np.ndarray:
-    """Each node pulls K peers over K rounds and outputs their median.
-
-    K is rounded up to the next odd number so the median is an element.
-    """
-    k = _odd(max(1, k_sample))
-    picked = np.empty((k, engine.n), dtype=values.dtype)
-    for j in range(k):
-        picked[j], _ = _pull_values(values, engine)
-    picked.partition(k // 2, axis=0)  # private scratch: no copy
-    return picked[k // 2]
-
-
-# ---------------------------------------------------------------------------
-# failure-robust machinery
-
-
 def phase_batch_size(mu: float) -> int:
-    """Pulls per robust tournament iteration: ceil((4/(1-mu)) * log2(4/(1-mu))) + 1."""
+    """Pulls per tournament iteration under failures: ceil((4/(1-mu)) * log2(4/(1-mu))) + 1."""
     base = 4.0 / (1.0 - mu)
     return int(math.ceil(base * math.log2(base))) + 1
 
@@ -163,20 +118,28 @@ def sample_batch_size(mu: float, k_sample: int) -> int:
     return int(math.ceil(4.0 * k_sample / (1.0 - mu))) + 1
 
 
+# Pick indices drawn per call: a block of rows draws exactly what its rows
+# would one at a time, and this bounds a block's int64 indices to 512 KB.
+_PICK_BLOCK = 1 << 16
+
+
 def robust_pull_batch(
     values: np.ndarray,
-    good_prev: np.ndarray,
+    good_prev: np.ndarray | None,
     need: int,
     batch: int,
     engine: RoundEngine,
-    first_round_hook=None,
-) -> tuple[np.ndarray, np.ndarray, object]:
+    delta: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Each node's good pulls over ``batch`` rounds, sampled in distribution.
 
-    Returns ``(picked, counts, hook_result)`` where ``counts[v]`` is v's
+    ``good_prev`` masks the good nodes; None means every node is good.
+    Returns ``(picked, counts, coins)`` where ``counts[v]`` is v's
     number of good pulls in the batch and ``picked[j, v]`` the value of
     its (j+1)-th (undefined past ``counts[v]``). A count never exceeds
     ``batch``, so a batch shorter than ``need`` leaves every node short.
+    ``coins`` is each node's phase-I tournament coin, True with
+    probability ``delta``, or None at ``delta >= 1``.
 
     Every batch round is an engine round: it checks the budget, draws its
     failure bits and counts a message for each puller that did not fail.
@@ -184,10 +147,11 @@ def robust_pull_batch(
     g = |good_prev| / n, and a good contact's value is uniform over the
     good nodes, independently across rounds and nodes. So instead of a
     contact per node per round, the round stream draws, in this order:
-    the hook's coins (``first_round_hook`` runs once, on the last batch
-    round's handle), ``counts ~ Binomial(live, g)`` where ``live[v]``
-    counts the rounds v's pull did not fail, and ``need`` rows of uniform
-    picks from the good nodes' values, one row at a time to bound memory.
+    the coins, ``counts ~ Binomial(live, g)`` where ``live[v]`` counts
+    the rounds v's pull did not fail, and ``need`` rows of uniform picks
+    from the good nodes' values, a block of rows at a time. With
+    no failure bits and every node good the counts are the batch itself,
+    and no binomial is drawn.
     """
     if batch < 1:
         raise ValueError("a pull batch needs at least one round")
@@ -200,69 +164,110 @@ def robust_pull_batch(
         else:
             rd.count_messages(n - np.count_nonzero(rd.failed))
             live -= rd.failed
-    hook_result = None if first_round_hook is None else first_round_hook(rd)
-    good_values = values[good_prev]
-    counts = rd.rng.binomial(live, good_values.size / n)
-    picked = np.zeros((need, n), dtype=values.dtype)
-    if good_values.size:
-        for row in picked:
-            np.take(good_values, rd.rng.integers(0, good_values.size, size=n), out=row)
-    return picked, counts, hook_result
+    rng = rd.rng
+    coins = rng.random(n) < delta if delta < 1.0 else None
+    good_values = values if good_prev is None else values[good_prev]
+    size = good_values.size
+    counts = live
+    if rd.failed is not None or size < n:
+        counts = rng.binomial(live, size / n)
+    if not size:
+        return np.zeros((need, n), dtype=values.dtype), counts, coins
+    picked = np.empty((need, n), dtype=values.dtype)
+    step = max(1, _PICK_BLOCK // n)
+    for start in range(0, need, step):
+        block = picked[start:start + step]
+        # the indices are in range, so "clip" clips nothing; it only spares
+        # the copy of ``out`` that the default "raise" makes
+        good_values.take(rng.integers(0, size, size=block.shape), out=block, mode="clip")
+    return picked, counts, coins
+
+
+def _keep_short(stepped: np.ndarray, values: np.ndarray, good: np.ndarray):
+    """A node short of good pulls keeps its value and turns bad.
+
+    Returns ``(new values, good)``, with ``good`` None when every node is.
+    """
+    if good.all():
+        return stepped, None
+    return np.where(good, stepped, values), good
 
 
 def robust_phase1_iteration(
     values: np.ndarray,
-    good_prev: np.ndarray,
+    good_prev: np.ndarray | None,
     delta: float,
     direction: str,
     batch: int,
     engine: RoundEngine,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robust two-pull iteration; returns (new values, new good flags).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Two-pull iteration over a batch; returns (new values, new good flags).
 
     A node needs two good pulls for the tournament branch and one for the
     copy branch; with fewer it keeps its value and turns bad.
     """
-    n = engine.n
-    hook = None
-    if delta < 1.0:
-        hook = lambda rd: rd.rng.random(n) < delta  # noqa: E731
-    picked, counts, do_t = robust_pull_batch(
-        values, good_prev, 2, batch, engine, first_round_hook=hook
-    )
-    required = np.full(n, 2) if do_t is None else np.where(do_t, 2, 1)
-    good = counts >= required
-    stepped = phase1_step(picked[0], picked[1], direction, do_t)
-    return np.where(good, stepped, values), good
+    picked, counts, coins = robust_pull_batch(values, good_prev, 2, batch, engine, delta)
+    stepped = phase1_step(picked[0], picked[1], direction, coins)
+    return _keep_short(stepped, values, counts >= (2 if coins is None else 1 + coins))
 
 
 def robust_phase2_iteration(
     values: np.ndarray,
-    good_prev: np.ndarray,
+    good_prev: np.ndarray | None,
     batch: int,
     engine: RoundEngine,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robust three-pull median iteration."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Three-pull median iteration over a batch."""
     picked, counts, _ = robust_pull_batch(values, good_prev, 3, batch, engine)
-    good = counts >= 3
-    stepped = phase2_step(picked[0], picked[1], picked[2])
-    return np.where(good, stepped, values), good
+    return _keep_short(phase2_step(picked[0], picked[1], picked[2]), values, counts >= 3)
 
 
 def robust_final_median_sample(
     values: np.ndarray,
-    good_prev: np.ndarray,
+    good_prev: np.ndarray | None,
     k_sample: int,
     batch: int,
     engine: RoundEngine,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Robust K-sample: nodes with K good pulls output the median of the
-    first K, the rest output nothing (returned mask False)."""
+    """K-sample over a batch: nodes with K good pulls output the median of
+    the first K, the rest output nothing (returned mask False).
+
+    K is rounded up to the next odd number so the median is an element.
+    """
     k = _odd(max(1, k_sample))
     picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
-    has_output = counts >= k
     picked.partition(k // 2, axis=0)  # private scratch: no copy
-    return picked[k // 2], has_output
+    return picked[k // 2], counts >= k
+
+
+# ---------------------------------------------------------------------------
+# failure-free entry points
+#
+# Each is the step above with every node good and a batch exactly as long
+# as its pulls, so without failures every pull is good. Called under
+# failures, a node short of good pulls keeps its value.
+
+
+def phase1_iteration(
+    values: np.ndarray,
+    delta: float,
+    direction: str,
+    engine: RoundEngine,
+) -> np.ndarray:
+    """One two-pull iteration; costs 2 rounds regardless of the branch."""
+    return robust_phase1_iteration(values, None, delta, direction, 2, engine)[0]
+
+
+def phase2_iteration(values: np.ndarray, engine: RoundEngine) -> np.ndarray:
+    """One three-pull median iteration; costs 3 rounds."""
+    return robust_phase2_iteration(values, None, 3, engine)[0]
+
+
+def final_median_sample(values: np.ndarray, k_sample: int, engine: RoundEngine) -> np.ndarray:
+    """Each node pulls K peers over K rounds and outputs their median."""
+    k = _odd(max(1, k_sample))
+    outputs, has_output = robust_final_median_sample(values, None, k, k, engine)
+    return _keep_short(outputs, values, has_output)[0]
 
 
 def adoption_rounds(
@@ -318,42 +323,32 @@ def _tournament_core(
 
     Returns ``(outputs, has_output, info)`` with per-node int64 output
     ids. The state runs as int32 when every id fits (see the module
-    docstring). Every pull uses the good-pull batch machinery exactly
-    when the engine's failure model is active, with batch sizes derived
-    from its bound mu.
+    docstring). Every step pulls through the good-pull batch; the failure
+    model only sizes the batches.
     """
     n = engine.n
     phi_eff = target_rank / n
     sched1 = two_tournament_schedule(phi_eff, eps)
     sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
-    robust = engine.config.failure.active
-    mu = engine.config.failure.mu
-    batch = phase_batch_size(mu)
+    k = _odd(max(1, k_sample))
+    failure = engine.config.failure
+    if failure.active:
+        batch1 = batch2 = phase_batch_size(failure.mu)
+        sample_batch = sample_batch_size(failure.mu, k)
+    else:
+        batch1, batch2, sample_batch = 2, 3, k
     values = ids.astype(_id_dtype(n), copy=False)
-    good = np.ones(n, dtype=bool)
+    good = None
     good_trace: list[int] = []
     for delta in sched1.delta:
-        if robust:
-            values, good = robust_phase1_iteration(
-                values, good, delta, sched1.direction, batch, engine
-            )
-            good_trace.append(int(good.sum()))
-        else:
-            values = phase1_iteration(values, delta, sched1.direction, engine)
-    for _ in range(sched2.t):
-        if robust:
-            values, good = robust_phase2_iteration(values, good, batch, engine)
-            good_trace.append(int(good.sum()))
-        else:
-            values = phase2_iteration(values, engine)
-    if robust:
-        sample_batch = sample_batch_size(mu, _odd(max(1, k_sample)))
-        outputs, has_output = robust_final_median_sample(
-            values, good, k_sample, sample_batch, engine
+        values, good = robust_phase1_iteration(
+            values, good, delta, sched1.direction, batch1, engine
         )
-    else:
-        outputs = final_median_sample(values, k_sample, engine)
-        has_output = np.ones(n, dtype=bool)
+        good_trace.append(n if good is None else int(np.count_nonzero(good)))
+    for _ in range(sched2.t):
+        values, good = robust_phase2_iteration(values, good, batch2, engine)
+        good_trace.append(n if good is None else int(np.count_nonzero(good)))
+    outputs, has_output = robust_final_median_sample(values, good, k, sample_batch, engine)
     info = {
         "phase1_iterations": sched1.t,
         "phase2_iterations": sched2.t,
@@ -438,8 +433,8 @@ def approx_quantile(
     Every node ends up holding an output whose initial rank should lie in
     [(phi - eps) n, (phi + eps) n]. Input values default to a seeded
     permutation; pass an array to run on specific data. Under an active
-    failure model every pull uses the good-pull batch, and a node without
-    K good sample pulls outputs nothing (NaN, rank 0): the trial is
+    failure model the batches grow with mu, and a node without K good
+    sample pulls outputs nothing (NaN, rank 0): the trial is
     :func:`robust_approx_quantile` with ``t_extra=0``.
     """
     return _approx_trial(phi, eps, 0, config, values, k_sample)

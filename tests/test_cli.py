@@ -95,6 +95,16 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "h=[0.625," in out  # phi flag won; eps came from the file
 
+    @pytest.mark.parametrize("argv", [
+        ["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
+        ["exact", "--n", "64", "--phi", "0.5"],
+    ])
+    @pytest.mark.parametrize("mu", ["-0.5", "1.5"])
+    def test_mu_outside_its_range_exit_2(self, tmp_path, argv, mu):
+        path = tmp_path / "rows.csv"
+        assert run_cli(argv + ["--mu", mu, "--csv", str(path)]) == 2
+        assert not path.exists()
+
     def test_missing_required_option_exit_2(self):
         assert run_cli(["approx", "--phi", "0.5", "--eps", "0.1"]) == 2
 

@@ -10,8 +10,12 @@ of the exact stream, and with it those rows' rounds and messages. The
 five rows under failures (four ``robust`` rows and ``exact --mu 0.5``)
 were captured again when the robust pull batch began to sample its good
 pulls in distribution instead of drawing a contact per node per round,
-which moves the round stream wherever failures are on. The
-cases with a non-default --k-sample, --t-extra, --max-iterations or
+which moves the round stream wherever failures are on. The eight
+failure-free rows that run a phase-I iteration with delta < 1 (both
+``approx`` cases, both ``selfq`` cases and the four ``exact`` cases at
+mu = 0) were captured again when every tournament step began to pull
+through the good-pull batch: such an iteration now draws its coins
+before its picks. The cases with a non-default --k-sample, --t-extra, --max-iterations or
 --exact-eps check each option's path to the trial runner byte for byte.
 A change that alters any stream (peer, failure, protocol or input
 draws) shows here as a differing row; such a change must be deliberate
@@ -27,9 +31,9 @@ GOLDEN = [
     (
         ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--trials", "3", "--seed", "1"],
-        "approx,2000,0.3,0.05,0.0,1,63,126000,20,1\n"
-        "approx,2000,0.3,0.05,0.0,2,63,126000,49,1\n"
-        "approx,2000,0.3,0.05,0.0,3,63,126000,17,1\n",
+        "approx,2000,0.3,0.05,0.0,1,63,126000,21,1\n"
+        "approx,2000,0.3,0.05,0.0,2,63,126000,54,1\n"
+        "approx,2000,0.3,0.05,0.0,3,63,126000,48,1\n",
     ),
     (
         # phi = 0.5: phase II and the K-sample batch only
@@ -39,7 +43,7 @@ GOLDEN = [
         "robust,2000,0.5,0.05,0.5,2,499,499418,20,1\n",
     ),
     (
-        # phi = 0.3: phase I with its first-round hook as well
+        # phi = 0.3: phase I with its coins as well
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--mu", "0.5", "--trials", "2", "--seed", "3"],
         "robust,2000,0.3,0.05,0.5,3,524,524042,39,1\n"
@@ -47,8 +51,8 @@ GOLDEN = [
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,1144,364755,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,1503,467861,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,1295,371569,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,1199,378773,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
@@ -68,19 +72,19 @@ GOLDEN = [
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "2", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,577,577000,113,1\n"
-        "selfq,1000,,0.1,0.0,2,577,577000,136,1\n",
+        "selfq,1000,,0.1,0.0,1,577,577000,115,1\n"
+        "selfq,1000,,0.1,0.0,2,577,577000,147,1\n",
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--k-sample", "10",
          "--trials", "1", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,397,397000,112,1\n",
+        "selfq,1000,,0.1,0.0,1,397,397000,115,1\n",
     ),
     (
         ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
          "--k-sample", "5", "--trials", "2", "--seed", "1"],
-        "approx,2000,0.3,0.05,0.0,1,37,74000,37,1\n"
-        "approx,2000,0.3,0.05,0.0,2,37,74000,65,1\n",
+        "approx,2000,0.3,0.05,0.0,1,37,74000,29,1\n"
+        "approx,2000,0.3,0.05,0.0,2,37,74000,58,1\n",
     ),
     (
         # one wrong node: success needs 1 <= 300 / 2**t_extra, which the
@@ -97,20 +101,20 @@ GOLDEN = [
     (
         ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.1,0.0,1,766,237193,0,1\n"
-        "exact,256,0.5,0.1,0.0,2,785,240847,0,1\n",
+        "exact,256,0.5,0.1,0.0,1,2857,912780,0,1\n"
+        "exact,256,0.5,0.1,0.0,2,1323,425212,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--max-iterations", "2",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,549,169167,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,703,204192,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,549,168160,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,544,167602,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--k-sample", "10",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.0,1,638,198759,0,1\n"
-        "exact,256,0.3,0.08,0.0,2,487,150335,0,1\n",
+        "exact,256,0.3,0.08,0.0,1,656,206849,0,1\n"
+        "exact,256,0.3,0.08,0.0,2,970,318025,0,1\n",
     ),
 ]
 

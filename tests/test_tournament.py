@@ -24,6 +24,7 @@ from gossipq.tournament import (
     robust_approx_quantile,
     robust_final_median_sample,
     robust_phase1_iteration,
+    robust_phase2_iteration,
     robust_pull_batch,
     sample_batch_size,
 )
@@ -338,16 +339,17 @@ class TestRobust:
         assert (outputs[has] >= 0).all()
 
 
-def _reference_pull_batch(values, good_prev, need, batch, engine,
-                          first_round_hook=None):
+def _reference_pull_batch(values, good_prev, need, batch, engine, delta=1.0):
     """The per-round loop robust_pull_batch replaced: one contact per node
     per round, each node keeping its first ``need`` good pulls. Kept as the
     reference whose rounds, messages and failure draws robust_pull_batch
     must match exactly, and whose pulls it must match in distribution."""
     n = engine.n
+    if good_prev is None:
+        good_prev = np.ones(n, dtype=bool)
     picked = np.zeros((need, n), dtype=values.dtype)
     counts = np.zeros(n, dtype=np.int64)
-    hook_result = None
+    coins = None
     satisfied = False
     for j in range(batch):
         rd = engine.next_round()
@@ -356,8 +358,8 @@ def _reference_pull_batch(values, good_prev, need, batch, engine,
             rd.count_messages(performed)
             continue
         peers = rd.peers()
-        if j == 0 and first_round_hook is not None:
-            hook_result = first_round_hook(rd)
+        if j == 0 and delta < 1.0:
+            coins = rd.rng.random(n) < delta
         good_pull = good_prev[peers]
         if rd.failed is not None:
             good_pull = good_pull & ~rd.failed
@@ -368,7 +370,7 @@ def _reference_pull_batch(values, good_prev, need, batch, engine,
         counts[good_pull] += 1
         if not satisfied:
             satisfied = bool((counts >= need).all())
-    return picked, counts, hook_result
+    return picked, counts, coins
 
 
 def _filled(counts, need):
@@ -380,22 +382,21 @@ class TestPullBatchAgainstReference:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("need", [2, 3, 31])
     @pytest.mark.parametrize("bad_share", [0.0, 0.3])
-    @pytest.mark.parametrize("with_hook", [False, True])
-    def test_same_rounds_messages_and_failure_stream(self, mu, need, bad_share, with_hook):
+    @pytest.mark.parametrize("with_coins", [False, True])
+    def test_same_rounds_messages_and_failure_stream(self, mu, need, bad_share, with_coins):
         n, seed = 400, 11
         failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
         batch = sample_batch_size(mu, need) if need > 3 else phase_batch_size(mu)
         values = np.random.default_rng(seed).permutation(n)
         good = np.random.default_rng(seed + 1).random(n) >= bad_share
-        hook = (lambda rd: rd.rng.random(n) < 0.4) if with_hook else None
+        delta = 0.4 if with_coins else 1.0
         runs = []
         for fn in (robust_pull_batch, _reference_pull_batch):
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-            picked, counts, hooked = fn(values, good, need, batch, engine,
-                                        first_round_hook=hook)
+            picked, counts, coins = fn(values, good, need, batch, engine, delta)
             # the next round's failure bits show the failure stream's position
             after = engine.next_round().failed
-            runs.append((picked, counts, hooked, engine.rounds, engine.messages, after))
+            runs.append((picked, counts, coins, engine.rounds, engine.messages, after))
         (p_new, c_new, h_new, r_new, m_new, f_new), (_, _, h_ref, r_ref, m_ref, f_ref) = runs
         assert r_new == r_ref == batch + 1
         assert m_new == m_ref
@@ -403,7 +404,7 @@ class TestPullBatchAgainstReference:
             assert np.array_equal(f_new, f_ref)
         else:
             assert f_new is None and f_ref is None
-        if with_hook:
+        if with_coins:
             assert h_new.shape == h_ref.shape == (n,) and h_new.dtype == bool
         else:
             assert h_new is None and h_ref is None
@@ -452,17 +453,27 @@ class TestQuantileCuts:
         assert hi == 35   # ranks 36.. have r/n > 0.35
 
 
+# The plain bodies the good-pull batch replaced: one ``Round.pull`` per
+# node per round. Without failures every step through the batch must match
+# them draw for draw, except a phase-I iteration with delta < 1, whose
+# coins the batch draws before its picks.
+
+
+def _reference_phase1_iteration(values, delta, direction, engine):
+    rd = engine.next_round()
+    v1 = rd.pull(values)
+    do_t = rd.rng.random(engine.n) < delta if delta < 1.0 else None
+    return phase1_step(v1, engine.next_round().pull(values), direction, do_t)
+
+
+def _reference_phase2_iteration(values, engine):
+    v1, v2, v3 = (engine.next_round().pull(values) for _ in range(3))
+    return phase2_step(v1, v2, v3)
+
+
 def _reference_final_median_sample(values, k_sample, engine):
-    """The copy-and-partition K-sample final_median_sample replaced,
-    kept as the reference its outputs must match."""
     k = k_sample if k_sample % 2 else k_sample + 1
-    picked = np.empty((k, engine.n), dtype=values.dtype)
-    for j in range(k):
-        rd = engine.next_round()
-        pulled = values[rd.peers()]
-        if rd.failed is not None:
-            pulled = np.where(rd.failed, values, pulled)
-        picked[j] = pulled
+    picked = np.stack([engine.next_round().pull(values) for _ in range(k)])
     return np.partition(picked, k // 2, axis=0)[k // 2]
 
 
@@ -470,6 +481,84 @@ def _reference_robust_final_median_sample(values, good_prev, k_sample, batch, en
     k = k_sample if k_sample % 2 else k_sample + 1
     picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
     return np.partition(picked, k // 2, axis=0)[k // 2], counts >= k
+
+
+def _run(fn, n, seed, failure=None):
+    """``fn(engine)`` on a fresh engine, then the engine's rounds, messages
+    and its round stream's next draw (showing the stream's position)."""
+    engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure or FailureModel()))
+    out = fn(engine)
+    return out, engine.rounds, engine.messages, engine.next_round().rng.integers(1 << 30)
+
+
+def _assert_same_run(run, ref):
+    """Equal outputs (an array or a tuple of arrays) and equal engine ends."""
+    outs, outs_ref = run[0], ref[0]
+    if not isinstance(outs, tuple):
+        outs, outs_ref = (outs,), (outs_ref,)
+    assert len(outs) == len(outs_ref)
+    for out, out_ref in zip(outs, outs_ref):
+        assert np.array_equal(out, out_ref)
+    assert run[1:] == ref[1:]
+
+
+def _every_node_good(result):
+    """The values of a batch step's ``(values, good)``, once good is all."""
+    values, good = result
+    assert good is None or good.all()
+    return values
+
+
+class TestFailureFreeStepsMatchPlainBodies:
+    """Without failures the batch draws no binomial (a binomial at g = 1
+    would still consume the round stream), so each step is the plain body."""
+
+    N, SEED = 600, 29
+    VALUES = np.random.default_rng(SEED).permutation(N).astype(np.int32)
+
+    def _check(self, reference, *steps):
+        ref = _run(reference, self.N, self.SEED)
+        for step in steps:
+            _assert_same_run(_run(step, self.N, self.SEED), ref)
+
+    @pytest.mark.parametrize("direction", [SHRINK_HIGH, SHRINK_LOW])
+    @pytest.mark.parametrize("mask", [None, np.ones(N, dtype=bool)], ids=["none", "ones"])
+    def test_phase1_at_delta_one(self, direction, mask):
+        v = self.VALUES
+        self._check(
+            lambda e: _reference_phase1_iteration(v, 1.0, direction, e),
+            lambda e: phase1_iteration(v, 1.0, direction, e),
+            lambda e: _every_node_good(robust_phase1_iteration(v, mask, 1.0, direction, 2, e)),
+        )
+
+    @pytest.mark.parametrize("mask", [None, np.ones(N, dtype=bool)], ids=["none", "ones"])
+    def test_phase2(self, mask):
+        v = self.VALUES
+        self._check(
+            lambda e: _reference_phase2_iteration(v, e),
+            lambda e: phase2_iteration(v, e),
+            lambda e: _every_node_good(robust_phase2_iteration(v, mask, 3, e)),
+        )
+
+    @pytest.mark.parametrize("k_sample", [1, 6, 31])
+    def test_k_sample(self, k_sample):
+        v = self.VALUES
+        self._check(
+            lambda e: _reference_final_median_sample(v, k_sample, e),
+            lambda e: final_median_sample(v, k_sample, e),
+            lambda e: _every_node_good(
+                robust_final_median_sample(v, None, k_sample, k_sample | 1, e)),
+        )
+
+    def test_phase1_below_delta_one_draws_coins_before_picks(self):
+        def coins_first(engine):
+            rounds = engine.next_round(), engine.next_round()
+            coins = rounds[1].rng.random(engine.n) < 0.5
+            v1, v2 = (rd.pull(self.VALUES) for rd in rounds)
+            return phase1_step(v1, v2, SHRINK_HIGH, coins)
+
+        self._check(coins_first, lambda e: phase1_iteration(self.VALUES, 0.5, SHRINK_HIGH, e))
+        assert _run(coins_first, self.N, self.SEED)[1:3] == (2, 2 * self.N)
 
 
 class TestSampleMatchesReference:
@@ -485,21 +574,26 @@ class TestSampleMatchesReference:
         values = values / 7.0 if dtype == np.float64 else values.astype(dtype)
         kept = values.copy()
         good = rng.random(n) >= 0.2
-        batch = sample_batch_size(mu, k_sample | 1)
-        runs = []
-        for fn in ((robust_final_median_sample, _reference_robust_final_median_sample)
-                   if robust else (final_median_sample, _reference_final_median_sample)):
-            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-            if robust:
-                out, has = fn(values, good, k_sample, batch, engine)
-            else:
-                out, has = fn(values, k_sample, engine), None
-            runs.append((out, has, engine.rounds, engine.messages))
-        (out, has, rounds, messages), (out_ref, has_ref, rounds_ref, messages_ref) = runs
-        assert out.dtype == values.dtype
-        assert np.array_equal(out, out_ref)
-        assert np.array_equal(has, has_ref)
-        assert (rounds, messages) == (rounds_ref, messages_ref)
+        k = k_sample | 1
+        if robust:
+            pair = (lambda e: robust_final_median_sample(values, good, k_sample,
+                                                         sample_batch_size(mu, k), e),
+                    lambda e: _reference_robust_final_median_sample(
+                        values, good, k_sample, sample_batch_size(mu, k), e))
+        elif mu:
+            # under failures the plain entry point is the batch of K rounds
+            # with every node good, and a node short of K good pulls keeps
+            # its value
+            def kept_when_short(e):
+                out, has = _reference_robust_final_median_sample(values, None, k, k, e)
+                return np.where(has, out, values)
+            pair = (lambda e: final_median_sample(values, k_sample, e), kept_when_short)
+        else:
+            pair = (lambda e: final_median_sample(values, k_sample, e),
+                    lambda e: _reference_final_median_sample(values, k_sample, e))
+        new, ref = (_run(fn, n, seed, failure) for fn in pair)
+        assert (new[0][0] if robust else new[0]).dtype == values.dtype
+        _assert_same_run(new, ref)
         assert np.array_equal(values, kept)  # partitions its own scratch only
 
 

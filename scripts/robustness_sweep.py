@@ -2,15 +2,27 @@
 """Sweep the failure bound mu for the robust protocols.
 
 Reports, per mu: the fraction of trials in which all but n/2^t nodes hold
-a correct approximate answer, the exact-quantile success rate, and the
-mean round cost (which grows with the 1/(1-mu) batch inflation).
+a correct approximate answer, the exact-quantile success rate, the mean
+round cost, and the tournament's rounds (phase I, phase II and the
+K-sample, from ``tournament.tournament_plan``) against 1/(1-mu) times
+its failure-free rounds.
 
     python3 scripts/robustness_sweep.py --n 20000 --trials 20
 """
 import argparse
 import os
 
-from gossipq.harness import emit_report, run_batch
+from gossipq.harness import EXPERIMENTS, emit_report, run_batch
+from gossipq.tournament import clamped_rank, tournament_plan
+
+# the robust trials and the tournament rounds printed beside them use the
+# robust runner's default K
+K_SAMPLE = EXPERIMENTS["robust"].optional["k_sample"]
+
+
+def tournament_rounds(n, phi, eps, mu):
+    """Rounds of one approximate tournament at failure bound mu."""
+    return tournament_plan(clamped_rank(phi * n, n), eps, n, K_SAMPLE, mu).rounds
 
 
 def main():
@@ -26,11 +38,12 @@ def main():
     ap.add_argument("--out-dir", type=str, default=".")
     args = ap.parse_args()
 
+    plain = tournament_rounds(args.n, args.phi, args.eps, 0.0)
     all_rows = []
     for mu in args.mus:
         tasks = [
             dict(n=args.n, phi=args.phi, eps=args.eps, seed=args.seed + t,
-                 mu=mu, t_extra=args.t_extra)
+                 mu=mu, t_extra=args.t_extra, k_sample=K_SAMPLE)
             for t in range(args.trials)
         ]
         rows = run_batch("robust", tasks)
@@ -42,8 +55,11 @@ def main():
         approx_rate = sum(r["success"] for r in rows) / len(rows)
         exact_rate = sum(r["success"] for r in exact_rows) / len(exact_rows)
         rounds = sum(r["rounds"] for r in rows) / len(rows)
+        tournament = tournament_rounds(args.n, args.phi, args.eps, mu)
         print(f"mu={mu:<5} approx_ok={approx_rate:5.2f} "
-              f"exact_ok={exact_rate:5.2f} rounds_mean={rounds:8.1f}")
+              f"exact_ok={exact_rate:5.2f} rounds_mean={rounds:8.1f} "
+              f"tournament_rounds={tournament} "
+              f"vs_plain_over_1-mu={tournament * (1 - mu) / plain:5.2f}")
         all_rows += rows + exact_rows
 
     os.makedirs(args.out_dir, exist_ok=True)

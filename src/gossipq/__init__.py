@@ -41,6 +41,7 @@ from .schedules import (
     Phase2Schedule,
     choose_buffer_size,
     compaction_error_bound,
+    pull_batch_sizes,
     shift_bound,
     three_tournament_schedule,
     two_tournament_schedule,
@@ -53,7 +54,6 @@ from .tournament import (
     phase1_step,
     phase2_iteration,
     phase2_step,
-    phase_batch_size,
     robust_approx_quantile,
     robust_pull_batch,
 )

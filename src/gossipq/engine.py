@@ -14,8 +14,11 @@ adversary's choice, made before execution.
 Protocol draws follow call order. Peer vectors and the protocol's own
 coins come from the round stream in the order the protocol asks for
 them, not one block per round: a protocol may draw for several rounds
-at once (``tournament.robust_pull_batch`` draws once per batch) or not
-at all in a round, and every later draw follows deterministically.
+at once (``tournament.robust_pull_batch`` draws its good-pull test and
+picks once per batch), draw contacts for only the nodes whose contact
+can matter (``harness.spread_experiment``), or draw nothing in a round,
+and every later draw follows deterministically. Messages are counted
+per round either way.
 
 One engine round corresponds to one push or pull of a single value per
 node; :meth:`Round.pull` is the one plain pull, and a node whose pull
@@ -214,13 +217,22 @@ def canonical_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     node order (a stable sort), so every key is distinct. Protocols compare
     keys, so running them on ids is order-isomorphic to running them on
     the raw (value, node index) pairs.
+
+    Distinct values have one sorted order, so the ids come from the faster
+    unstable sort, and the stable one runs only when the sorted values
+    hold equal neighbours or a NaN (which sorts last and equals nothing,
+    itself included, so the neighbour test cannot see NaN ties).
     """
     values = np.asarray(values)
     n = values.shape[0]
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
+    ordered = values[order]
+    if n and (ordered[-1] != ordered[-1] or (ordered[1:] == ordered[:-1]).any()):
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
     ids = np.empty(n, dtype=np.int64)
     ids[order] = np.arange(n)
-    return ids, values[order]
+    return ids, ordered
 
 
 @dataclass

@@ -103,10 +103,16 @@ def run_sketch_trial(n, k, seed):
 
 
 def spread_experiment(n: int, eps: float, seed: int) -> int:
-    """Rounds until an initial 2*floor(2 eps n) good set covers everyone.
+    """Iterations until an initial 2*floor(2 eps n) good set covers everyone.
 
-    Each round every node pushes to one uniform peer and pulls from one
-    uniform peer; a bad node turns good on contact with a good one.
+    Each iteration is a pull round and a push round of every node, n
+    messages each: every node pulls from one uniform peer and pushes to
+    another, and a bad node turns good on contact with a node that was
+    good at the start of the iteration. Only two kinds of contact can
+    change a node, a bad node's pull and a good node's push, so only
+    those are drawn (the bad nodes' pull targets, then the good nodes'
+    push targets, uniform on the round stream); the other contacts would
+    leave every node as it is.
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
@@ -117,10 +123,15 @@ def spread_experiment(n: int, eps: float, seed: int) -> int:
     good[engine.values_rng().choice(n, size=min(n, initial), replace=False)] = True
     rounds = 0
     while not bool(good.all()):
-        pulled = engine.next_round().pull(good)
-        pushed = np.zeros(n, dtype=bool)
-        pushed[engine.next_round().peers()[good]] = True
-        good = good | pulled | pushed
+        bad = np.flatnonzero(~good)
+        rd = engine.next_round()
+        rd.count_messages(n)
+        pulled = good[rd.rng.integers(0, n, size=bad.size)]
+        rd = engine.next_round()
+        rd.count_messages(n)
+        pushed = rd.rng.integers(0, n, size=n - bad.size)
+        good[bad[pulled]] = True
+        good[pushed] = True
         rounds += 1
     return rounds
 

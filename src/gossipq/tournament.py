@@ -11,29 +11,37 @@ Every step pulls through one good-pull batch, ``robust_pull_batch``: a
 node uses its first "good" pulls of the batch, a pull being good when it
 neither failed nor contacted a node that was bad at the end of the
 previous iteration; a node with too few keeps its value and turns bad
-(in the K-sample, it outputs nothing). ``_tournament_core`` sizes the
-batches from the failure model: from its bound mu when it is active,
-otherwise exactly as long as the pulls each step needs (2, 3 and K),
-where every pull is good and this is the plain protocol. The batch
-samples its good pulls in distribution (a binomial count per node, then
-uniform picks from the good nodes) rather than drawing a contact per
+(in the K-sample, it outputs nothing). ``_tournament_core`` takes the
+batch sizes from ``schedules.pull_batch_sizes``, derived from the
+failure bound mu and the trial's schedules: the least that keep the
+expected bad fraction at most 1/32 through both phases, and leave on
+average at most one node short in the K-sample. At mu = 0 they are
+exactly the pulls each step needs (2, 3 and K); every pull is good and
+this is the plain protocol.
+
+The batch samples in distribution rather than drawing a contact per
 node per round; the failure bits and message counts stay those of the
-per-round loop. With no failures and every node good no binomial is
-drawn, so a step draws the contacts of one plain pull per node per
-round, after the phase-I coins if it has any.
+per-round loop. Whether a node got the good pulls it needs is one
+uniform per node against a binomial table (nothing is drawn when every
+node is good), phases I and II then draw uniform picks from the good
+nodes, and the K-sample draws its median as one order statistic of the
+sorted good values. With no failures a phase-I or phase-II step draws
+the contacts of one plain pull per node per round, after the phase-I
+coins if it has any.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
 ``_tournament_core`` converts its state once, to the dtype ``_id_dtype``
 picks (the one place it is chosen): int32 whenever ``n <= 2**31 - 1``.
-Every pull then gathers, and every pull batch and K-sample matrix
-holds, half the bytes of int64. The outputs it returns are int64 again,
-so callers never see the narrow state. The combining steps and the
-K-sample use comparisons only, so they are exact for any dtype.
+Every pull then gathers, and every pull batch holds, half the bytes of
+int64. The outputs it returns are int64 again, so callers never see the
+narrow state. The combining steps use comparisons only and the K-sample
+indexes the sorted good values, so they are exact for any dtype.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +53,10 @@ from .engine import (
 )
 from .schedules import (
     SHRINK_HIGH,
+    Phase1Schedule,
+    Phase2Schedule,
+    binomial_below,
+    pull_batch_sizes,
     three_tournament_schedule,
     two_tournament_schedule,
 )
@@ -107,17 +119,6 @@ def _odd(k: int) -> int:
     return k if k % 2 == 1 else k + 1
 
 
-def phase_batch_size(mu: float) -> int:
-    """Pulls per tournament iteration under failures: ceil((4/(1-mu)) * log2(4/(1-mu))) + 1."""
-    base = 4.0 / (1.0 - mu)
-    return int(math.ceil(base * math.log2(base))) + 1
-
-
-def sample_batch_size(mu: float, k_sample: int) -> int:
-    """Pulls backing the final K-sample under failures: ceil(4K/(1-mu)) + 1."""
-    return int(math.ceil(4.0 * k_sample / (1.0 - mu))) + 1
-
-
 # Pick indices drawn per call: a block of rows draws exactly what its rows
 # would one at a time, and this bounds a block's int64 indices to 512 KB.
 _PICK_BLOCK = 1 << 16
@@ -130,16 +131,19 @@ def robust_pull_batch(
     batch: int,
     engine: RoundEngine,
     delta: float = 1.0,
+    median: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Each node's good pulls over ``batch`` rounds, sampled in distribution.
+    """Each node's first ``need`` good pulls over ``batch`` rounds, sampled in distribution.
 
     ``good_prev`` masks the good nodes; None means every node is good.
-    Returns ``(picked, counts, coins)`` where ``counts[v]`` is v's
-    number of good pulls in the batch and ``picked[j, v]`` the value of
-    its (j+1)-th (undefined past ``counts[v]``). A count never exceeds
-    ``batch``, so a batch shorter than ``need`` leaves every node short.
-    ``coins`` is each node's phase-I tournament coin, True with
-    probability ``delta``, or None at ``delta >= 1``.
+    Returns ``(picked, used, coins)``. ``coins`` is each node's phase-I
+    tournament coin, True with probability ``delta``, or None at
+    ``delta >= 1``; a node whose coin is False needs one good pull fewer.
+    ``used[v]`` is the number of good pulls v needs when its batch holds
+    that many, else 0 (v is short). ``picked[j, v]`` is the value of v's
+    (j+1)-th good pull; with ``median`` (``need`` odd), ``picked`` is
+    instead one vector, the median of each node's first ``need``.
+    Entries of a short node are undefined.
 
     Every batch round is an engine round: it checks the budget, draws its
     failure bits and counts a message for each puller that did not fail.
@@ -147,16 +151,20 @@ def robust_pull_batch(
     g = |good_prev| / n, and a good contact's value is uniform over the
     good nodes, independently across rounds and nodes. So instead of a
     contact per node per round, the round stream draws, in this order:
-    the coins, ``counts ~ Binomial(live, g)`` where ``live[v]`` counts
-    the rounds v's pull did not fail, and ``need`` rows of uniform picks
-    from the good nodes' values, a block of rows at a time. With
-    no failure bits and every node good the counts are the batch itself,
-    and no binomial is drawn.
+    the coins; one uniform u per node, v being short when
+    u < P(Binomial(live[v], g) < need[v]), where ``live[v]`` counts the
+    rounds v's pull did not fail (nothing is drawn at g = 1, where v is
+    short exactly when live[v] < need[v], nor when no node is good); then
+    ``need`` rows of uniform picks from the good nodes' values, a block
+    of rows at a time. With ``median`` the last draw is one
+    Beta((need+1)/2, (need+1)/2) variate B per node instead, the median
+    being ``sorted_good[floor(size * B)]``: the median of ``need`` i.i.d.
+    uniform indices into the sorted good values is that order statistic.
     """
     if batch < 1:
         raise ValueError("a pull batch needs at least one round")
     n = engine.n
-    live = np.full(n, batch, dtype=np.int32)
+    live = np.full(n, batch, dtype=np.min_scalar_type(batch))
     for _ in range(batch):
         rd = engine.next_round()
         if rd.failed is None:
@@ -166,13 +174,23 @@ def robust_pull_batch(
             live -= rd.failed
     rng = rd.rng
     coins = rng.random(n) < delta if delta < 1.0 else None
+    need_v = need if coins is None else need - 1 + coins
     good_values = values if good_prev is None else values[good_prev]
     size = good_values.size
-    counts = live
-    if rd.failed is not None or size < n:
-        counts = rng.binomial(live, size / n)
+    if size == n:
+        short = live < need_v
+    elif not size:
+        short = np.ones(n, dtype=bool)
+    else:
+        short = rng.random(n) < binomial_below(size / n, need, batch)[need_v - need + 1, live]
+    used = np.where(short, 0, need_v)
     if not size:
-        return np.zeros((need, n), dtype=values.dtype), counts, coins
+        return np.zeros((n,) if median else (need, n), dtype=values.dtype), used, coins
+    if median:
+        ordered = np.sort(good_values)
+        half = (need + 1) / 2
+        index = (size * rng.beta(half, half, size=n)).astype(np.intp)
+        return ordered.take(np.minimum(index, size - 1, out=index)), used, coins
     picked = np.empty((need, n), dtype=values.dtype)
     step = max(1, _PICK_BLOCK // n)
     for start in range(0, need, step):
@@ -180,7 +198,7 @@ def robust_pull_batch(
         # the indices are in range, so "clip" clips nothing; it only spares
         # the copy of ``out`` that the default "raise" makes
         good_values.take(rng.integers(0, size, size=block.shape), out=block, mode="clip")
-    return picked, counts, coins
+    return picked, used, coins
 
 
 def _keep_short(stepped: np.ndarray, values: np.ndarray, good: np.ndarray):
@@ -206,9 +224,9 @@ def robust_phase1_iteration(
     A node needs two good pulls for the tournament branch and one for the
     copy branch; with fewer it keeps its value and turns bad.
     """
-    picked, counts, coins = robust_pull_batch(values, good_prev, 2, batch, engine, delta)
+    picked, used, coins = robust_pull_batch(values, good_prev, 2, batch, engine, delta)
     stepped = phase1_step(picked[0], picked[1], direction, coins)
-    return _keep_short(stepped, values, counts >= (2 if coins is None else 1 + coins))
+    return _keep_short(stepped, values, used > 0)
 
 
 def robust_phase2_iteration(
@@ -218,8 +236,8 @@ def robust_phase2_iteration(
     engine: RoundEngine,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Three-pull median iteration over a batch."""
-    picked, counts, _ = robust_pull_batch(values, good_prev, 3, batch, engine)
-    return _keep_short(phase2_step(picked[0], picked[1], picked[2]), values, counts >= 3)
+    picked, used, _ = robust_pull_batch(values, good_prev, 3, batch, engine)
+    return _keep_short(phase2_step(picked[0], picked[1], picked[2]), values, used > 0)
 
 
 def robust_final_median_sample(
@@ -234,10 +252,10 @@ def robust_final_median_sample(
 
     K is rounded up to the next odd number so the median is an element.
     """
-    k = _odd(max(1, k_sample))
-    picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
-    picked.partition(k // 2, axis=0)  # private scratch: no copy
-    return picked[k // 2], counts >= k
+    medians, used, _ = robust_pull_batch(
+        values, good_prev, _odd(max(1, k_sample)), batch, engine, median=True
+    )
+    return medians, used > 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +330,40 @@ def _id_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+@dataclass(frozen=True)
+class TournamentPlan:
+    """How one tournament runs: its two schedules, the odd K of its final
+    sample, and the rounds per phase-I, phase-II and K-sample batch."""
+
+    sched1: Phase1Schedule
+    sched2: Phase2Schedule
+    k: int
+    batch1: int
+    batch2: int
+    sample_batch: int
+
+    @property
+    def rounds(self) -> int:
+        """The tournament's rounds: t1 phase-I batches, t2 phase-II batches, one K-sample."""
+        return self.sched1.t * self.batch1 + self.sched2.t * self.batch2 + self.sample_batch
+
+
+def tournament_plan(
+    target_rank: int, eps: float, n: int, k_sample: int, mu: float
+) -> TournamentPlan:
+    """The plan :func:`_tournament_core` runs for 1-based ``target_rank``.
+
+    Phase I shifts quantile target_rank / n at accuracy eps, phase II runs
+    at eps / ``PHASE2_EPS_FACTOR``, K is ``k_sample`` rounded up to odd,
+    and the batch sizes are ``schedules.pull_batch_sizes`` at failure
+    bound mu (2, 3 and K at mu = 0).
+    """
+    sched1 = two_tournament_schedule(target_rank / n, eps)
+    sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
+    k = _odd(max(1, k_sample))
+    return TournamentPlan(sched1, sched2, k, *pull_batch_sizes(mu, sched1, sched2, k, n))
+
+
 def _tournament_core(
     ids: np.ndarray,
     target_rank: int,
@@ -324,31 +376,25 @@ def _tournament_core(
     Returns ``(outputs, has_output, info)`` with per-node int64 output
     ids. The state runs as int32 when every id fits (see the module
     docstring). Every step pulls through the good-pull batch; the failure
-    model only sizes the batches.
+    model only sizes the batches (see :func:`tournament_plan`).
     """
     n = engine.n
-    phi_eff = target_rank / n
-    sched1 = two_tournament_schedule(phi_eff, eps)
-    sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
-    k = _odd(max(1, k_sample))
-    failure = engine.config.failure
-    if failure.active:
-        batch1 = batch2 = phase_batch_size(failure.mu)
-        sample_batch = sample_batch_size(failure.mu, k)
-    else:
-        batch1, batch2, sample_batch = 2, 3, k
+    plan = tournament_plan(target_rank, eps, n, k_sample, engine.config.failure.mu)
+    sched1, sched2 = plan.sched1, plan.sched2
     values = ids.astype(_id_dtype(n), copy=False)
     good = None
     good_trace: list[int] = []
     for delta in sched1.delta:
         values, good = robust_phase1_iteration(
-            values, good, delta, sched1.direction, batch1, engine
+            values, good, delta, sched1.direction, plan.batch1, engine
         )
         good_trace.append(n if good is None else int(np.count_nonzero(good)))
     for _ in range(sched2.t):
-        values, good = robust_phase2_iteration(values, good, batch2, engine)
+        values, good = robust_phase2_iteration(values, good, plan.batch2, engine)
         good_trace.append(n if good is None else int(np.count_nonzero(good)))
-    outputs, has_output = robust_final_median_sample(values, good, k, sample_batch, engine)
+    outputs, has_output = robust_final_median_sample(
+        values, good, plan.k, plan.sample_batch, engine
+    )
     info = {
         "phase1_iterations": sched1.t,
         "phase2_iterations": sched2.t,

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gossipq import harness
 from gossipq.cli import build_parser, run_cli
@@ -16,7 +17,7 @@ from gossipq.harness import (
     self_quantile,
     spread_experiment,
 )
-from gossipq.engine import BudgetExceededError, SimConfig
+from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
 from gossipq.exact import ExactParams, InvariantViolation, TrialFailure
 
 
@@ -114,9 +115,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key, value, argv", [
         ("k_sample", 5, ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05"]),
-        # 1 bad node passes only when 1 <= 300 / 2**t_extra (exit 1 at t_extra 10)
+        # 2 bad nodes pass only when 2 <= 300 / 2**t_extra (exit 1 at t_extra 10)
         ("t_extra", 7, ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02",
-                        "--mu", "0.5", "--seed", "35"]),
+                        "--mu", "0.5", "--seed", "109"]),
         ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5", "--seed", "2"]),
     ])
     def test_file_value_beats_default(self, tmp_path, key, value, argv):
@@ -287,6 +288,42 @@ class TestSpreadExperiment:
     def test_success_row(self):
         row = run_trial("spread", n=50_000, eps=0.01, seed=2)
         assert row["success"] == 1
+
+    def test_same_law_as_every_contact_drawn(self, monkeypatch):
+        # the body that drew a pull and a push contact for every node each
+        # iteration, in place of only the contacts that can change a node
+        def every_contact(n, eps, seed):
+            engine = RoundEngine(SimConfig(n=n, seed=seed))
+            good = np.zeros(n, dtype=bool)
+            initial = 2 * int(2 * eps * n)
+            good[engine.values_rng().choice(n, size=initial, replace=False)] = True
+            iterations = 0
+            while not good.all():
+                pulled = engine.next_round().pull(good)
+                pushed = np.zeros(n, dtype=bool)
+                pushed[engine.next_round().peers()[good]] = True
+                good = good | pulled | pushed
+                iterations += 1
+            return iterations
+
+        engines = []
+
+        class Recording(RoundEngine):
+            def __init__(self, config):
+                super().__init__(config)
+                engines.append(self)
+
+        monkeypatch.setattr(harness, "RoundEngine", Recording)
+        n, eps = 3000, 0.01
+        new, ref = [], []
+        for seed in range(300):
+            new.append(spread_experiment(n, eps, seed))
+            # two rounds of n messages per iteration
+            assert (engines[-1].rounds, engines[-1].messages) == (2 * new[-1], 2 * n * new[-1])
+            ref.append(every_contact(n, eps, seed))
+        values = sorted(set(new) | set(ref))
+        table = [[new.count(v) for v in values], [ref.count(v) for v in values]]
+        assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 class TestParallelism:

@@ -249,3 +249,26 @@ class TestCanonicalIds:
         # id order agrees with value order up to tiebreaks
         order = np.argsort(ids)
         assert (np.diff(arr[order]) >= 0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.one_of(
+            st.integers(-3, 3),  # ties
+            st.integers(-2**63, 2**63 - 1),
+            st.sampled_from([-2**63, 2**63 - 1, 2**53, 2**53 + 1]),
+        ), max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0]),
+            st.floats(allow_nan=True),
+        ), max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
+    ))
+    def test_same_ids_as_the_stable_argsort(self, values):
+        # the unstable fast path must give the stable sort's ids, ties,
+        # +-0.0 (equal, so tied) and NaN (equal to nothing) included
+        order = np.argsort(values, kind="stable")
+        expected = np.empty(len(values), dtype=np.int64)
+        expected[order] = np.arange(len(values))
+        ids, by_rank = canonical_ids(values)
+        assert np.array_equal(ids, expected)
+        assert np.array_equal(by_rank, values[order], equal_nan=True)
+        assert np.array_equal(np.signbit(by_rank), np.signbit(values[order]))

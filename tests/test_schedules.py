@@ -1,10 +1,14 @@
 """Recurrence schedules, iteration bounds and sizing rules."""
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from gossipq.schedules import (
     SHRINK_HIGH,
     SHRINK_LOW,
+    bad_fraction_trace,
+    binomial_below,
     choose_buffer_size,
     compaction_error_bound,
     shift_bound,
@@ -12,6 +16,7 @@ from gossipq.schedules import (
     tournament_bound_steps,
     two_tournament_schedule,
 )
+from gossipq.tournament import clamped_rank, tournament_plan
 
 
 class TestTwoTournamentSchedule:
@@ -108,6 +113,111 @@ class TestBoundDominance:
         # short of t by a fraction of a step on whole parameter regions
         assert two_tournament_schedule(phi, eps).t <= shift_bound(eps)
         assert three_tournament_schedule(eps, n).t <= tournament_bound_steps(eps, n)
+
+
+def _plan(phi, eps, n, k, mu):
+    # as the tournaments size themselves
+    return tournament_plan(clamped_rank(phi * n, n), eps, n, k, mu)
+
+
+def _sizes(plan):
+    return plan.batch1, plan.batch2, plan.sample_batch
+
+
+def _scipy_phase(mu, b, batch, need, deltas):
+    """The bad-fraction recursion of one phase over scipy's binomial."""
+    trace = []
+    for delta in deltas:
+        q = (1 - mu) * (1 - b)
+        b = (delta * stats.binom.cdf(need - 1, batch, q)
+             + (1 - delta) * stats.binom.cdf(need - 2, batch, q))
+        trace.append(b)
+    return trace
+
+
+def _scan_sizes(mu, sched1, sched2, k, n):
+    """The least batch sizes by a plain upward scan over scipy's binomial:
+    bad fraction at most 1/32 after every phase-I and phase-II iteration,
+    at most one node short of k good pulls in the K-sample on average."""
+    sizes, b = [], 0.0
+    for need, deltas in ((2, sched1.delta), (3, (1.0,) * sched2.t)):
+        batch = need
+        while max(_scipy_phase(mu, b, batch, need, deltas), default=0.0) > 1 / 32:
+            batch += 1
+        sizes.append(batch)
+        b = ([b] + _scipy_phase(mu, b, batch, need, deltas))[-1]
+    sample = k
+    while stats.binom.cdf(k - 1, sample, (1 - mu) * (1 - b)) > 1 / n:
+        sample += 1
+    return (*sizes, sample)
+
+
+class TestPullBatchSizes:
+    CASES = [(0.5, 0.05, 100_000), (0.1, 0.05, 100_000), (0.3, 0.02, 1024), (0.9, 0.1, 4096)]
+
+    @pytest.mark.parametrize("phi, eps, n", CASES)
+    @pytest.mark.parametrize("k", [1, 5, 31])
+    def test_plain_sizes_at_mu_zero(self, phi, eps, n, k):
+        assert _sizes(_plan(phi, eps, n, k, 0.0)) == (2, 3, k)
+
+    @pytest.mark.parametrize("phi, eps, n", CASES)
+    @pytest.mark.parametrize("mu", [0.01, 0.1, 0.2, 0.5, 0.75])
+    def test_least_sizes_against_a_scan(self, phi, eps, n, mu):
+        plan = _plan(phi, eps, n, 31, mu)
+        assert _sizes(plan) == _scan_sizes(mu, plan.sched1, plan.sched2, 31, n)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("batch1, batch2", [(1, 2), (2, 3), (4, 12)])
+    def test_bad_fraction_trace_matches_scipy(self, mu, batch1, batch2):
+        # batches below the pulls a step needs drive every node bad and
+        # hold it there, so the trace also runs through repeated fractions
+        plan = _plan(0.1, 0.05, 100_000, 31, mu)
+        first = _scipy_phase(mu, 0.0, batch1, 2, plan.sched1.delta)
+        second = _scipy_phase(mu, first[-1], batch2, 3, (1.0,) * plan.sched2.t)
+        trace = bad_fraction_trace(mu, plan.sched1, plan.sched2, batch1, batch2)
+        assert np.allclose(trace, first + second, rtol=1e-9, atol=1e-12)
+
+    def test_worked_sizes(self):
+        # n = 1e5, eps 0.05, mu 0.5: phase II 12 rounds (not 11), K-sample 107
+        plan = _plan(0.5, 0.05, 100_000, 31, 0.5)
+        assert _sizes(plan) == (2, 12, 107)
+        trace = bad_fraction_trace(0.5, plan.sched1, plan.sched2, 2, 12)
+        assert len(trace) == plan.sched2.t and max(trace) <= 1 / 32
+        assert max(bad_fraction_trace(0.5, plan.sched1, plan.sched2, 2, 11)) > 1 / 32
+
+    @pytest.mark.parametrize("phi, eps, n", CASES)
+    @pytest.mark.parametrize("k", [5, 31])
+    def test_sizes_and_rounds_never_fall_as_mu_grows(self, phi, eps, n, k):
+        # the phase batches and the tournament's rounds never fall; the
+        # K-sample batch alone may dip by a few rounds where the phase-II
+        # batch steps up, since a longer batch ends phase II with fewer bad
+        # nodes, but it never falls below k
+        last = _plan(phi, eps, n, k, 0.0)
+        for mu in np.arange(1, 91) / 100:
+            plan = _plan(phi, eps, n, k, float(mu))
+            assert plan.batch1 >= last.batch1 and plan.batch2 >= last.batch2
+            assert plan.sample_batch >= k and plan.rounds >= last.rounds
+            last = plan
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 300), st.floats(0.0, 1.0), st.integers(0, 40))
+    def test_binomial_below_matches_scipy(self, batch, q, need):
+        expected = stats.binom.cdf([[need - 2], [need - 1]], np.arange(batch + 1), q)
+        assert np.allclose(binomial_below(q, need, batch), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("need, batch", [(1, 6), (2, 9), (3, 40), (31, 107)])
+    def test_binomial_below_takes_one_q_per_m(self, need, batch):
+        # the bad-fraction searches pass one q per batch size, edges included
+        q = np.random.default_rng(need).choice([0.0, 1.0, 0.2, 0.55, 0.9], size=batch + 1)
+        m = np.arange(batch + 1)
+        expected = stats.binom.cdf([[need - 2], [need - 1]], m, q)
+        assert np.allclose(binomial_below(q, need, batch), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.97])
+    @pytest.mark.parametrize("need, batch", [(1, 4), (3, 12), (31, 107), (501, 1100)])
+    def test_binomial_below_matches_scipy_at_large_need(self, q, need, batch):
+        expected = stats.binom.cdf([[need - 2], [need - 1]], np.arange(batch + 1), q)
+        assert np.allclose(binomial_below(q, need, batch), expected, rtol=1e-9, atol=1e-12)
 
 
 class TestCompactionErrorBound:

@@ -9,16 +9,20 @@ from scipy import stats
 from gossipq import harness, tournament
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.exact import exact_quantile
-from gossipq.schedules import SHRINK_HIGH, SHRINK_LOW
+from gossipq.schedules import (
+    SHRINK_HIGH,
+    SHRINK_LOW,
+    bad_fraction_trace,
+)
 from gossipq.tournament import (
     adoption_rounds,
     approx_quantile,
+    clamped_rank,
     final_median_sample,
     phase1_iteration,
     phase1_step,
     phase2_iteration,
     phase2_step,
-    phase_batch_size,
     quantile_cuts,
     lmh_counts,
     robust_approx_quantile,
@@ -26,7 +30,7 @@ from gossipq.tournament import (
     robust_phase1_iteration,
     robust_phase2_iteration,
     robust_pull_batch,
-    sample_batch_size,
+    tournament_plan,
 )
 
 
@@ -232,12 +236,6 @@ class TestPhaseOneComposition:
 
 
 class TestRobust:
-    def test_batch_sizes(self):
-        assert phase_batch_size(0.0) == 9  # ceil(4 log2 4) + 1
-        assert phase_batch_size(0.5) == 25  # ceil(8 log2 8) + 1
-        assert sample_batch_size(0.0, 31) == 125
-        assert sample_batch_size(0.5, 31) == 249
-
     def test_mu_zero_identical_to_plain(self):
         cfg = SimConfig(n=5000, seed=13)
         plain = approx_quantile(0.3, 0.05, cfg)
@@ -259,12 +257,12 @@ class TestRobust:
 
     def test_pull_batch_all_good_fills_every_node(self):
         # all nodes good, no failures: every pull is good, so each node
-        # counts every batch round and its picks are uniform over all values
+        # uses the pulls it needs and its picks are uniform over all values
         engine = RoundEngine(SimConfig(n=200, seed=7))
         ids = engine.values_rng().permutation(200)
         good = np.ones(200, dtype=bool)
-        picked, counts, _ = robust_pull_batch(ids, good, 2, 5, engine)
-        assert (counts == 5).all()
+        picked, used, _ = robust_pull_batch(ids, good, 2, 5, engine)
+        assert (used == 2).all()
         assert np.isin(picked, ids).all()
         assert (engine.rounds, engine.messages) == (5, 5 * 200)
 
@@ -278,9 +276,10 @@ class TestRobust:
         engine = RoundEngine(SimConfig(n=300, seed=19))
         ids = np.arange(300)
         good = ids < 150  # only low ids are good
-        picked, counts, _ = robust_pull_batch(ids, good, 3, 12, engine)
-        have = counts >= 3
-        assert (picked[:, have] < 150).all()
+        picked, used, _ = robust_pull_batch(ids, good, 3, 12, engine)
+        assert (picked[:, used > 0] < 150).all()
+        medians, used, _ = robust_pull_batch(ids, good, 5, 12, engine, median=True)
+        assert (medians[used > 0] < 150).all()
 
     def test_expected_bad_fraction_below_044(self):
         # mu=0.5 with half the population good: per-iteration bad
@@ -293,9 +292,8 @@ class TestRobust:
         ids = engine.values_rng().permutation(n)
         good = np.zeros(n, dtype=bool)
         good[: n // 2] = True
-        _, new_good = robust_phase1_iteration(
-            ids, good, 1.0, SHRINK_HIGH, phase_batch_size(0.5), engine
-        )
+        batch = tournament_plan(n // 10, 0.05, n, 31, 0.5).batch1
+        _, new_good = robust_phase1_iteration(ids, good, 1.0, SHRINK_HIGH, batch, engine)
         assert np.count_nonzero(~new_good) / n <= 0.44
 
     def test_good_count_stays_above_third(self):
@@ -309,6 +307,24 @@ class TestRobust:
             rep = robust_approx_quantile(0.5, 0.05, 10, config)
             assert min(rep.details["good_trace"]) >= n / 3
             assert rep.details["missing_before_adoption"] <= 2 * n / 3
+
+    def test_bad_fraction_recursion_matches_good_trace(self):
+        # every iteration's bad share within 4 standard errors of the
+        # recursion the batch sizes are derived from (phi 0.1 runs three
+        # phase-I iterations, the last with coins, then phase II)
+        n, mu, phi, eps = 100_000, 0.5, 0.1, 0.05
+        plan = tournament_plan(clamped_rank(phi * n, n), eps, n, 31, mu)
+        assert plan.sched1.t == 3 and plan.sched1.delta[-1] < 1.0
+        expected = np.array(
+            bad_fraction_trace(mu, plan.sched1, plan.sched2, plan.batch1, plan.batch2)
+        )
+        limit = 4 * np.sqrt(expected * (1 - expected) / n)
+        for seed in (1, 2):
+            config = SimConfig(n=n, seed=seed, failure=FailureModel("uniform", mu, seed))
+            rep = robust_approx_quantile(phi, eps, 0, config)
+            bad = 1 - np.array(rep.details["good_trace"]) / n
+            assert bad.shape == expected.shape
+            assert (np.abs(bad - expected) <= limit).all()
 
     def test_adoption_fills_in_answers(self):
         engine = RoundEngine(SimConfig(n=1000, seed=5))
@@ -373,9 +389,11 @@ def _reference_pull_batch(values, good_prev, need, batch, engine, delta=1.0):
     return picked, counts, coins
 
 
-def _filled(counts, need):
-    """Mask of the pick slots (j, v) with j < min(counts[v], need)."""
-    return np.arange(need)[:, None] < np.minimum(counts, need)[None, :]
+def _reference_used(counts, need, coins):
+    """The reference's ``used``: the pulls each node needs (one fewer
+    without its phase-I coin) where it counted that many, else 0."""
+    need_v = need if coins is None else need - 1 + coins
+    return np.where(counts >= need_v, need_v, 0)
 
 
 class TestPullBatchAgainstReference:
@@ -386,18 +404,18 @@ class TestPullBatchAgainstReference:
     def test_same_rounds_messages_and_failure_stream(self, mu, need, bad_share, with_coins):
         n, seed = 400, 11
         failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
-        batch = sample_batch_size(mu, need) if need > 3 else phase_batch_size(mu)
+        batch = 4 * need + 1
         values = np.random.default_rng(seed).permutation(n)
         good = np.random.default_rng(seed + 1).random(n) >= bad_share
         delta = 0.4 if with_coins else 1.0
         runs = []
         for fn in (robust_pull_batch, _reference_pull_batch):
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-            picked, counts, coins = fn(values, good, need, batch, engine, delta)
+            picked, used, coins = fn(values, good, need, batch, engine, delta)
             # the next round's failure bits show the failure stream's position
             after = engine.next_round().failed
-            runs.append((picked, counts, coins, engine.rounds, engine.messages, after))
-        (p_new, c_new, h_new, r_new, m_new, f_new), (_, _, h_ref, r_ref, m_ref, f_ref) = runs
+            runs.append((picked, used, coins, engine.rounds, engine.messages, after))
+        (p_new, u_new, h_new, r_new, m_new, f_new), (_, _, h_ref, r_ref, m_ref, f_ref) = runs
         assert r_new == r_ref == batch + 1
         assert m_new == m_ref
         if mu:
@@ -406,32 +424,45 @@ class TestPullBatchAgainstReference:
             assert f_new is None and f_ref is None
         if with_coins:
             assert h_new.shape == h_ref.shape == (n,) and h_new.dtype == bool
+            assert ((u_new == 0) | (u_new == need - 1 + h_new)).all()
         else:
             assert h_new is None and h_ref is None
-        assert (c_new >= 0).all() and (c_new <= batch).all()
-        assert np.isin(p_new[_filled(c_new, need)], values[good]).all()
+            assert set(np.unique(u_new)) <= {0, need}
+        assert np.isin(p_new[:, u_new > 0], values[good]).all()
 
-    def test_same_distribution_of_counts_and_picks(self):
+    @pytest.mark.parametrize("need, delta, batch", [(3, 1.0, 9), (2, 0.4, 6), (31, 1.0, 80)])
+    def test_same_law_of_the_good_pull_mask_and_picks(self, need, delta, batch):
         # 300 engine seeds over one input with 30% bad nodes at mu 0.5;
         # nodes are independent given the good set, so every node of every
-        # seed is one sample of min(count, need) and of its picks
-        n, need, batch, mu = 400, 3, 9, 0.5
+        # seed is one sample of the mask "has the good pulls it needs" and,
+        # where it has, each of its used pick slots one sample of a uniform
+        # good value: pooled over every used slot, and row by row
+        n, mu = 400, 0.5
         values = np.random.default_rng(5).permutation(n)
         good = np.random.default_rng(6).random(n) >= 0.3
-        capped = {fn: np.zeros(need + 1, dtype=np.int64)
-                  for fn in (robust_pull_batch, _reference_pull_batch)}
-        picks = {fn: [] for fn in capped}
+        masks = {fn: np.zeros(2, dtype=np.int64)
+                 for fn in (robust_pull_batch, _reference_pull_batch)}
+        picks = {fn: [[] for _ in range(need)] for fn in masks}
         for seed in range(300):
             failure = FailureModel(mode="uniform", mu=mu, seed=seed)
-            for fn in capped:
+            for fn in masks:
                 engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-                picked, counts, _ = fn(values, good, need, batch, engine)
-                capped[fn] += np.bincount(np.minimum(counts, need), minlength=need + 1)
-                picks[fn].append(picked[_filled(counts, need)])
-        table = np.array([capped[robust_pull_batch], capped[_reference_pull_batch]])
+                picked, used, coins = fn(values, good, need, batch, engine, delta)
+                if fn is _reference_pull_batch:
+                    used = _reference_used(used, need, coins)
+                masks[fn] += np.count_nonzero(used > 0), np.count_nonzero(used == 0)
+                for row in range(need):
+                    picks[fn][row].append(picked[row, used > row])
+        table = np.array([masks[robust_pull_batch], masks[_reference_pull_batch]])
+        assert table.min() > 100  # both outcomes well represented
         assert stats.chi2_contingency(table).pvalue > 0.01
-        new, ref = (np.concatenate(picks[fn]) for fn in capped)
+        rows = {fn: [np.concatenate(r) for r in picks[fn]] for fn in masks}
+        new, ref = (np.concatenate(rows[fn]) for fn in masks)
         assert stats.ks_2samp(new, ref).pvalue > 0.01
+        # each row on its own, at a Bonferroni level over the rows
+        for row_new, row_ref in zip(rows[robust_pull_batch], rows[_reference_pull_batch]):
+            assert row_new.size > 100 and row_ref.size > 100
+            assert stats.ks_2samp(row_new, row_ref).pvalue > 0.01 / need
         assert np.isin(new, values[good]).all()
 
 
@@ -478,9 +509,20 @@ def _reference_final_median_sample(values, k_sample, engine):
 
 
 def _reference_robust_final_median_sample(values, good_prev, k_sample, batch, engine):
+    """The K-sample as K rows of picks and a partition, on the batch's own
+    good-pull test: its mask and rounds are the order statistic's."""
     k = k_sample if k_sample % 2 else k_sample + 1
-    picked, counts, _ = robust_pull_batch(values, good_prev, k, batch, engine)
-    return np.partition(picked, k // 2, axis=0)[k // 2], counts >= k
+    picked, used, _ = robust_pull_batch(values, good_prev, k, batch, engine)
+    return np.partition(picked, k // 2, axis=0)[k // 2], used > 0
+
+
+def _assert_same_law(new, ref, least=1000):
+    """Two samples (lists of arrays, one per seed) from one law: KS p > 0.01,
+    each holding at least ``least`` values."""
+    new, ref = np.concatenate(new), np.concatenate(ref)
+    assert new.size >= least and ref.size >= least
+    if least:
+        assert stats.ks_2samp(new, ref).pvalue > 0.01
 
 
 def _run(fn, n, seed, failure=None):
@@ -510,8 +552,10 @@ def _every_node_good(result):
 
 
 class TestFailureFreeStepsMatchPlainBodies:
-    """Without failures the batch draws no binomial (a binomial at g = 1
-    would still consume the round stream), so each step is the plain body."""
+    """Without failures every node is good, so the batch draws no
+    good-pull test (a draw at g = 1 would still consume the round stream)
+    and each phase step is the plain body; the K-sample's order statistic
+    matches the plain body in law."""
 
     N, SEED = 600, 29
     VALUES = np.random.default_rng(SEED).permutation(N).astype(np.int32)
@@ -542,13 +586,24 @@ class TestFailureFreeStepsMatchPlainBodies:
 
     @pytest.mark.parametrize("k_sample", [1, 6, 31])
     def test_k_sample(self, k_sample):
+        # the order-statistic median draws other numbers than K plain pulls,
+        # so over 300 seeds: the same rounds and messages, every node
+        # answering, and the same law of the medians
         v = self.VALUES
-        self._check(
+        steps = (
             lambda e: _reference_final_median_sample(v, k_sample, e),
             lambda e: final_median_sample(v, k_sample, e),
             lambda e: _every_node_good(
                 robust_final_median_sample(v, None, k_sample, k_sample | 1, e)),
         )
+        medians = [[] for _ in steps]
+        for seed in range(300):
+            runs = [_run(step, self.N, seed) for step in steps]
+            for run, sample in zip(runs, medians):
+                assert run[1:3] == runs[0][1:3] == ((k_sample | 1), (k_sample | 1) * self.N)
+                sample.append(run[0])
+        for sample in medians[1:]:
+            _assert_same_law(sample, medians[0])
 
     def test_phase1_below_delta_one_draws_coins_before_picks(self):
         def coins_first(engine):
@@ -562,39 +617,61 @@ class TestFailureFreeStepsMatchPlainBodies:
 
 
 class TestSampleMatchesReference:
+    """The order-statistic K-sample against K picks and a partition.
+
+    The two draw different numbers from the round stream, so each case
+    runs 300 engine seeds: per seed the rounds, the messages and the nodes
+    that answer (or, in the plain step, keep their value) agree exactly,
+    and over all seeds the medians agree in law.
+    """
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("k_sample", [5, 6, 30])
     @pytest.mark.parametrize("robust", [False, True])
     def test_same_medians_rounds_and_messages(self, dtype, mu, k_sample, robust):
-        n, seed = 500, 13
-        failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
-        rng = np.random.default_rng(seed)
+        n = 200
+        rng = np.random.default_rng(13)
         values = rng.integers(-n // 3, n // 3, size=n)  # negative keys and ties
         values = values / 7.0 if dtype == np.float64 else values.astype(dtype)
         kept = values.copy()
         good = rng.random(n) >= 0.2
         k = k_sample | 1
+        batch = 2 * k + 1
         if robust:
-            pair = (lambda e: robust_final_median_sample(values, good, k_sample,
-                                                         sample_batch_size(mu, k), e),
-                    lambda e: _reference_robust_final_median_sample(
-                        values, good, k_sample, sample_batch_size(mu, k), e))
-        elif mu:
-            # under failures the plain entry point is the batch of K rounds
-            # with every node good, and a node short of K good pulls keeps
-            # its value
-            def kept_when_short(e):
-                out, has = _reference_robust_final_median_sample(values, None, k, k, e)
-                return np.where(has, out, values)
-            pair = (lambda e: final_median_sample(values, k_sample, e), kept_when_short)
+            new_fn = lambda e: robust_final_median_sample(values, good, k_sample, batch, e)
+            ref_fn = lambda e: _reference_robust_final_median_sample(
+                values, good, k_sample, batch, e)
         else:
-            pair = (lambda e: final_median_sample(values, k_sample, e),
-                    lambda e: _reference_final_median_sample(values, k_sample, e))
-        new, ref = (_run(fn, n, seed, failure) for fn in pair)
-        assert (new[0][0] if robust else new[0]).dtype == values.dtype
-        _assert_same_run(new, ref)
-        assert np.array_equal(values, kept)  # partitions its own scratch only
+            # the plain step is the batch of K rounds with every node good; a
+            # node short of K good pulls (under failures) keeps its value
+            new_fn = lambda e: final_median_sample(values, k_sample, e)
+            if mu:
+                ref_fn = lambda e: _reference_robust_final_median_sample(values, None, k, k, e)
+            else:
+                ref_fn = lambda e: (_reference_final_median_sample(values, k_sample, e),
+                                    np.ones(n, dtype=bool))
+        new_medians, ref_medians = [], []
+        for seed in range(300):
+            failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+            new, ref = (_run(fn, n, seed, failure) for fn in (new_fn, ref_fn))
+            assert new[1:3] == ref[1:3]
+            ref_out, has = ref[0]
+            if robust:
+                new_out, new_has = new[0]
+                assert np.array_equal(new_has, has)
+            else:
+                new_out = new[0]
+                assert np.array_equal(new_out[~has], values[~has])
+            assert new_out.dtype == values.dtype
+            new_medians.append(new_out[has])
+            ref_medians.append(ref_out[has])
+        # the plain step under failures answers only where none of its K
+        # pulls failed, (1 - mu)^K of the nodes: ask for half of those (at
+        # K = 31 none, and the exact check of the kept values carries it)
+        least = int(300 * n * (1 - mu) ** k / 2) if mu and not robust else 1000
+        _assert_same_law(new_medians, ref_medians, least)
+        assert np.array_equal(values, kept)  # reads its input only
 
 
 def _record_state_dtypes(monkeypatch):

@@ -5,29 +5,36 @@ comes from a PCG64 generator keyed by ``(seed, stream tag)`` through
 :func:`numpy.random.SeedSequence`, and an engine builds one generator per
 stream, once.
 
-Failure bits are fixed ahead of the protocol. Each round draws exactly n
-uniforms from the failure stream, whether or not the protocol uses that
-round, so round r's bits are row r of
-``derive_rng(seed, STREAM_FAILURE).random((R, n)) < mu``: an oblivious
-adversary's choice, made before execution.
+Failures are fixed ahead of the protocol, on the failure stream: an
+oblivious adversary's choice, made before execution. A plain round
+(:meth:`RoundEngine.next_round`) draws n uniforms from it for its failure
+bits, so a run of plain rounds reads successive n-blocks of the stream.
+A pull batch (:meth:`RoundEngine.advance_batch`) uses only each node's
+count of rounds whose pull did not fail, and under ``uniform`` (and
+``none``) it draws no per-round bit: the counts are i.i.d. binomial, so
+the engine draws, in law, which nodes are short of good pulls and the
+batch's message total. ``scheduled`` gives each node and round its own
+probability, so its batches still draw per-round bits.
 
 Protocol draws follow call order. Peer vectors and the protocol's own
 coins come from the round stream in the order the protocol asks for
 them, not one block per round: a protocol may draw for several rounds
-at once (``tournament.robust_pull_batch`` draws its good-pull test and
-picks once per batch), draw contacts for only the nodes whose contact
-can matter (``harness.spread_experiment``), or draw nothing in a round,
-and every later draw follows deterministically. Messages are counted
-per round either way.
+at once (``tournament.robust_pull_batch`` draws its coins, its short
+mask and its picks once per batch), draw contacts for only the nodes
+whose contact can matter (``harness.spread_experiment``), or draw
+nothing in a round, and every later draw follows deterministically.
+Messages are counted per round or per batch.
 
 One engine round corresponds to one push or pull of a single value per
 node; :meth:`Round.pull` is the one plain pull, and a node whose pull
 fails keeps its own value. Protocols that perform ``k`` pulls per
-iteration advance the engine ``k`` times, so reported rounds count
+iteration advance the engine by ``k`` rounds, so reported rounds count
 per-node sequential communication steps.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +110,21 @@ def draw_failures(
     if model.mode == "uniform":
         return u < model.mu
     return u < model.probabilities(round_index, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _live_pmf(batch: int, mu: float) -> np.ndarray:
+    """``pmf[k] = P(Binomial(batch, 1 - mu) = k)`` for k = 0..batch, read-only:
+    the law of a node's live rounds in a batch under ``uniform``, 0 < mu < 1.
+
+    Each term is exp(log C(batch, k) + k log(1 - mu) + (batch - k) log mu),
+    log C(batch, k) being the running sum of log((batch - i + 1) / i).
+    """
+    k = np.arange(batch + 1)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log(batch - k[:-1]) - np.log(k[1:]))))
+    pmf = np.exp(log_choose + k * math.log1p(-mu) + (batch - k) * math.log(mu))
+    pmf.flags.writeable = False
+    return pmf
 
 
 @dataclass(frozen=True)
@@ -186,7 +208,7 @@ class RoundEngine:
         self.n = config.n
         self.rounds = 0
         self.messages = 0
-        self._rng = derive_rng(config.seed, STREAM_ROUND)
+        self.rng = derive_rng(config.seed, STREAM_ROUND)
         self._failure_rng = None
         if config.failure.active:
             self._failure_rng = derive_rng(config.seed, STREAM_FAILURE)
@@ -201,7 +223,82 @@ class RoundEngine:
         failed = None
         if self._failure_rng is not None:
             failed = draw_failures(self.config.failure, index, self.n, self._failure_rng)
-        return Round(index, self._rng, failed, self)
+        return Round(index, self.rng, failed, self)
+
+    def advance_batch(self, batch: int, short_given_live: np.ndarray, row) -> np.ndarray:
+        """Charge ``batch`` pull rounds at once; return the mask of nodes short of good pulls.
+
+        ``short_given_live[r, m]`` is the chance that a node of row ``r``
+        is short when its pull did not fail in m of the batch's rounds
+        (its live count); ``row`` is one row for every node, or one per
+        node. The rounds are charged under :meth:`next_round`'s budget
+        rule: a batch that would cross ``max_rounds`` stops the engine at
+        ``max_rounds`` and raises. Each live round of a node counts one
+        message.
+
+        Without failures every live count is ``batch``. Under ``uniform``
+        the live counts are i.i.d. Binomial(batch, 1 - mu), so a node is
+        short with probability ``p[row] = sum_k pmf[k] short_given_live[row, k]``,
+        and given the short mask the live counts within each (row, short)
+        class are i.i.d. with pmf proportional to pmf * short_given_live[row]
+        (or pmf * (1 - short_given_live[row])): the message total is drawn
+        from the failure stream as one multinomial per class, and no
+        per-round bit is drawn. ``scheduled`` gives every node and round
+        its own probability, so its per-round bits are drawn from the
+        failure stream by :func:`draw_failures` and summed into live counts.
+        The short mask is one uniform per node from the round stream,
+        drawn only when some chance in play lies strictly between 0 and 1.
+        """
+        start = self.rounds
+        if start + batch > self.config.max_rounds:
+            self.rounds = self.config.max_rounds
+            raise BudgetExceededError(
+                f"round budget {self.config.max_rounds} exceeded"
+            )
+        self.rounds += batch
+        model, n = self.config.failure, self.n
+        if not model.active:
+            self.messages += n * batch
+            return self._short(short_given_live[:, batch], row)
+        if model.mode == "scheduled":
+            live = np.full(n, batch, dtype=np.min_scalar_type(batch))
+            for index in range(start, start + batch):
+                live -= draw_failures(model, index, n, self._failure_rng)
+            self.messages += int(live.sum())
+            return self._short(short_given_live, (row, live))
+        pmf = _live_pmf(batch, model.mu)
+        lacking = pmf * short_given_live
+        short = self._short(lacking.sum(axis=1), row)
+        sizes = np.zeros((len(lacking), 2), dtype=np.int64)  # [row, short]
+        if np.ndim(row):
+            sizes.flat[:] = np.bincount(2 * row + short, minlength=sizes.size)
+        else:
+            count = int(np.count_nonzero(short))
+            sizes[row] = n - count, count
+        live = np.arange(batch + 1)
+        for r, (kept_size, short_size) in enumerate(sizes):
+            for size, weights in ((kept_size, pmf - lacking[r]), (short_size, lacking[r])):
+                if size:
+                    weights = np.maximum(weights, 0.0)
+                    counts = self._failure_rng.multinomial(size, weights / weights.sum())
+                    self.messages += int(live @ counts)
+        return short
+
+    def _short(self, chance: np.ndarray, index) -> np.ndarray:
+        """Nodes short of good pulls, node v with chance ``chance[index]``:
+        an int ``index`` picks one entry for every node, an array or a
+        tuple of arrays one entry per node.
+
+        One uniform per node is drawn from the round stream, and only when
+        the entry picked for all, or some entry of ``chance``, lies
+        strictly between 0 and 1.
+        """
+        if isinstance(index, int):  # one chance: a float test costs less than array ops
+            p = float(chance[index])
+            return self.rng.random(self.n) < p if 0.0 < p < 1.0 else np.full(self.n, p >= 1.0)
+        if ((chance > 0.0) & (chance < 1.0)).any():
+            return self.rng.random(self.n) < chance[index]
+        return (chance >= 1.0)[index]
 
     def values_rng(self) -> np.random.Generator:
         """Stream for generating the trial's input values."""

@@ -141,14 +141,16 @@ BAD_FRACTION_CAP = 1.0 / 32.0
 
 @functools.lru_cache(maxsize=256)
 def _binomial_grid(need: int, batch: int):
-    """``m = 0..batch``, the two success counts (need - 1, need) as a
-    column, and log(i) at index need + i (-inf for i <= 0), read-only."""
+    """``m = 0..batch``, log(i) at index need + i (-inf for i <= 0), and
+    the tables at q = 0 and q = 1, where an entry is a comparison of the
+    success counts (need - 1, need) with 0 or with m; read-only."""
     m = np.arange(batch + 1)
     below = np.array([[need - 1], [need]])
     log_i = np.concatenate((np.full(need + 1, -np.inf), np.log(m[1:])))
-    for a in (m, below, log_i):
+    edges = np.array([np.broadcast_to(below > 0, (2, batch + 1)), m < below], dtype=float)
+    for a in (m, log_i, edges):
         a.flags.writeable = False
-    return m, below, log_i
+    return m, log_i, edges
 
 
 def binomial_below(q, need: int, batch: int) -> np.ndarray:
@@ -163,11 +165,13 @@ def binomial_below(q, need: int, batch: int) -> np.ndarray:
     log((m - j + 1) / j) + log(q / (1 - q)), and stays -inf once j > m.
     At q = 0 or 1 the entry is a comparison.
     """
-    m, below, log_i = _binomial_grid(need, batch)
+    m, log_i, edges = _binomial_grid(need, batch)
+    if np.ndim(q) == 0 and not 0.0 < q < 1.0:
+        return edges[int(q >= 1.0)].copy()
     q = np.asarray(q, dtype=float)
     edge = (q <= 0.0) | (q >= 1.0)
     if edge.all():
-        return np.where(q >= 1.0, m < below, below > 0).astype(float)
+        return np.where(q >= 1.0, edges[1], edges[0])
     q_in = np.where(edge, 0.5, q)
     log_p = np.log1p(-q_in)
     log_ratio = np.log(q_in) - log_p
@@ -181,7 +185,7 @@ def binomial_below(q, need: int, batch: int) -> np.ndarray:
             table[0] = table[1]
         table[1] += np.exp(log_term)
     if edge.any():
-        table = np.where(edge, np.where(q >= 1.0, m < below, below > 0), table)
+        table = np.where(edge, np.where(q >= 1.0, edges[1], edges[0]), table)
     return table
 
 

@@ -20,14 +20,18 @@ exactly the pulls each step needs (2, 3 and K); every pull is good and
 this is the plain protocol.
 
 The batch samples in distribution rather than drawing a contact per
-node per round; the failure bits and message counts stay those of the
-per-round loop. Whether a node got the good pulls it needs is one
-uniform per node against a binomial table (nothing is drawn when every
-node is good), phases I and II then draw uniform picks from the good
-nodes, and the K-sample draws its median as one order statistic of the
-sorted good values. With no failures a phase-I or phase-II step draws
-the contacts of one plain pull per node per round, after the phase-I
-coins if it has any.
+node per round, and the engine (``RoundEngine.advance_batch``) holds
+the failure model: it charges the batch's rounds, draws which nodes are
+short of the good pulls they need, one uniform per node against a
+binomial table (nothing is drawn when every node is good and nothing
+fails), and counts the messages. Under ``uniform`` failures the short
+mask and the message total are drawn in law, with the joint law of the
+per-round loop, and no per-round failure bit is drawn; ``scheduled``
+failures still draw their per-round bits. Phases I and II then draw
+uniform picks from the good nodes, and the K-sample draws its median as
+one order statistic of the sorted good values. With no failures a
+phase-I or phase-II step draws the contacts of one plain pull per node
+per round, after the phase-I coins if it has any.
 
 States are vectors of canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
@@ -145,45 +149,33 @@ def robust_pull_batch(
     instead one vector, the median of each node's first ``need``.
     Entries of a short node are undefined.
 
-    Every batch round is an engine round: it checks the budget, draws its
-    failure bits and counts a message for each puller that did not fail.
-    Such a pull contacts a uniform node, which is good with probability
-    g = |good_prev| / n, and a good contact's value is uniform over the
-    good nodes, independently across rounds and nodes. So instead of a
-    contact per node per round, the round stream draws, in this order:
-    the coins; one uniform u per node, v being short when
-    u < P(Binomial(live[v], g) < need[v]), where ``live[v]`` counts the
-    rounds v's pull did not fail (nothing is drawn at g = 1, where v is
-    short exactly when live[v] < need[v], nor when no node is good); then
-    ``need`` rows of uniform picks from the good nodes' values, a block
-    of rows at a time. With ``median`` the last draw is one
-    Beta((need+1)/2, (need+1)/2) variate B per node instead, the median
-    being ``sorted_good[floor(size * B)]``: the median of ``need`` i.i.d.
-    uniform indices into the sorted good values is that order statistic.
+    The batch is ``batch`` engine rounds, charged and counted by
+    :meth:`RoundEngine.advance_batch`, which holds the failure model. A
+    pull that did not fail contacts a uniform node, which is good with
+    probability g = |good_prev| / n, and a good contact's value is
+    uniform over the good nodes, independently across rounds and nodes.
+    So instead of a contact per node per round, the round stream draws,
+    in this order: the coins; the short mask, v being short with chance
+    P(Binomial(live[v], g) < need[v]) given the rounds ``live[v]`` in
+    which v's pull did not fail (the engine draws one uniform per node,
+    and nothing when every chance is 0 or 1, as at g = 1 without
+    failures); then ``need`` rows of uniform picks from the good nodes'
+    values, a block of rows at a time. With ``median`` the last draw is
+    one Beta((need+1)/2, (need+1)/2) variate B per node instead, the
+    median being ``sorted_good[floor(size * B)]``: the median of ``need``
+    i.i.d. uniform indices into the sorted good values is that order
+    statistic.
     """
     if batch < 1:
         raise ValueError("a pull batch needs at least one round")
     n = engine.n
-    live = np.full(n, batch, dtype=np.min_scalar_type(batch))
-    for _ in range(batch):
-        rd = engine.next_round()
-        if rd.failed is None:
-            rd.count_messages(n)
-        else:
-            rd.count_messages(n - np.count_nonzero(rd.failed))
-            live -= rd.failed
-    rng = rd.rng
+    rng = engine.rng
     coins = rng.random(n) < delta if delta < 1.0 else None
-    need_v = need if coins is None else need - 1 + coins
+    row = 1 if coins is None else coins.astype(np.intp)
     good_values = values if good_prev is None else values[good_prev]
     size = good_values.size
-    if size == n:
-        short = live < need_v
-    elif not size:
-        short = np.ones(n, dtype=bool)
-    else:
-        short = rng.random(n) < binomial_below(size / n, need, batch)[need_v - need + 1, live]
-    used = np.where(short, 0, need_v)
+    short = engine.advance_batch(batch, binomial_below(size / n, need, batch), row)
+    used = np.where(short, 0, need - 1 + row)
     if not size:
         return np.zeros((n,) if median else (need, n), dtype=values.dtype), used, coins
     if median:

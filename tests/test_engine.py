@@ -10,14 +10,14 @@ from gossipq.engine import (
     STREAM_ROUND,
     BudgetExceededError,
     FailureModel,
-    Round,
     RoundEngine,
     SimConfig,
     canonical_ids,
     derive_rng,
     draw_failures,
 )
-from gossipq.tournament import robust_approx_quantile
+from gossipq.schedules import binomial_below
+from gossipq.tournament import robust_approx_quantile, tournament_plan
 
 _SEED_EDGES = [0, 1, 2**32, 2**64 - 1, -1, -2**63]
 
@@ -130,6 +130,53 @@ class TestEngine:
         assert not np.array_equal(trial(5), trial(6))
 
 
+class TestBatch:
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.8])
+    def test_short_chance_is_the_thinned_binomial(self, monkeypatch, mu):
+        # under "uniform" a node with good share g is short with chance
+        # sum_k P(live = k) P(Bin(k, g) < need), which by binomial thinning
+        # is P(Bin(batch, (1 - mu) g) < need): the very table the batch
+        # sizes are derived from
+        chances = []
+        real_short = RoundEngine._short
+
+        def recording(self, chance, index):
+            chances.append(chance)
+            return real_short(self, chance, index)
+
+        monkeypatch.setattr(RoundEngine, "_short", recording)
+        engine = RoundEngine(SimConfig(n=2, seed=1, failure=FailureModel("uniform", mu)))
+        for g in (0.0, 0.2, 0.55, 0.9, 1.0):
+            for need in (1, 2, 3, 31):
+                for batch in (1, 2, 5, 40, 120):
+                    engine.advance_batch(batch, binomial_below(g, need, batch), np.array([0, 1]))
+                    expected = binomial_below((1.0 - mu) * g, need, batch)[:, batch]
+                    assert np.abs(chances[-1] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("failure", [
+        FailureModel(), FailureModel("uniform", 0.4), FailureModel("scheduled", 0.4, 1),
+    ], ids=["none", "uniform", "scheduled"])
+    def test_messages_count_the_live_pulls(self, failure):
+        # with every node short regardless of its live count, the short
+        # mask tells nothing, so the messages are the batch's live pulls:
+        # Binomial(n * batch, 1 - mu) under "uniform", n * batch without
+        # failures, and the per-round bits under "scheduled"
+        n, batch, totals = 100, 8, []
+        for seed in range(200):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            short = engine.advance_batch(batch, np.ones((1, batch + 1)), 0)
+            assert short.all() and engine.rounds == batch
+            totals.append(engine.messages)
+        if failure.mode == "none":
+            assert set(totals) == {n * batch}
+        elif failure.mode == "uniform":
+            assert stats.kstest(totals, stats.binom(n * batch, 0.6).cdf).pvalue > 0.01
+        else:
+            engine = RoundEngine(SimConfig(n=n, seed=199, failure=failure))
+            failed = sum(int(engine.next_round().failed.sum()) for _ in range(batch))
+            assert totals[-1] == n * batch - failed
+
+
 class TestPull:
     @pytest.mark.parametrize("mu", [0.0, 0.4])
     @pytest.mark.parametrize("shape", [(50,), (50, 3)])
@@ -160,30 +207,28 @@ class TestStreams:
     in call order."""
 
     def test_failure_bits_are_blocks_of_one_stream(self, monkeypatch):
-        # a mu=0.5 robust trial whose pull batches skip rounds: round r's
-        # bits are still block r of the failure stream
+        # plain rounds' bits are successive n-blocks of the failure stream;
+        # in a mu=0.5 robust trial the pull batches draw no per-round bit,
+        # so the only rounds that draw are the adoption rounds, in order
         n, seed, mu = 300, 3, 0.5
-        drawn, peered = [], set()
-        real_draw, real_peers = engine_module.draw_failures, Round.peers
+        model = FailureModel(mode="uniform", mu=mu, seed=seed)
+        engine = RoundEngine(SimConfig(n=n, seed=seed, failure=model))
+        bits = [engine.next_round().failed for _ in range(50)]
+        blocks = derive_rng(seed, STREAM_FAILURE).random((50, n)) < mu
+        assert np.array_equal(np.array(bits), blocks)
+
+        drawn = []
+        real_draw = engine_module.draw_failures
 
         def recording_draw(model, index, *args, **kwargs):
-            bits = real_draw(model, index, *args, **kwargs)
-            drawn.append((index, bits))
-            return bits
-
-        def recording_peers(rd, *args, **kwargs):
-            peered.add(rd.index)
-            return real_peers(rd, *args, **kwargs)
+            drawn.append(index)
+            return real_draw(model, index, *args, **kwargs)
 
         monkeypatch.setattr(engine_module, "draw_failures", recording_draw)
-        monkeypatch.setattr(Round, "peers", recording_peers)
-        config = SimConfig(n=n, seed=seed,
-                           failure=FailureModel(mode="uniform", mu=mu, seed=seed))
-        rounds = robust_approx_quantile(0.3, 0.05, 7, config).rounds
-        assert [index for index, _ in drawn] == list(range(rounds))
-        assert len(peered) < rounds  # some rounds drew no peers
-        blocks = derive_rng(seed, STREAM_FAILURE).random((rounds, n)) < mu
-        assert np.array_equal(np.array([bits for _, bits in drawn]), blocks)
+        report = robust_approx_quantile(0.3, 0.05, 7, SimConfig(n=n, seed=seed, failure=model))
+        plan = tournament_plan(report.details["target_rank"], 0.05, n, 30, mu)
+        assert plan.rounds < report.rounds  # some adoption rounds ran
+        assert drawn == list(range(plan.rounds, report.rounds))
 
     @pytest.mark.parametrize("seed", _SEED_EDGES)
     def test_peers_are_successive_round_stream_draws(self, seed):

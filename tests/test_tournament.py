@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from gossipq import harness, tournament
-from gossipq.engine import FailureModel, RoundEngine, SimConfig
+from gossipq.engine import BudgetExceededError, FailureModel, RoundEngine, SimConfig
 from gossipq.exact import exact_quantile
 from gossipq.schedules import (
     SHRINK_HIGH,
@@ -358,8 +358,9 @@ class TestRobust:
 def _reference_pull_batch(values, good_prev, need, batch, engine, delta=1.0):
     """The per-round loop robust_pull_batch replaced: one contact per node
     per round, each node keeping its first ``need`` good pulls. Kept as the
-    reference whose rounds, messages and failure draws robust_pull_batch
-    must match exactly, and whose pulls it must match in distribution."""
+    reference whose rounds (and, without failures, messages) robust_pull_batch
+    must match exactly, and whose pulls, short mask and messages it must
+    match in distribution."""
     n = engine.n
     if good_prev is None:
         good_prev = np.ones(n, dtype=bool)
@@ -396,12 +397,24 @@ def _reference_used(counts, need, coins):
     return np.where(counts >= need_v, need_v, 0)
 
 
+def _reference_batch(values, good_prev, need, batch, engine, delta=1.0, median=False):
+    """The reference loop in ``robust_pull_batch``'s form: ``used`` for the
+    counts, and the median of the first ``need`` picks with ``median``."""
+    picked, counts, coins = _reference_pull_batch(values, good_prev, need, batch, engine, delta)
+    if median:
+        picked = np.partition(picked, need // 2, axis=0)[need // 2]
+    return picked, _reference_used(counts, need, coins), coins
+
+
 class TestPullBatchAgainstReference:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("need", [2, 3, 31])
     @pytest.mark.parametrize("bad_share", [0.0, 0.3])
     @pytest.mark.parametrize("with_coins", [False, True])
-    def test_same_rounds_messages_and_failure_stream(self, mu, need, bad_share, with_coins):
+    def test_same_rounds_and_failure_free_messages(self, mu, need, bad_share, with_coins):
+        # rounds always agree; without failures the messages and the
+        # (absent) failure stream agree too. Under failures the batch draws
+        # its messages in law, which test_same_law_of_mask_picks_and_messages checks
         n, seed = 400, 11
         failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
         batch = 4 * need + 1
@@ -409,18 +422,17 @@ class TestPullBatchAgainstReference:
         good = np.random.default_rng(seed + 1).random(n) >= bad_share
         delta = 0.4 if with_coins else 1.0
         runs = []
-        for fn in (robust_pull_batch, _reference_pull_batch):
+        for fn in (robust_pull_batch, _reference_batch):
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
             picked, used, coins = fn(values, good, need, batch, engine, delta)
-            # the next round's failure bits show the failure stream's position
             after = engine.next_round().failed
             runs.append((picked, used, coins, engine.rounds, engine.messages, after))
         (p_new, u_new, h_new, r_new, m_new, f_new), (_, _, h_ref, r_ref, m_ref, f_ref) = runs
         assert r_new == r_ref == batch + 1
-        assert m_new == m_ref
         if mu:
-            assert np.array_equal(f_new, f_ref)
+            assert 0 < m_new < n * (batch + 1)
         else:
+            assert m_new == m_ref == n * batch
             assert f_new is None and f_ref is None
         if with_coins:
             assert h_new.shape == h_ref.shape == (n,) and h_new.dtype == bool
@@ -430,40 +442,102 @@ class TestPullBatchAgainstReference:
             assert set(np.unique(u_new)) <= {0, need}
         assert np.isin(p_new[:, u_new > 0], values[good]).all()
 
+    @pytest.mark.parametrize("failure", [
+        FailureModel("uniform", 0.5), FailureModel("uniform", 0.3),
+        FailureModel("scheduled", 0.9, 3),
+    ], ids=["uniform-0.5", "uniform-0.3", "scheduled-0.9"])
     @pytest.mark.parametrize("need, delta, batch", [(3, 1.0, 9), (2, 0.4, 6), (31, 1.0, 80)])
-    def test_same_law_of_the_good_pull_mask_and_picks(self, need, delta, batch):
-        # 300 engine seeds over one input with 30% bad nodes at mu 0.5;
-        # nodes are independent given the good set, so every node of every
-        # seed is one sample of the mask "has the good pulls it needs" and,
-        # where it has, each of its used pick slots one sample of a uniform
-        # good value: pooled over every used slot, and row by row
-        n, mu = 400, 0.5
+    def test_same_law_of_mask_picks_and_messages(self, failure, need, delta, batch):
+        # 300 engine seeds over one input with 30% bad nodes; nodes are
+        # independent given the good set, so every node of every seed is
+        # one sample of the mask "has the good pulls it needs" and, where
+        # it has, each of its used pick slots one sample of a uniform good
+        # value: pooled over every used slot, and row by row. Each seed is
+        # one sample of (short count, messages): the messages agree in law,
+        # and so does their mean given the short count, a line whose slope
+        # is E[live | short] - E[live | not short] < 0 (a message total
+        # drawn blind to the mask would have slope 0)
+        n = 400
         values = np.random.default_rng(5).permutation(n)
         good = np.random.default_rng(6).random(n) >= 0.3
-        masks = {fn: np.zeros(2, dtype=np.int64)
-                 for fn in (robust_pull_batch, _reference_pull_batch)}
-        picks = {fn: [[] for _ in range(need)] for fn in masks}
+        fns = (robust_pull_batch, _reference_batch)
+        masks = {fn: np.zeros(2, dtype=np.int64) for fn in fns}
+        picks = {fn: [[] for _ in range(need)] for fn in fns}
+        sent = {fn: np.zeros((300, 2)) for fn in fns}  # (short count, messages)
         for seed in range(300):
-            failure = FailureModel(mode="uniform", mu=mu, seed=seed)
-            for fn in masks:
+            for fn in fns:
                 engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-                picked, used, coins = fn(values, good, need, batch, engine, delta)
-                if fn is _reference_pull_batch:
-                    used = _reference_used(used, need, coins)
-                masks[fn] += np.count_nonzero(used > 0), np.count_nonzero(used == 0)
+                picked, used, _ = fn(values, good, need, batch, engine, delta)
+                short = np.count_nonzero(used == 0)
+                masks[fn] += n - short, short
+                sent[fn][seed] = short, engine.messages
                 for row in range(need):
                     picks[fn][row].append(picked[row, used > row])
-        table = np.array([masks[robust_pull_batch], masks[_reference_pull_batch]])
+        table = np.array([masks[fn] for fn in fns])
         assert table.min() > 100  # both outcomes well represented
         assert stats.chi2_contingency(table).pvalue > 0.01
-        rows = {fn: [np.concatenate(r) for r in picks[fn]] for fn in masks}
-        new, ref = (np.concatenate(rows[fn]) for fn in masks)
+        rows = {fn: [np.concatenate(r) for r in picks[fn]] for fn in fns}
+        new, ref = (np.concatenate(rows[fn]) for fn in fns)
         assert stats.ks_2samp(new, ref).pvalue > 0.01
         # each row on its own, at a Bonferroni level over the rows
-        for row_new, row_ref in zip(rows[robust_pull_batch], rows[_reference_pull_batch]):
+        for row_new, row_ref in zip(rows[robust_pull_batch], rows[_reference_batch]):
             assert row_new.size > 100 and row_ref.size > 100
             assert stats.ks_2samp(row_new, row_ref).pvalue > 0.01 / need
         assert np.isin(new, values[good]).all()
+        assert stats.ks_2samp(sent[fns[0]][:, 1], sent[fns[1]][:, 1]).pvalue > 0.01
+        fit_new, fit_ref = (stats.linregress(sent[fn][:, 0], sent[fn][:, 1]) for fn in fns)
+        assert fit_ref.slope < -4 * fit_ref.stderr  # the case can tell a mask-blind total
+        assert abs(fit_new.slope - fit_ref.slope) < 4 * math.hypot(fit_new.stderr, fit_ref.stderr)
+
+    @pytest.mark.parametrize("failure", [
+        FailureModel(), FailureModel("uniform", 0.5), FailureModel("scheduled", 0.5, 2),
+    ], ids=["none", "uniform", "scheduled"])
+    def test_batch_crossing_the_budget_stops_at_it(self, failure):
+        # like the per-round loop, a batch that would cross max_rounds
+        # raises and leaves the engine at max_rounds
+        values = np.arange(50)
+        for fn in (robust_pull_batch, _reference_batch):
+            engine = RoundEngine(SimConfig(n=50, seed=2, failure=failure, max_rounds=10))
+            fn(values, None, 3, 7, engine)
+            assert engine.rounds == 7
+            with pytest.raises(BudgetExceededError):
+                fn(values, None, 3, 5, engine)
+            assert engine.rounds == 10
+        engine = RoundEngine(SimConfig(n=50, seed=2, failure=failure, max_rounds=10))
+        fn(values, None, 3, 10, engine)  # a batch ending at the budget is within it
+        assert engine.rounds == 10
+
+
+class TestScheduledTrial:
+    def test_trial_matches_the_per_round_reference(self, monkeypatch):
+        # robust_approx_quantile under "scheduled" (phase I with coins,
+        # phase II, the K-sample), once on the batch and once on the
+        # per-round loop. Both draw the same per-round failure bits, so per
+        # seed the rounds and the messages agree exactly; the short masks,
+        # drawn from the round stream, agree in law
+        n, mu, seeds = 400, 0.5, range(200)
+        runs = {}
+        for name, fn in (("batch", robust_pull_batch), ("loop", _reference_batch)):
+            monkeypatch.setattr(tournament, "robust_pull_batch", fn)
+            runs[name] = [robust_approx_quantile(
+                0.3, 0.05, 0, SimConfig(n=n, seed=seed,
+                                        failure=FailureModel("scheduled", mu, seed)))
+                for seed in seeds]
+        plan = tournament_plan(clamped_rank(0.3 * n, n), 0.05, n, 30, mu)
+        assert plan.sched1.delta[-1] < 1.0
+        # per seed: the node-steps short of good pulls, each phase
+        # iteration's new bad nodes and the K-sample's missing answers
+        shorts = {name: np.array([
+            sum(n - g for g in rep.details["good_trace"]) + rep.details["missing_before_adoption"]
+            for rep in reports]) for name, reports in runs.items()}
+        for new, ref in zip(runs["batch"], runs["loop"]):
+            assert new.rounds == ref.rounds == plan.rounds
+            assert new.messages == ref.messages
+        steps = len(seeds) * n * (plan.sched1.t + plan.sched2.t + 1)
+        table = np.array([[shorts[name].sum(), steps - shorts[name].sum()] for name in shorts])
+        assert table[:, 0].min() > 20  # nodes do fall short
+        assert stats.chi2_contingency(table).pvalue > 0.01
+        assert stats.ks_2samp(shorts["batch"], shorts["loop"], method="asymp").pvalue > 0.01
 
 
 class TestQuantileCuts:

@@ -1,10 +1,11 @@
 """Gossip aggregation primitives: min/max dissemination and push-sum counts.
 
-Min/max spreading runs combined iterations of four single-value rounds
-(push-min, pull-min, push-max, pull-max; the push and pull legs of one
-iteration share their contact draw per leg). Each node's held minimum
-never increases and its held maximum never decreases, so the simulator
-may stop early once every node holds the global extremes.
+Min/max spreading runs iterations of one push round and one pull round.
+Each round's message carries both the held minimum and the held maximum
+on the node's one contact, counted as two values by ``message_weight``.
+Each node's held minimum never increases and its held maximum never
+decreases, so the simulator may stop early once every node holds the
+global extremes.
 
 Push-sum follows the classic mass-conserving dynamic: each round a node
 halves its (sum, weight) pair, keeps one half and pushes the other to a
@@ -13,6 +14,9 @@ both halves, so global mass is conserved under failures too. It is one
 lockstep routine, :func:`push_sum_multi`, over a (channels + 1, n) state
 whose channels share the contact draws and the weight row, with one retry
 loop, :func:`exact_count_multi`; the single-channel names call them.
+
+Both budgets are failure-free round counts scaled by ceil(1/(1-mu)), read
+from the engine's failure model by :func:`_failure_scale`.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ import numpy as np
 
 from .engine import RoundEngine
 
-# Spreading budget: SPREAD_C * ceil(log2 n) combined iterations (times the
-# caller's budget_scale). Push-pull spreading of one value completes in
+# Spreading budget: SPREAD_C * ceil(log2 n) iterations (times
+# _failure_scale). Push-pull spreading of one value completes in
 # log2 n + O(log n) rounds w.h.p., so 4x leaves an overrun vanishingly rare.
 SPREAD_C = 4
 # A push-sum estimate n*s/w is flagged when its distance to the nearest
@@ -57,45 +61,54 @@ class CountResult:
         return bool((self.estimates == self.estimates[0]).all())
 
 
-def _gossip_exchange(cur: np.ndarray, engine: RoundEngine, reduce_fn) -> np.ndarray:
-    """One push round and one pull round of a monotone reduction."""
-    rd_push = engine.next_round()
-    targets = rd_push.peers()
-    ok = rd_push.ok()
-    senders = np.arange(engine.n) if ok is None else np.nonzero(ok)[0]
-    nxt = cur.copy()
-    reduce_fn.at(nxt, targets[senders], cur[senders])
-    return reduce_fn(nxt, engine.next_round().pull(cur))
+def _failure_scale(engine: RoundEngine) -> int:
+    """ceil(1/(1-mu)), mu the engine's failure bound: a node acts in a round
+    with probability at least 1 - mu, so a failure-free budget times this
+    keeps at least its expected number of live rounds per node."""
+    return math.ceil(1.0 / (1.0 - engine.config.failure.mu))
+
+
+def _gossip_exchange(lo: np.ndarray, hi: np.ndarray,
+                     engine: RoundEngine) -> tuple[np.ndarray, np.ndarray]:
+    """One push round and one pull round, each carrying both extremes on
+    one contact per node."""
+    rd = engine.next_round()
+    targets = rd.peers(message_weight=2)
+    senders = slice(None) if rd.failed is None else ~rd.failed
+    new_lo, new_hi = lo.copy(), hi.copy()
+    # two 1-D ufunc.at calls: one over an (n, 2) state runs several times slower
+    np.minimum.at(new_lo, targets[senders], lo[senders])
+    np.maximum.at(new_hi, targets[senders], hi[senders])
+    sources = engine.next_round().sources(message_weight=2)
+    return np.minimum(new_lo, lo[sources]), np.maximum(new_hi, hi[sources])
 
 
 def spread_min_max(
     values: np.ndarray,
     engine: RoundEngine,
     *,
-    budget_scale: int = 1,
     max_values: np.ndarray | None = None,
 ) -> SpreadResult:
     """Spread the global minimum and maximum to every node.
 
     ``values`` seeds the minimum pool; ``max_values`` (defaulting to the
     same array) seeds the maximum pool. The budget is
-    ``SPREAD_C * ceil(log2 n) * budget_scale`` combined iterations;
-    convergence before that is reported, running out is a per-trial
+    ``SPREAD_C * ceil(log2 n) * ceil(1/(1-mu))`` iterations of two rounds
+    each; convergence before that is reported, running out is a per-trial
     failure the caller decides how to treat.
     """
     n = engine.n
-    cur_min = np.asarray(values).copy()
-    cur_max = cur_min.copy() if max_values is None else np.asarray(max_values).copy()
-    true_min = int(cur_min.min())
-    true_max = int(cur_max.max())
-    budget = max(1, SPREAD_C * math.ceil(math.log2(max(2, n))) * budget_scale)
+    lo = np.asarray(values).copy()
+    hi = lo.copy() if max_values is None else np.asarray(max_values).copy()
+    true_min = int(lo.min())
+    true_max = int(hi.max())
+    budget = SPREAD_C * math.ceil(math.log2(max(2, n))) * _failure_scale(engine)
     iterations = 0
-    converged = bool((cur_min == true_min).all() and (cur_max == true_max).all())
+    converged = bool((lo == true_min).all() and (hi == true_max).all())
     while not converged and iterations < budget:
-        cur_min = _gossip_exchange(cur_min, engine, np.minimum)
-        cur_max = _gossip_exchange(cur_max, engine, np.maximum)
+        lo, hi = _gossip_exchange(lo, hi, engine)
         iterations += 1
-        converged = bool((cur_min == true_min).all() and (cur_max == true_max).all())
+        converged = bool((lo == true_min).all() and (hi == true_max).all())
     return SpreadResult(true_min, true_max, converged, iterations)
 
 
@@ -105,15 +118,13 @@ def push_sum_count(
     *,
     c: int = 4,
     extra_rounds: int = 30,
-    budget_scale: int = 1,
     track_mass: bool = False,
 ) -> CountResult:
     """Count set indicator bits by push-sum: :func:`push_sum_multi` on one channel."""
     bits = np.asarray(indicator_bits)
     return push_sum_multi(
         bits[np.newaxis, :], engine,
-        c=c, extra_rounds=extra_rounds, budget_scale=budget_scale,
-        track_mass=track_mass,
+        c=c, extra_rounds=extra_rounds, track_mass=track_mass,
     )[0]
 
 
@@ -123,12 +134,11 @@ def push_sum_multi(
     *,
     c: int = 4,
     extra_rounds: int = 30,
-    budget_scale: int = 1,
     track_mass: bool = False,
 ) -> list[CountResult]:
     """Count the set 0/1 bits of each channel by push-sum, in lockstep.
 
-    Runs ``(ceil(c * log2 n) + extra_rounds) * budget_scale`` push rounds;
+    Runs ``(ceil(c * log2 n) + extra_rounds) * ceil(1/(1-mu))`` push rounds;
     each node then outputs ``round(n * s/w)`` per channel. Estimates whose
     fractional part is within ``AMBIGUITY`` of one half are flagged as
     ambiguous so callers can retry with more rounds. All channels share
@@ -147,7 +157,7 @@ def push_sum_multi(
     state = np.empty((channels + 1, n), dtype=np.float64)
     state[:channels] = mat
     state[channels] = 1.0
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _failure_scale(engine)
     traces: list[list[float]] = [[] for _ in range(channels)]
     for _ in range(rounds):
         rd = engine.next_round()
@@ -177,15 +187,13 @@ def exact_count(
     *,
     c: int = 4,
     extra_rounds: int = 30,
-    budget_scale: int = 1,
     max_attempts: int = 3,
 ) -> int | None:
     """One-channel :func:`exact_count_multi`: the count, or None."""
     bits = np.asarray(indicator_bits)
     counts = exact_count_multi(
         bits[np.newaxis, :], engine,
-        c=c, extra_rounds=extra_rounds, budget_scale=budget_scale,
-        max_attempts=max_attempts,
+        c=c, extra_rounds=extra_rounds, max_attempts=max_attempts,
     )
     return None if counts is None else counts[0]
 
@@ -196,7 +204,6 @@ def exact_count_multi(
     *,
     c: int = 4,
     extra_rounds: int = 30,
-    budget_scale: int = 1,
     max_attempts: int = 3,
 ) -> list[int] | None:
     """Lockstep push-sum counts retried until all are exact, else None.
@@ -207,10 +214,7 @@ def exact_count_multi(
     """
     extra = extra_rounds
     for _ in range(max_attempts):
-        results = push_sum_multi(
-            indicator_matrix, engine,
-            c=c, extra_rounds=extra, budget_scale=budget_scale,
-        )
+        results = push_sum_multi(indicator_matrix, engine, c=c, extra_rounds=extra)
         if all(not r.any_flagged and r.unanimous for r in results):
             return [int(r.estimates[0]) for r in results]
         extra *= 2

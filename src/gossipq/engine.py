@@ -25,11 +25,13 @@ whose contact can matter (``harness.spread_experiment``), or draw
 nothing in a round, and every later draw follows deterministically.
 Messages are counted per round or per batch.
 
-One engine round corresponds to one push or pull of a single value per
-node; :meth:`Round.pull` is the one plain pull, and a node whose pull
-fails keeps its own value. Protocols that perform ``k`` pulls per
-iteration advance the engine by ``k`` rounds, so reported rounds count
-per-node sequential communication steps.
+One engine round corresponds to one contact per node: one push or one
+pull. A message may carry several values, and ``message_weight`` counts
+them (push-sum's channels, both extremes of min/max spreading).
+:meth:`Round.pull` is the one plain pull, and a node whose pull fails
+keeps its own value (:meth:`Round.sources`). Protocols that perform ``k``
+pulls per iteration advance the engine by ``k`` rounds, so reported
+rounds count per-node sequential communication steps.
 """
 from __future__ import annotations
 
@@ -158,19 +160,16 @@ class Round:
         self._engine = engine
         self._n = engine.n
 
-    def ok(self) -> np.ndarray | None:
-        """Mask of nodes whose operation succeeds this round (None = all)."""
-        if self.failed is None:
-            return None
-        return ~self.failed
-
     def peers(self, actors: np.ndarray | None = None,
               message_weight: int = 1) -> np.ndarray:
         """Uniform contact for every node; counts messages for acting nodes.
 
-        The full length-n vector is always drawn to keep streams aligned;
+        The full length-n vector is drawn from the round stream, whose
+        draws follow call order: a protocol that needs fewer contacts
+        draws them from ``rng`` itself (``harness.spread_experiment``).
         ``actors`` only restricts message accounting to the nodes that
-        perform an operation this round.
+        perform an operation this round. A message may carry several
+        values; ``message_weight`` counts them.
         """
         n = self._n
         targets = self.rng.integers(0, n, size=n)
@@ -182,19 +181,21 @@ class Round:
         self._engine.messages += message_weight * performed
         return targets
 
+    def sources(self, actors: np.ndarray | None = None,
+                message_weight: int = 1) -> np.ndarray:
+        """Each node's pull source: its contact, drawn and counted by
+        :meth:`peers`, or itself where its pull failed (the one failure rule
+        of every plain pull). Arrays indexed by one vector share its contacts."""
+        sources = self.peers(actors, message_weight)
+        if self.failed is None:
+            return sources
+        return np.where(self.failed, np.arange(self._n), sources)
+
     def pull(self, values: np.ndarray, actors: np.ndarray | None = None,
              message_weight: int = 1) -> np.ndarray:
         """Each node's pull of ``values`` (indexed by node, 1-D or
-        ``(n, size)``) from its contact, drawn and counted by :meth:`peers`.
-
-        A node whose pull failed keeps its own row: the one failure rule
-        every plain pull shares.
-        """
-        pulled = values[self.peers(actors, message_weight)]
-        if self.failed is None:
-            return pulled
-        failed = self.failed.reshape((-1,) + (1,) * (values.ndim - 1))
-        return np.where(failed, values, pulled)
+        ``(n, size)``) from its :meth:`sources` entry."""
+        return values[self.sources(actors, message_weight)]
 
     def count_messages(self, count: int) -> None:
         self._engine.messages += int(count)

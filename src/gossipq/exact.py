@@ -23,9 +23,9 @@ rank counts with no count of its own:
 ``min(r_max, real_count) - r_min + 1``.
 
 Push-sum counts and min/max spreading run at their primitives' default
-budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``), scaled by
-ceil(1/(1-mu)) under failures; robust trials close with ceil(log2 n)
-adoption rounds.
+budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``); the aggregates
+scale them by ceil(1/(1-mu)), read from the engine's failure model.
+Robust trials close with ceil(log2 n) adoption rounds.
 """
 from __future__ import annotations
 
@@ -285,7 +285,6 @@ def narrow_window(
     eps: float,
     engine: RoundEngine,
     params: ExactParams,
-    scale: int,
 ) -> tuple[int, int, int, int, int]:
     """Bracket the target rank: approximate both window ends, spread their
     extremes, count the rank of each end among the current values.
@@ -308,25 +307,20 @@ def narrow_window(
     lo_degenerate = k - eps / 2.0 * n <= 2.0
     hi_degenerate = k + eps / 2.0 * n >= state.real_count - 1
     valued_now = state.ids < state.real_count
+    # (target rank, degenerate, fill for nodes without an output) per end
+    ends = ((lo_rank, lo_degenerate, n), (hi_rank, hi_degenerate, -1))
     best_min, best_max = n, -1
     for attempt in range(MAX_RETRIES + 1):
-        if lo_degenerate:
-            min_pool = np.where(valued_now, state.ids, n)
-        else:
-            lo_out, lo_has, _ = _tournament_core(
-                state.ids, lo_rank, eps / 2.0, engine, params.k_sample
-            )
-            min_pool = np.where(lo_has, lo_out, n)
-        if hi_degenerate:
-            max_pool = np.where(valued_now, state.ids, -1)
-        else:
-            hi_out, hi_has, _ = _tournament_core(
-                state.ids, hi_rank, eps / 2.0, engine, params.k_sample
-            )
-            max_pool = np.where(hi_has, hi_out, -1)
-        spread = spread_min_max(
-            min_pool, engine, budget_scale=scale, max_values=max_pool,
-        )
+        pools = []
+        for rank, degenerate, fill in ends:
+            if degenerate:
+                out, has = state.ids, valued_now
+            else:
+                out, has, _ = _tournament_core(
+                    state.ids, rank, eps / 2.0, engine, params.k_sample
+                )
+            pools.append(np.where(has, out, fill))
+        spread = spread_min_max(pools[0], engine, max_values=pools[1])
         if not spread.converged:
             raise TrialFailure("min/max spreading did not converge in budget")
         best_min = min(best_min, spread.minimum)
@@ -334,8 +328,7 @@ def narrow_window(
         if best_min >= n or best_max < 0:
             raise TrialFailure("no tournament outputs to bracket with")
         counts = exact_count_multi(
-            np.stack([state.ids <= best_min, state.ids <= best_max]),
-            engine, budget_scale=scale,
+            np.stack([state.ids <= best_min, state.ids <= best_max]), engine
         )
         if counts is None:
             raise TrialFailure("rank counting stayed ambiguous after retries")
@@ -395,7 +388,6 @@ def exact_quantile(
         return ExactResult(float(values[0]), 0, 0, 0, 1)
     state = _State(ids, value_by_id.astype(float), n)
     robust = config.failure.active
-    scale = int(math.ceil(1.0 / (1.0 - config.failure.mu)))
     eps = params.effective_eps(n)
 
     k = k0
@@ -424,7 +416,7 @@ def exact_quantile(
             break
 
         min_id, max_id, r_min, r_max, attempts = narrow_window(
-            state, k, eps, engine, params, scale
+            state, k, eps, engine, params
         )
         retries_used += attempts - 1
 
@@ -464,9 +456,7 @@ def exact_quantile(
         answered = outputs[has_output]
         candidate_values = state.value_by_id[answered]
         consistent = bool((candidate_values == candidate_values[0]).all())
-        count = exact_count_multi(
-            (state.ids <= answered[0])[np.newaxis, :], engine, budget_scale=scale,
-        )
+        count = exact_count_multi((state.ids <= answered[0])[np.newaxis, :], engine)
         if consistent and count is not None and k - copies < count[0] <= k:
             break
         retries_used += 1

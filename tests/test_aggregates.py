@@ -1,17 +1,20 @@
 """Min/max dissemination and push-sum counting."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from gossipq import aggregates
 from gossipq.aggregates import (
     CountResult,
+    _gossip_exchange,
     exact_count,
     exact_count_multi,
     push_sum_count,
     push_sum_multi,
     spread_min_max,
-    _gossip_exchange,
 )
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 
@@ -19,6 +22,54 @@ from gossipq.engine import FailureModel, RoundEngine, SimConfig
 def _engine(n, seed, mu=0.0):
     failure = FailureModel() if mu == 0 else FailureModel(mode="uniform", mu=mu)
     return RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+
+
+def _reference_four_round_exchange(cur, engine, reduce_fn):
+    """One push round and one pull round of one extreme, on contacts of
+    their own: the exchange spreading ran twice per iteration, once per
+    extreme, before both extremes shared one contact."""
+    rd_push = engine.next_round()
+    targets = rd_push.peers()
+    senders = np.arange(engine.n) if rd_push.failed is None else np.nonzero(~rd_push.failed)[0]
+    nxt = cur.copy()
+    reduce_fn.at(nxt, targets[senders], cur[senders])
+    return reduce_fn(nxt, engine.next_round().pull(cur))
+
+
+def _reference_one_contact_exchange(lo, hi, engine):
+    """Node by node: each live node pushes both extremes to its one
+    contact, then each live node pulls both from its one contact."""
+    new_lo, new_hi = lo.copy(), hi.copy()
+    rd = engine.next_round()
+    for v, t in enumerate(rd.peers()):
+        if rd.failed is None or not rd.failed[v]:
+            new_lo[t] = min(new_lo[t], lo[v])
+            new_hi[t] = max(new_hi[t], hi[v])
+    rd = engine.next_round()
+    for v, t in enumerate(rd.peers()):
+        if rd.failed is None or not rd.failed[v]:
+            new_lo[v] = min(new_lo[v], lo[t])
+            new_hi[v] = max(new_hi[v], hi[t])
+    return new_lo, new_hi
+
+
+def _reference_four_round_pair(lo, hi, engine):
+    """One iteration of the four-round loop: the minimum's exchange, then
+    the maximum's."""
+    return (_reference_four_round_exchange(lo, engine, np.minimum),
+            _reference_four_round_exchange(hi, engine, np.maximum))
+
+
+def _recording(engine):
+    """Record every round the engine hands out."""
+    rounds, next_round = [], engine.next_round
+
+    def record():
+        rounds.append(next_round())
+        return rounds[-1]
+
+    engine.next_round = record
+    return rounds
 
 
 class TestSpreadMinMax:
@@ -38,12 +89,12 @@ class TestSpreadMinMax:
             assert res.iterations <= 4 * 10
 
     def test_converges_under_heavy_failures(self):
-        # mu=0.5 within twice the failure-free budget in >= 99/100 seeds
+        # mu=0.5 within its engine-scaled budget in >= 99/100 seeds
         hits = 0
         for seed in range(100):
             engine = _engine(1024, seed, mu=0.5)
             values = engine.values_rng().permutation(1024)
-            res = spread_min_max(values, engine, budget_scale=2)
+            res = spread_min_max(values, engine)
             hits += int(res.converged)
         assert hits >= 99
 
@@ -56,12 +107,83 @@ class TestSpreadMinMax:
         assert res.maximum == max_pool.max()
 
     def test_held_extremes_are_monotone(self):
-        engine = _engine(128, 9)
-        cur = engine.values_rng().permutation(128)
-        for _ in range(5):
-            nxt = _gossip_exchange(cur, engine, np.minimum)
-            assert (nxt <= cur).all()
-            cur = nxt
+        for mu in (0.0, 0.5):
+            engine = _engine(128, 9, mu)
+            lo = engine.values_rng().permutation(128)
+            hi = lo.copy()
+            for _ in range(5):
+                new_lo, new_hi = _gossip_exchange(lo, hi, engine)
+                assert (new_lo <= lo).all() and (new_hi >= hi).all()
+                lo, hi = new_lo, new_hi
+            assert lo.min() == 0 and hi.max() == 127
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_one_contact_per_round_for_both_extremes(self, mu):
+        # an iteration is two rounds whose messages carry both extremes,
+        # and it matches the node-by-node one-contact exchange draw for draw
+        n = 200
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            lo, hi = rng.permutation(n), rng.permutation(n)
+            engine = _engine(n, seed, mu)
+            rounds = _recording(engine)
+            res = spread_min_max(lo, engine, max_values=hi)
+            assert res.converged and (res.minimum, res.maximum) == (0, n - 1)
+            assert engine.rounds == len(rounds) == 2 * res.iterations
+            live = sum(n if rd.failed is None else n - int(rd.failed.sum())
+                       for rd in rounds)
+            assert engine.messages == 2 * live
+
+            a, b = _engine(n, seed, mu), _engine(n, seed, mu)
+            got = want = lo, hi
+            for _ in range(res.iterations + 1):
+                got = _gossip_exchange(*got, a)
+                want = _reference_one_contact_exchange(*want, b)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert a.rounds == b.rounds and a.messages == 2 * b.messages
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_each_extreme_spreads_in_law_as_on_its_own_contacts(self, mu):
+        # the iteration at which each extreme first reaches every node, against
+        # the four-round exchange that spread each extreme on its own contacts
+        n = 1024
+
+        def first_iterations(exchange, seed):
+            engine = _engine(n, seed, mu)
+            lo = hi = engine.values_rng().permutation(n)
+            first = {}
+            for it in itertools.count(1):
+                lo, hi = exchange(lo, hi, engine)
+                for name, held, target in (("min", lo, 0), ("max", hi, n - 1)):
+                    if name not in first and (held == target).all():
+                        first[name] = it
+                if len(first) == 2:
+                    return first
+
+        new = [first_iterations(_gossip_exchange, seed) for seed in range(300)]
+        ref = [first_iterations(_reference_four_round_pair, seed) for seed in range(300)]
+        for name in ("min", "max"):
+            got, want = [f[name] for f in new], [f[name] for f in ref]
+            assert stats.ks_2samp(got, want).pvalue > 0.01
+
+    @pytest.mark.parametrize("failure, scale", [
+        (FailureModel(), 1),
+        (FailureModel(mode="uniform", mu=0.3), 2),
+        (FailureModel(mode="uniform", mu=0.5), 2),
+        (FailureModel(mode="uniform", mu=0.75), 4),
+        (FailureModel(mode="scheduled", mu=0.5, seed=3), 2),
+    ])
+    def test_budgets_scale_with_the_engine_failure_bound(self, monkeypatch, failure, scale):
+        n = 100
+        engine = RoundEngine(SimConfig(n=n, seed=1, failure=failure))
+        bits = np.arange(n) % 3 == 0
+        res = push_sum_count(bits, engine)
+        assert res.rounds == engine.rounds == (math.ceil(4 * math.log2(n)) + 30) * scale
+        # an exchange that spreads nothing runs the whole budget
+        monkeypatch.setattr(aggregates, "_gossip_exchange", lambda lo, hi, engine: (lo, hi))
+        res = spread_min_max(np.arange(n), RoundEngine(SimConfig(n=n, seed=1, failure=failure)))
+        assert not res.converged
+        assert res.iterations == 4 * math.ceil(math.log2(n)) * scale
 
 
 class TestPushSum:
@@ -136,27 +258,31 @@ class TestPushSum:
             exact_count_multi(mat, _engine(16, 1))
 
 
+def _scale(engine):
+    """ceil(1/(1-mu)), the factor push-sum scales its rounds by."""
+    return math.ceil(1.0 / (1.0 - engine.config.failure.mu))
+
+
 def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
-                              budget_scale=1, track_mass=False, ambiguity=0.25):
+                              track_mass=False, ambiguity=0.25):
     """The single-channel loop, with its failure and no-failure branches,
     that push_sum_multi replaced; kept as the reference its draws must match."""
     n = engine.n
     s = np.asarray(indicator_bits).astype(np.float64).copy()
     w = np.ones(n, dtype=np.float64)
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _scale(engine)
     trace = []
     for _ in range(rounds):
         rd = engine.next_round()
         targets = rd.peers()
-        ok = rd.ok()
-        if ok is None:
+        if rd.failed is None:
             s_half = s * 0.5
             w_half = w * 0.5
             s = s_half + np.bincount(targets, weights=s_half, minlength=n)
             w = w_half + np.bincount(targets, weights=w_half, minlength=n)
         else:
-            send_s = np.where(ok, s * 0.5, 0.0)
-            send_w = np.where(ok, w * 0.5, 0.0)
+            send_s = np.where(rd.failed, 0.0, s * 0.5)
+            send_w = np.where(rd.failed, 0.0, w * 0.5)
             s = (s - send_s) + np.bincount(targets, weights=send_s, minlength=n)
             w = (w - send_w) + np.bincount(targets, weights=send_w, minlength=n)
         if track_mass:
@@ -168,18 +294,17 @@ def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
 
 
 def _reference_push_sum_multi(indicator_matrix, engine, *, c=4, extra_rounds=30,
-                              budget_scale=1, ambiguity=0.25):
+                              ambiguity=0.25):
     """The per-channel lockstep loop push_sum_multi replaced."""
     mat = np.asarray(indicator_matrix, dtype=np.float64)
     channels, n = mat.shape
     s = mat.copy()
     w = np.ones(n, dtype=np.float64)
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * budget_scale
+    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _scale(engine)
     for _ in range(rounds):
         rd = engine.next_round()
         targets = rd.peers(message_weight=channels)
-        ok = rd.ok()
-        if ok is None:
+        if rd.failed is None:
             s_half = s * 0.5
             w_half = w * 0.5
             recv = np.empty_like(s)
@@ -188,10 +313,10 @@ def _reference_push_sum_multi(indicator_matrix, engine, *, c=4, extra_rounds=30,
             s = s_half + recv
             w = w_half + np.bincount(targets, weights=w_half, minlength=n)
         else:
-            send_w = np.where(ok, w * 0.5, 0.0)
+            send_w = np.where(rd.failed, 0.0, w * 0.5)
             new_s = np.empty_like(s)
             for ch in range(channels):
-                send = np.where(ok, s[ch] * 0.5, 0.0)
+                send = np.where(rd.failed, 0.0, s[ch] * 0.5)
                 new_s[ch] = (s[ch] - send) + np.bincount(
                     targets, weights=send, minlength=n
                 )

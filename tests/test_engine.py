@@ -185,17 +185,20 @@ class TestPull:
         values = np.arange(np.prod(shape)).reshape(shape)
         actors = np.arange(n) % 3 == 0
         failure = FailureModel(mode="uniform", mu=mu) if mu else FailureModel()
-        pulling, peering = (RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-                            for _ in range(2))
+        pulling, peering, sourcing = (RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+                                      for _ in range(3))
         for _ in range(4):
             rd, ref = pulling.next_round(), peering.next_round()
             pulled = rd.pull(values, actors=actors, message_weight=3)
             peers = ref.peers(actors=actors, message_weight=3)
+            sources = sourcing.next_round().sources(actors=actors, message_weight=3)
             failed = np.zeros(n, dtype=bool) if mu == 0 else rd.failed
+            # a failed puller is its own source
+            assert np.array_equal(sources, np.where(failed, np.arange(n), peers))
             assert pulled.shape == shape
             assert np.array_equal(pulled[failed], values[failed])
             assert np.array_equal(pulled[~failed], values[peers][~failed])
-            assert pulling.messages == peering.messages
+            assert pulling.messages == peering.messages == sourcing.messages
         if mu:
             assert failed.any() and not failed.all()
         # the pull drew exactly what peers() draws: the streams stay aligned

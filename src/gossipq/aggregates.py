@@ -39,8 +39,8 @@ AMBIGUITY = 0.25
 
 @dataclass
 class SpreadResult:
-    minimum: int
-    maximum: int
+    minimum: int | float       # the values' own extremes, as Python scalars
+    maximum: int | float
     converged: bool
     iterations: int
 
@@ -100,8 +100,8 @@ def spread_min_max(
     n = engine.n
     lo = np.asarray(values).copy()
     hi = lo.copy() if max_values is None else np.asarray(max_values).copy()
-    true_min = int(lo.min())
-    true_max = int(hi.max())
+    true_min = lo.min().item()
+    true_max = hi.max().item()
     budget = SPREAD_C * math.ceil(math.log2(max(2, n))) * _failure_scale(engine)
     iterations = 0
     converged = bool((lo == true_min).all() and (hi == true_max).all())

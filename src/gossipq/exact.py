@@ -7,10 +7,12 @@ duplicates the survivors onto valueless nodes via weight-halving tokens
 and re-targets the rank accordingly. Once enough copies of the answer
 exist, one last approximate run pins it down.
 
-Internally a trial's value multiset is always a permutation of the key
-ids ``0..n-1`` (valueless nodes hold dedicated top-ranked sentinel ids
-standing for the infinity values the filter assigns), so every pulled or
-pushed key is a single id.
+The protocol handles canonical ids only: the nodes' ids are a permutation
+of ``0..n-1``, so every pulled, pushed or counted key is one id. Ids below
+``real_count`` are valued, ascending in input rank (copies of a key side
+by side); a node the filter left valueless holds a sentinel id
+``>= real_count``, above every valued id. Raw values are read only to test
+whether the valued range is all one value and to report the answer.
 
 The book-keeping quantities (current rank ``k``, rank-of-minimum ``R``,
 valued count, duplication factor ``m``) are global values every node
@@ -134,8 +136,7 @@ def rank_update(k_prev: int, r_min: int, m: int) -> int:
 
 @dataclass
 class TokenDistribution:
-    key_index: np.ndarray      # per node: index of the valued key held, -1 none
-    copy_rank: np.ndarray      # per node: copy index in [0, m), -1 none
+    ids: np.ndarray            # per node: copy id c*m + copy rank held, -1 none
     split_phases: int
     relocate_phases: int
     phi_trace: list[float]
@@ -171,7 +172,7 @@ def _push_token_rounds(holders, engine):
         targets[sub] = peer_vec[holders[sub]]
         if rd.failed is not None:
             failed[sub] = rd.failed[holders[sub]]
-    return targets, failed, n_rounds
+    return targets, failed
 
 
 def distribute_tokens(
@@ -184,32 +185,30 @@ def distribute_tokens(
     """Duplicate each origin value onto m distinct nodes.
 
     ``origin_holders[c]`` is the node currently holding the c-th valued
-    key. Tokens start as (key c, weight m) pairs; splitting phases halve
-    weights, pushing the lower copy-rank half to a uniform node, until
-    all weights are 1; relocation phases then push every token but one
-    off multi-token nodes until each token sits alone. A failed push
+    key. A token of weight w carries the lowest of the w copy ids it
+    stands for, starting at (id c*m, weight m); a splitting phase halves
+    weights, pushing the old id to a uniform node and keeping id + half,
+    until all weights are 1; relocation phases then push every token but
+    one off multi-token nodes until each token sits alone. A failed push
     leaves the token merged at its holder (weights are conserved per
     origin throughout). With m == 1 this is the identity and costs no
     rounds.
 
-    Copy ranks order duplicates below their original: the original
-    holder's retained token ends with copy rank m - 1.
+    The c-th key's copies get ids c*m .. c*m + m - 1, duplicates below
+    their original: the original holder ends with copy id c*m + m - 1.
     """
     v_count = len(origin_holders)
     n = engine.n
-    key_index = np.full(n, -1, dtype=np.int64)
-    copy_rank = np.full(n, -1, dtype=np.int64)
+    ids = np.full(n, -1, dtype=np.int64)
     if m == 1:
-        key_index[origin_holders] = np.arange(v_count)
-        copy_rank[origin_holders] = 0
-        return TokenDistribution(key_index, copy_rank, 0, 0, [])
+        ids[origin_holders] = np.arange(v_count)
+        return TokenDistribution(ids, 0, 0, [])
     if m * v_count > n:
         raise TrialFailure("cannot place m copies per value on n nodes")
 
     holder = np.asarray(origin_holders, dtype=np.int64).copy()
-    key = np.arange(v_count, dtype=np.int64)
+    token = np.arange(v_count, dtype=np.int64) * m
     weight = np.full(v_count, m, dtype=np.int64)
-    offset = np.zeros(v_count, dtype=np.int64)
 
     mu = engine.config.failure.mu
     scale = 1.0 if mu == 0.0 else 2.0 / (1.0 - mu)
@@ -229,21 +228,17 @@ def distribute_tokens(
         if split_phases >= split_cap:
             raise TrialFailure("token splitting exceeded its phase cap")
         split = np.nonzero(weight > 1)[0]
-        targets, failed, _ = _push_token_rounds(holder[split], engine)
+        targets, failed = _push_token_rounds(holder[split], engine)
         done = split[~failed]
         if len(done):
             half = weight[done] // 2
-            # retained halves keep the upper copy-rank block
-            new_key = key[done]
-            new_weight = half
-            new_offset = offset[done]
+            # the pushed half takes the old id, the retained half the upper block
+            pushed = token[done]
             weight[done] = half
-            offset[done] = offset[done] + half
-            holder_new = targets[~failed]
-            key = np.concatenate([key, new_key])
-            weight = np.concatenate([weight, new_weight])
-            offset = np.concatenate([offset, new_offset])
-            holder = np.concatenate([holder, holder_new])
+            token[done] = pushed + half
+            token = np.concatenate([token, pushed])
+            weight = np.concatenate([weight, half])
+            holder = np.concatenate([holder, targets[~failed]])
         split_phases += 1
         if track_phi:
             record_phi()
@@ -259,13 +254,12 @@ def distribute_tokens(
             raise TrialFailure("token relocation exceeded its phase cap")
         # every token but the first of each pile moves
         movers = np.flatnonzero(_pile_positions(holder) > 0)
-        targets, failed, _ = _push_token_rounds(holder[movers], engine)
+        targets, failed = _push_token_rounds(holder[movers], engine)
         holder[movers[~failed]] = targets[~failed]
         relocate_phases += 1
 
-    key_index[holder] = key
-    copy_rank[holder] = offset
-    return TokenDistribution(key_index, copy_rank, split_phases, relocate_phases, phi_trace)
+    ids[holder] = token
+    return TokenDistribution(ids, split_phases, relocate_phases, phi_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +269,12 @@ def distribute_tokens(
 @dataclass
 class _State:
     ids: np.ndarray              # per-node current key id (permutation of 0..n-1)
-    value_by_id: np.ndarray      # ascending; sentinels hold +inf
-    real_count: int              # ids below this are actual values
+    rank_by_id: np.ndarray       # input rank (0-based) of each valued id, ascending
+
+    @property
+    def real_count(self) -> int:
+        """Ids below this are valued; the rest are sentinels."""
+        return len(self.rank_by_id)
 
 
 def narrow_window(
@@ -342,21 +340,14 @@ def _rebuild_state(state: _State, min_id: int, v_count: int, m: int,
                    dist: TokenDistribution) -> _State:
     """Re-canonicalise ids after filtering + duplication.
 
-    The c-th surviving key's copies become ids c*m .. c*m + m - 1 (copy
-    ranks below the original); valueless nodes receive fresh sentinel ids
-    above the real range, in node order.
+    The c-th surviving key's copies hold ids c*m .. c*m + m - 1, each
+    with that key's input rank; valueless nodes receive fresh sentinel
+    ids above the real range, in node order.
     """
-    n = len(state.ids)
     real = m * v_count
-    new_ids = np.empty(n, dtype=np.int64)
-    holds = dist.key_index >= 0
-    new_ids[holds] = dist.key_index[holds] * m + dist.copy_rank[holds]
-    new_ids[~holds] = real + np.arange(n - real, dtype=np.int64)
-    value_by_id = np.full(n, np.inf)
-    value_by_id[:real] = np.repeat(
-        state.value_by_id[min_id:min_id + v_count], m
-    )
-    return _State(new_ids, value_by_id, real)
+    ids = dist.ids.copy()
+    ids[ids < 0] = real + np.arange(len(ids) - real, dtype=np.int64)
+    return _State(ids, np.repeat(state.rank_by_id[min_id:min_id + v_count], m))
 
 
 def exact_quantile(
@@ -383,10 +374,16 @@ def exact_quantile(
         values = np.asarray(values)
         if values.shape[0] != n:
             raise ValueError("values length must equal config.n")
-    ids, value_by_id = canonical_ids(values)
+    ids, value_by_rank = canonical_ids(values)
     if n == 1:
         return ExactResult(float(values[0]), 0, 0, 0, 1)
-    state = _State(ids, value_by_id.astype(float), n)
+    # The one view of raw values, and a known defect (ROADMAP, "Carry keys
+    # end to end"): in float64 distinct int64 keys above 2**53 collapse, so
+    # the all-equal test ends such trials early with a wrong answer. The
+    # input dtype would run them to the end, at more rounds than the
+    # benchmark's bound allows until narrowing gets cheaper.
+    value = value_by_rank.astype(float)
+    state = _State(ids, np.arange(n))
     robust = config.failure.active
     eps = params.effective_eps(n)
 
@@ -402,13 +399,11 @@ def exact_quantile(
     final_route = eps * n >= 2.0
 
     while iterations < params.max_iterations:
-        lo_val = state.value_by_id[0]
-        hi_val = state.value_by_id[state.real_count - 1]
+        lo_val, hi_val = value[state.rank_by_id[[0, -1]]]
         if lo_val == hi_val:
             details["exit"] = "all-equal"
-            ans = float(lo_val)
             return ExactResult(
-                ans, engine.rounds, engine.messages, iterations, k0,
+                float(lo_val), engine.rounds, engine.messages, iterations, k0,
                 details | {"retries": retries_used, "copies": copies,
                            "m_product": m_product},
             )
@@ -454,8 +449,12 @@ def exact_quantile(
         if not has_output.any():
             raise TrialFailure("final run produced no outputs")
         answered = outputs[has_output]
-        candidate_values = state.value_by_id[answered]
-        consistent = bool((candidate_values == candidate_values[0]).all())
+        # a sentinel is no value, so a run that answers one is rejected;
+        # the verification count runs either way
+        consistent = bool((answered < state.real_count).all())
+        if consistent:
+            candidates = value[state.rank_by_id[answered]]
+            consistent = bool((candidates == candidates[0]).all())
         count = exact_count_multi((state.ids <= answered[0])[np.newaxis, :], engine)
         if consistent and count is not None and k - copies < count[0] <= k:
             break
@@ -467,9 +466,8 @@ def exact_quantile(
         t_extra = int(math.ceil(math.log2(max(2, n))))
         outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
         details["nodes_with_answer"] = int(np.count_nonzero(has_output))
-    ans = float(candidate_values[0])
     return ExactResult(
-        ans, engine.rounds, engine.messages, iterations, k0,
+        float(candidates[0]), engine.rounds, engine.messages, iterations, k0,
         details | {"retries": retries_used, "copies": copies,
                    "m_product": m_product, "exit": "final-run"},
     )

@@ -106,6 +106,18 @@ class TestSpreadMinMax:
         assert res.minimum == min_pool.min()
         assert res.maximum == max_pool.max()
 
+    def test_non_integer_extremes_spread_untruncated(self):
+        engine = _engine(64, 4)
+        res = spread_min_max(np.arange(64) + 0.5, engine)
+        assert res.converged
+        assert (res.minimum, res.maximum) == (0.5, 63.5)
+        engine = _engine(256, 5)
+        min_pool = engine.values_rng().uniform(-3.0, 3.0, size=256)
+        max_pool = min_pool + 0.25
+        res = spread_min_max(min_pool, engine, max_values=max_pool)
+        assert res.converged
+        assert res.minimum == min_pool.min() and res.maximum == max_pool.max()
+
     def test_held_extremes_are_monotone(self):
         for mu in (0.0, 0.5):
             engine = _engine(128, 9, mu)

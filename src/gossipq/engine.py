@@ -3,7 +3,8 @@
 A trial is a pure function of its :class:`SimConfig`. Every random draw
 comes from a PCG64 generator keyed by ``(seed, stream tag)`` through
 :func:`numpy.random.SeedSequence`, and an engine builds one generator per
-stream, once.
+stream, once, in its constructor: the round stream always, the failure
+stream when failures are on, and under ``scheduled`` the schedule stream.
 
 Failures are fixed ahead of the protocol, on the failure stream: an
 oblivious adversary's choice, made before execution. A plain round
@@ -14,7 +15,11 @@ count of rounds whose pull did not fail, and under ``uniform`` (and
 ``none``) it draws no per-round bit: the counts are i.i.d. binomial, so
 the engine draws, in law, which nodes are short of good pulls and the
 batch's message total. ``scheduled`` gives each node and round its own
-probability, so its batches still draw per-round bits.
+probability, so its batches still draw per-round bits. Its probabilities
+are the schedule stream read in round order, n uniforms per round, by
+plain rounds and batch rounds alike, so a run of R rounds tests the
+failure stream's ``(R, n)`` block against ``mu`` times the schedule
+stream's.
 
 Protocol draws follow call order. Peer vectors and the protocol's own
 coins come from the round stream in the order the protocol asks for
@@ -67,10 +72,13 @@ class FailureModel:
 
     mode "none"      : nothing ever fails.
     mode "uniform"   : every node fails each round with probability ``mu``.
-    mode "scheduled" : p[v, round] = mu * U(v, round) with U derived from
-                       ``seed`` on its own stream, fixed before execution;
-                       the failure bits drawn against p stay independent
-                       of U even when ``seed`` equals the trial seed.
+    mode "scheduled" : p[v, round] = mu * U(v, round), fixed before
+                       execution: each round, in order, takes its n values
+                       U(., round) from the next n uniforms of one schedule
+                       stream, ``derive_rng(seed, STREAM_SCHEDULE)``. That
+                       stream is not the failure stream, so the failure
+                       bits drawn against p stay independent of U even
+                       when ``seed`` equals the trial seed.
     """
 
     mode: str = "none"
@@ -89,29 +97,22 @@ class FailureModel:
     def active(self) -> bool:
         return self.mode != "none" and self.mu > 0.0
 
-    def probabilities(self, round_index: int, n: int) -> np.ndarray:
-        """The vector ``p[v] = p_{v, round}`` for one round."""
-        if self.mode == "uniform":
-            return np.full(n, self.mu)
-        if self.mode == "scheduled":
-            u = derive_rng(self.seed, STREAM_SCHEDULE, round_index).random(n)
-            return self.mu * u
-        return np.zeros(n)
-
 
 def draw_failures(
-    model: FailureModel, round_index: int, n: int, rng: np.random.Generator,
+    model: FailureModel, n: int, rng: np.random.Generator,
+    schedule: np.random.Generator | None,
 ) -> np.ndarray:
-    """Failure bits for one round from ``rng``, the failure stream.
+    """Failure bits for one round of an active model.
 
-    An active model draws exactly ``n`` uniforms per call.
+    Draws exactly ``n`` uniforms from ``rng``, the failure stream, and
+    tests them against ``mu`` (``uniform``) or against this round's
+    ``mu * U``, U being the next ``n`` uniforms of ``schedule``, the
+    schedule stream (``scheduled``; None under ``uniform``).
     """
-    if not model.active:
-        return np.zeros(n, dtype=bool)
     u = rng.random(n)
     if model.mode == "uniform":
         return u < model.mu
-    return u < model.probabilities(round_index, n)
+    return u < model.mu * schedule.random(n)
 
 
 @functools.lru_cache(maxsize=256)
@@ -150,11 +151,10 @@ class Round:
     trial, so a round's draws are the next ones in call order.
     """
 
-    __slots__ = ("index", "rng", "failed", "_engine", "_n")
+    __slots__ = ("rng", "failed", "_engine", "_n")
 
-    def __init__(self, index: int, rng: np.random.Generator,
+    def __init__(self, rng: np.random.Generator,
                  failed: np.ndarray | None, engine: "RoundEngine") -> None:
-        self.index = index
         self.rng = rng
         self.failed = failed
         self._engine = engine
@@ -210,21 +210,23 @@ class RoundEngine:
         self.rounds = 0
         self.messages = 0
         self.rng = derive_rng(config.seed, STREAM_ROUND)
-        self._failure_rng = None
+        self._failure_rng = self._schedule_rng = None
         if config.failure.active:
             self._failure_rng = derive_rng(config.seed, STREAM_FAILURE)
+            if config.failure.mode == "scheduled":
+                self._schedule_rng = derive_rng(config.failure.seed, STREAM_SCHEDULE)
 
     def next_round(self) -> Round:
         if self.rounds >= self.config.max_rounds:
             raise BudgetExceededError(
                 f"round budget {self.config.max_rounds} exceeded"
             )
-        index = self.rounds
         self.rounds += 1
         failed = None
         if self._failure_rng is not None:
-            failed = draw_failures(self.config.failure, index, self.n, self._failure_rng)
-        return Round(index, self.rng, failed, self)
+            failed = draw_failures(self.config.failure, self.n, self._failure_rng,
+                                   self._schedule_rng)
+        return Round(self.rng, failed, self)
 
     def advance_batch(self, batch: int, short_given_live: np.ndarray, row) -> np.ndarray:
         """Charge ``batch`` pull rounds at once; return the mask of nodes short of good pulls.
@@ -246,12 +248,12 @@ class RoundEngine:
         from the failure stream as one multinomial per class, and no
         per-round bit is drawn. ``scheduled`` gives every node and round
         its own probability, so its per-round bits are drawn from the
-        failure stream by :func:`draw_failures` and summed into live counts.
+        failure and schedule streams by :func:`draw_failures`, round by
+        round as :meth:`next_round` draws them, and summed into live counts.
         The short mask is one uniform per node from the round stream,
         drawn only when some chance in play lies strictly between 0 and 1.
         """
-        start = self.rounds
-        if start + batch > self.config.max_rounds:
+        if self.rounds + batch > self.config.max_rounds:
             self.rounds = self.config.max_rounds
             raise BudgetExceededError(
                 f"round budget {self.config.max_rounds} exceeded"
@@ -263,8 +265,8 @@ class RoundEngine:
             return self._short(short_given_live[:, batch], row)
         if model.mode == "scheduled":
             live = np.full(n, batch, dtype=np.min_scalar_type(batch))
-            for index in range(start, start + batch):
-                live -= draw_failures(model, index, n, self._failure_rng)
+            for _ in range(batch):
+                live -= draw_failures(model, n, self._failure_rng, self._schedule_rng)
             self.messages += int(live.sum())
             return self._short(short_given_live, (row, live))
         pmf = _live_pmf(batch, model.mu)

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregates import exact_count_multi, spread_min_max
-from .engine import RoundEngine, SimConfig, canonical_ids
-from .tournament import _tournament_core, adoption_rounds, clamped_rank
+from .engine import RoundEngine, SimConfig
+from .engine import canonical_ids  # noqa: F401  (benchmarks/tracer.py patches this binding)
+from .tournament import _make_state, _tournament_core, adoption_rounds, clamped_rank
 
 
 class TrialFailure(RuntimeError):
@@ -367,16 +368,9 @@ def exact_quantile(
     params = params or ExactParams()
     n = config.n
     k0 = clamped_rank(phi * n, n)
-    engine = RoundEngine(config)
-    if values is None:
-        values = engine.values_rng().permutation(n)
-    else:
-        values = np.asarray(values)
-        if values.shape[0] != n:
-            raise ValueError("values length must equal config.n")
-    ids, value_by_rank = canonical_ids(values)
+    engine, ids, value_by_rank = _make_state(config, values)
     if n == 1:
-        return ExactResult(float(values[0]), 0, 0, 0, 1)
+        return ExactResult(float(value_by_rank[0]), 0, 0, 0, 1)
     # The one view of raw values, and a known defect (ROADMAP, "Carry keys
     # end to end"): in float64 distinct int64 keys above 2**53 collapse, so
     # the all-equal test ends such trials early with a wrong answer. The

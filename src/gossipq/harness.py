@@ -24,13 +24,18 @@ from .engine import (
     FailureModel,
     RoundEngine,
     SimConfig,
-    canonical_ids,
     derive_rng,
 )
 from .exact import ExactParams, InvariantViolation, TrialFailure, exact_quantile
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
-from .tournament import approx_quantile, clamped_rank, robust_approx_quantile
+from .tournament import (
+    _make_state,
+    _tournament_core,
+    approx_quantile,
+    clamped_rank,
+    robust_approx_quantile,
+)
 
 CSV_COLUMNS = (
     "experiment", "n", "phi", "eps", "mu", "seed",
@@ -145,34 +150,26 @@ def run_spread_trial(n, eps, seed):
 def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
     """Every node estimates its own value's quantile to within 2 eps.
 
-    Runs the approximate protocol at the grid quantiles j*eps with
-    accuracy eps/2; a node's estimate is eps times the number of grid
-    answers strictly below its own key.
+    Runs the approximate protocol's tournament at each grid quantile
+    j*eps with accuracy eps/2, one after another on the trial's one
+    engine, which counts the rounds and messages; ``config.max_rounds``
+    bounds the whole grid. A node's estimate is eps times the number of
+    grid answers it holds strictly below its own key: a grid point that
+    left the node without an answer (possible only under failures)
+    counts neither way. Returns ``(estimates, ids, rounds, messages)``.
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
+    engine, ids, _ = _make_state(config, values)
     n = config.n
-    if values is None:
-        values = derive_rng(config.seed, STREAM_VALUES).permutation(n)
-    values = np.asarray(values)
-    ids, _ = canonical_ids(values)
-    grid = [j * eps for j in range(1, math.ceil(1.0 / eps))]
     below = np.zeros(n, dtype=np.int64)
-    total_rounds = 0
-    total_messages = 0
-    for j, phi_j in enumerate(grid):
-        sub = SimConfig(
-            n=n, seed=config.seed * 1_000_003 + j + 1, failure=config.failure,
-            max_rounds=config.max_rounds,
+    grid = range(1, math.ceil(1.0 / eps)) if n > 1 else ()  # a lone node answers itself
+    for j in grid:
+        outputs, has_output, _ = _tournament_core(
+            ids, clamped_rank(j * eps * n, n), eps / 2.0, engine, k_sample
         )
-        report = approx_quantile(phi_j, eps / 2.0, sub, values=values,
-                                 k_sample=k_sample)
-        total_rounds += report.rounds
-        total_messages += report.messages
-        grid_rank = report.output_ranks  # 1-based per node
-        below += (grid_rank - 1 < ids).astype(np.int64)
-    estimates = eps * below
-    return estimates, ids, total_rounds, total_messages
+        below += has_output & (outputs < ids)
+    return eps * below, ids, engine.rounds, engine.messages
 
 
 def run_selfq_trial(n, eps, seed, k_sample=30):

@@ -2,6 +2,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gossipq.harness import (
 )
 from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
 from gossipq.exact import ExactParams, InvariantViolation, TrialFailure
+from gossipq.tournament import clamped_rank, tournament_plan
 
 
 class TestScheduleCommand:
@@ -263,6 +265,55 @@ class TestSelfQuantile:
         row = run_trial("selfq", n=1000, eps=0.1, seed=3)
         # nine grid quantiles, each a full approximate run
         assert row["rounds"] >= 9 * 30
+
+    @pytest.mark.parametrize("n, eps, k_sample", [(1000, 0.1, 30), (1000, 0.1, 10), (700, 0.05, 30)])
+    def test_rounds_and_messages_are_the_grid_plans(self, n, eps, k_sample):
+        # the engine's ledger: one tournament plan per grid point, and
+        # without failures every node sends one message a round
+        _, _, rounds, messages = self_quantile(eps, SimConfig(n=n, seed=1), k_sample=k_sample)
+        assert rounds == sum(
+            tournament_plan(clamped_rank(j * eps * n, n), eps / 2, n, k_sample, 0).rounds
+            for j in range(1, math.ceil(1 / eps))
+        )
+        assert messages == n * rounds
+
+    def test_lone_node_runs_no_tournament(self):
+        # one node answers every grid point with its own key, never below it
+        est, ids, rounds, messages = self_quantile(0.1, SimConfig(n=1, seed=1))
+        assert list(est) == [0.0] and list(ids) == [0] and rounds == messages == 0
+
+    def test_max_rounds_bounds_the_whole_grid(self):
+        # 577 rounds over nine tournaments of about 64 each
+        self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=577))
+        with pytest.raises(BudgetExceededError):
+            self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=576))
+
+    def test_missing_grid_answer_counts_neither_way(self, monkeypatch):
+        # the first grid tournament leaves the holders of the least and the
+        # greatest key without an answer, their outputs set to -1, below
+        # every key: the least holder still estimates 0, the greatest loses
+        # exactly that grid point, and every other node keeps its estimate
+        config = SimConfig(n=500, seed=3)
+        est, ids, rounds, messages = self_quantile(0.1, config)
+        least, greatest = int(np.argmin(ids)), int(np.argmax(ids))
+        real, calls = harness._tournament_core, []
+
+        def dropping(*args, **kwargs):
+            outputs, has_output, info = real(*args, **kwargs)
+            if not calls:
+                lost = np.isin(np.arange(len(ids)), [least, greatest])
+                outputs, has_output = np.where(lost, -1, outputs), has_output & ~lost
+            calls.append(1)
+            return outputs, has_output, info
+
+        monkeypatch.setattr(harness, "_tournament_core", dropping)
+        got, _, got_rounds, got_messages = self_quantile(0.1, config)
+        assert len(calls) == 9 and (got_rounds, got_messages) == (rounds, messages)
+        assert est[least] == got[least] == 0.0
+        assert est[greatest] == pytest.approx(0.9) and got[greatest] == pytest.approx(0.8)
+        kept = np.ones(len(ids), dtype=bool)
+        kept[[least, greatest]] = False
+        assert np.array_equal(got[kept], est[kept])
 
 
 class TestSpreadExperiment:

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from gossipq import engine as engine_module
+from gossipq import engine as engine_module, harness
 from gossipq.engine import (
     STREAM_FAILURE,
     STREAM_ROUND,
+    STREAM_SCHEDULE,
+    STREAM_VALUES,
     BudgetExceededError,
     FailureModel,
     RoundEngine,
@@ -35,18 +37,23 @@ class TestUniformPeer:
 
 
 class TestFailureDraws:
-    def test_mode_none_all_zero(self):
-        rng = derive_rng(7, STREAM_FAILURE)
-        bits = draw_failures(FailureModel(), 3, 1000, rng)
-        assert not bits.any()
-        # an inactive model consumes nothing from the stream
-        assert np.array_equal(rng.random(4), derive_rng(7, STREAM_FAILURE).random(4))
+    def test_inactive_engine_draws_no_failures(self, monkeypatch):
+        # without failures the engine builds no failure stream and never
+        # calls draw_failures, in plain rounds or in a batch
+        calls = []
+        monkeypatch.setattr(engine_module, "draw_failures",
+                            lambda *args: calls.append(args))
+        engine = RoundEngine(SimConfig(n=1000, seed=7))
+        assert engine._failure_rng is None
+        assert all(engine.next_round().failed is None for _ in range(5))
+        engine.advance_batch(4, np.zeros((1, 5)), 0)
+        assert calls == [] and engine.rounds == 9
 
     def test_uniform_half_fraction(self):
         # binomial 3-sigma band around 0.5 at n=1e6 is +-0.0015
         n = 1_000_000
         model = FailureModel(mode="uniform", mu=0.5)
-        bits = draw_failures(model, 0, n, derive_rng(11, STREAM_FAILURE))
+        bits = draw_failures(model, n, derive_rng(11, STREAM_FAILURE), None)
         assert abs(bits.mean() - 0.5) < 0.002
 
     def test_reproducible_per_round(self):
@@ -54,18 +61,41 @@ class TestFailureDraws:
         n = 10_000
         model = FailureModel(mode="uniform", mu=0.5)
         rng = derive_rng(3, STREAM_FAILURE)
-        a = draw_failures(model, 4, n, rng)
-        b = draw_failures(model, 5, n, rng)
+        a = draw_failures(model, n, rng, None)
+        b = draw_failures(model, n, rng, None)
         blocks = derive_rng(3, STREAM_FAILURE).random((2, n)) < 0.5
         assert np.array_equal(a, blocks[0])
         assert np.array_equal(b, blocks[1])
         assert not np.array_equal(a, b)
 
     def test_scheduled_probabilities_bounded(self):
-        model = FailureModel(mode="scheduled", mu=0.3, seed=5)
-        p = model.probabilities(7, 1000)
-        assert (p >= 0).all() and (p <= 0.3).all()
-        assert np.array_equal(p, model.probabilities(7, 1000))
+        # one call reads one n-block of the failure stream and one of the
+        # schedule stream: bit v fails when u[v] < p[v] = mu * U[v]
+        n, mu = 1000, 0.3
+        model = FailureModel(mode="scheduled", mu=mu, seed=5)
+        rng, schedule = derive_rng(8, STREAM_FAILURE), derive_rng(5, STREAM_SCHEDULE)
+        bits = np.array([draw_failures(model, n, rng, schedule) for _ in range(3)])
+        u = derive_rng(8, STREAM_FAILURE).random((3, n))
+        p = mu * derive_rng(5, STREAM_SCHEDULE).random((3, n))
+        assert (p >= 0).all() and (p <= mu).all()
+        assert np.array_equal(bits, u < p)
+        assert not (bits & (u >= mu)).any()  # no node fails above mu
+
+    def test_schedule_is_the_model_seed_stream_in_round_order(self):
+        # plain rounds and batch rounds alike read the next n-block of one
+        # schedule stream, keyed by the model seed alone: engines on other
+        # trial seeds test their own failure uniforms against the same p
+        n, mu, rounds = 200, 0.6, 12
+        model = FailureModel(mode="scheduled", mu=mu, seed=5)
+        p = mu * derive_rng(5, STREAM_SCHEDULE).random((rounds, n))
+        for seed in (5, 6):
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=model))
+            bits = [engine.next_round().failed for _ in range(4)]
+            short = engine.advance_batch(8, np.zeros((1, 9)), 0)
+            assert not short.any()
+            u = derive_rng(seed, STREAM_FAILURE).random((rounds, n))
+            assert np.array_equal(np.array(bits), u[:4] < p[:4])
+            assert engine.messages == n * 8 - int(np.count_nonzero(u[4:] < p[4:]))
 
     def test_scheduled_failure_rate_matches_mean_probability(self):
         # E[p] = mu * E[U] = mu / 2; over n * rounds = 2e5 draws the
@@ -220,16 +250,22 @@ class TestStreams:
         blocks = derive_rng(seed, STREAM_FAILURE).random((50, n)) < mu
         assert np.array_equal(np.array(bits), blocks)
 
-        drawn = []
-        real_draw = engine_module.draw_failures
+        engines, drawn = [], []
+        real_init, real_draw = RoundEngine.__init__, engine_module.draw_failures
 
-        def recording_draw(model, index, *args, **kwargs):
-            drawn.append(index)
-            return real_draw(model, index, *args, **kwargs)
+        def recording_init(self, config):
+            real_init(self, config)
+            engines.append(self)
 
+        def recording_draw(*args):
+            drawn.append(engines[-1].rounds - 1)  # the 0-based round drawing
+            return real_draw(*args)
+
+        monkeypatch.setattr(RoundEngine, "__init__", recording_init)
         monkeypatch.setattr(engine_module, "draw_failures", recording_draw)
         report = robust_approx_quantile(0.3, 0.05, 7, SimConfig(n=n, seed=seed, failure=model))
         plan = tournament_plan(report.details["target_rank"], 0.05, n, 30, mu)
+        assert len(engines) == 1
         assert plan.rounds < report.rounds  # some adoption rounds ran
         assert drawn == list(range(plan.rounds, report.rounds))
 
@@ -242,7 +278,7 @@ class TestStreams:
         reference = derive_rng(seed, STREAM_ROUND)
         for index in range(300):
             rd = engine.next_round()
-            assert rd.index == index
+            assert engine.rounds == index + 1
             assert np.array_equal(rd.peers(), reference.integers(0, n, size=n))
 
     def test_protocol_draws_follow_call_order(self):
@@ -258,20 +294,43 @@ class TestStreams:
     @pytest.mark.parametrize("mu, streams", [
         (0.0, [STREAM_ROUND]), (0.5, [STREAM_ROUND, STREAM_FAILURE]),
     ])
-    def test_each_stream_built_once(self, monkeypatch, mu, streams):
-        calls = []
-        reference = engine_module.derive_rng
-
-        def recording(seed, *key):
-            calls.append((seed, *key))
-            return reference(seed, *key)
-
-        monkeypatch.setattr(engine_module, "derive_rng", recording)
+    def test_each_stream_built_once(self, generators, mu, streams):
         failure = FailureModel(mode="uniform", mu=mu) if mu else FailureModel()
         engine = RoundEngine(SimConfig(n=8, seed=4, failure=failure))
         for _ in range(600):
             engine.next_round().peers()
-        assert calls == [(4, tag) for tag in streams]
+        assert generators == [(4, tag) for tag in streams]
+
+    def test_schedule_stream_built_once(self, generators):
+        # a 200-round scheduled engine, plain rounds and a batch, builds
+        # its round, failure and schedule streams and nothing per round
+        model = FailureModel(mode="scheduled", mu=0.5, seed=9)
+        engine = RoundEngine(SimConfig(n=50, seed=4, failure=model))
+        for _ in range(150):
+            engine.next_round().peers()
+        engine.advance_batch(50, np.zeros((1, 51)), 0)
+        assert engine.rounds == 200
+        assert generators == [(4, STREAM_ROUND), (4, STREAM_FAILURE), (9, STREAM_SCHEDULE)]
+
+    def test_self_quantile_trial_is_one_engine(self, generators):
+        # its nine grid tournaments share the trial's round stream; the
+        # values stream gives the default input
+        harness.self_quantile(0.1, SimConfig(n=300, seed=2))
+        assert generators == [(2, STREAM_ROUND), (2, STREAM_VALUES)]
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """The ``(seed, *key)`` of every generator ``engine.derive_rng`` builds."""
+    calls = []
+    reference = engine_module.derive_rng
+
+    def recording(seed, *key):
+        calls.append((seed, *key))
+        return reference(seed, *key)
+
+    monkeypatch.setattr(engine_module, "derive_rng", recording)
+    return calls
 
 
 class TestCanonicalIds:

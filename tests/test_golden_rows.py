@@ -9,7 +9,8 @@ byte. Which stream each group pins:
 
 - ``approx`` and ``selfq`` rows: the tournament's round stream without
   failures (phase I coins and picks, phase II, the K-sample order
-  statistic);
+  statistic; ``selfq`` runs its grid's tournaments one after another on
+  one engine's stream);
 - ``robust`` rows and ``exact --mu 0.5``: the round and failure streams
   under failures (pull batch sizes, the short mask and message total
   drawn in law, adoption);
@@ -74,13 +75,13 @@ GOLDEN = [
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "2", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,577,577000,115,1\n"
-        "selfq,1000,,0.1,0.0,2,577,577000,147,1\n",
+        "selfq,1000,,0.1,0.0,1,577,577000,136,1\n"
+        "selfq,1000,,0.1,0.0,2,577,577000,124,1\n",
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--k-sample", "10",
          "--trials", "1", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,397,397000,116,1\n",
+        "selfq,1000,,0.1,0.0,1,397,397000,134,1\n",
     ),
     (
         ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",

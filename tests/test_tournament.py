@@ -776,17 +776,30 @@ class TestIdStateDtype:
         assert robust.output_ranks.dtype == np.int64
         assert seen and set(seen) == {np.dtype(np.int32)}
 
-    def test_self_quantile_gets_int64_ranks(self, monkeypatch):
-        ranks = []
+    def test_self_quantile_compares_int64_ids(self, monkeypatch):
+        # every grid tournament runs an int32 state, yet the answers selfq
+        # compares with the nodes' int64 ids are int64 ids too
+        seen = _record_state_dtypes(monkeypatch)
+        answers = []
 
         def recording(*args, **kwargs):
-            report = approx_quantile(*args, **kwargs)
-            ranks.append(report.output_ranks.dtype)
-            return report
+            outputs, has_output, info = tournament._tournament_core(*args, **kwargs)
+            answers.append(outputs.dtype)
+            return outputs, has_output, info
 
-        monkeypatch.setattr(harness, "approx_quantile", recording)
-        harness.self_quantile(0.1, SimConfig(n=300, seed=2))
-        assert ranks and set(ranks) == {np.dtype(np.int64)}
+        monkeypatch.setattr(harness, "_tournament_core", recording)
+        _, ids, _, _ = harness.self_quantile(0.1, SimConfig(n=300, seed=2))
+        assert len(answers) == 9 and set(answers) == {ids.dtype} == {np.dtype(np.int64)}
+        assert set(seen) == {np.dtype(np.int32)}
+
+    @pytest.mark.parametrize("run", [
+        lambda config, values: approx_quantile(0.5, 0.1, config, values=values),
+        lambda config, values: exact_quantile(0.5, config, values=values),
+        lambda config, values: harness.self_quantile(0.1, config, values=values),
+    ], ids=["approx", "exact", "selfq"])
+    def test_one_front_end_rejects_wrong_length_values(self, run):
+        with pytest.raises(ValueError, match="^values length must equal config.n$"):
+            run(SimConfig(n=300, seed=2), np.arange(299))
 
     def test_int64_state_runs_the_same_trials(self, monkeypatch):
         seen = _record_state_dtypes(monkeypatch)

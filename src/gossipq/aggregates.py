@@ -2,10 +2,11 @@
 
 Min/max spreading runs iterations of one push round and one pull round.
 Each round's message carries both the held minimum and the held maximum
-on the node's one contact, counted as two values by ``message_weight``.
-Each node's held minimum never increases and its held maximum never
-decreases, so the simulator may stop early once every node holds the
-global extremes.
+on the node's one contact, counted as two values by ``message_weight``;
+the pull reads its contact's state after the push round, so a pull
+forwards what its contact received one round earlier. Each node's held
+minimum never increases and its held maximum never decreases, so the
+simulator may stop early once every node holds the global extremes.
 
 Push-sum follows the classic mass-conserving dynamic: each round a node
 halves its (sum, weight) pair, keeps one half and pushes the other to a
@@ -15,8 +16,9 @@ lockstep routine, :func:`push_sum_multi`, over a (channels + 1, n) state
 whose channels share the contact draws and the weight row, with one retry
 loop, :func:`exact_count_multi`; the single-channel names call them.
 
-Both budgets are failure-free round counts scaled by ceil(1/(1-mu)), read
-from the engine's failure model by :func:`_failure_scale`.
+Both budgets, and the exact protocol's token phase cap, are failure-free
+round counts ``base`` run for ceil(base / (1 - mu)) rounds, mu read from
+the engine's failure model by :func:`failure_budget`.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ import numpy as np
 
 from .engine import RoundEngine
 
-# Spreading budget: SPREAD_C * ceil(log2 n) iterations (times
-# _failure_scale). Push-pull spreading of one value completes in
+# Spreading budget: SPREAD_C * ceil(log2 n) iterations (through
+# failure_budget). Push-pull spreading of one value completes in
 # log2 n + O(log n) rounds w.h.p., so 4x leaves an overrun vanishingly rare.
 SPREAD_C = 4
 # A push-sum estimate n*s/w is flagged when its distance to the nearest
@@ -61,17 +63,19 @@ class CountResult:
         return bool((self.estimates == self.estimates[0]).all())
 
 
-def _failure_scale(engine: RoundEngine) -> int:
-    """ceil(1/(1-mu)), mu the engine's failure bound: a node acts in a round
-    with probability at least 1 - mu, so a failure-free budget times this
-    keeps at least its expected number of live rounds per node."""
-    return math.ceil(1.0 / (1.0 - engine.config.failure.mu))
+def failure_budget(engine: RoundEngine, base: float) -> int:
+    """ceil(base / (1 - mu)), mu the engine's failure bound: a node acts in
+    a round with probability at least 1 - mu, so this many rounds keep at
+    least ``base``, a failure-free budget, live rounds per node in
+    expectation. The quotient is rounded to 9 decimals first, so float
+    noise in 1 - mu (0.7 for mu = 0.3) cannot add a round."""
+    return math.ceil(round(base / (1.0 - engine.config.failure.mu), 9))
 
 
 def _gossip_exchange(lo: np.ndarray, hi: np.ndarray,
                      engine: RoundEngine) -> tuple[np.ndarray, np.ndarray]:
     """One push round and one pull round, each carrying both extremes on
-    one contact per node."""
+    one contact per node; the pull reads the state the push left."""
     rd = engine.next_round()
     targets = rd.peers(message_weight=2)
     senders = slice(None) if rd.failed is None else ~rd.failed
@@ -80,7 +84,7 @@ def _gossip_exchange(lo: np.ndarray, hi: np.ndarray,
     np.minimum.at(new_lo, targets[senders], lo[senders])
     np.maximum.at(new_hi, targets[senders], hi[senders])
     sources = engine.next_round().sources(message_weight=2)
-    return np.minimum(new_lo, lo[sources]), np.maximum(new_hi, hi[sources])
+    return np.minimum(new_lo, new_lo[sources]), np.maximum(new_hi, new_hi[sources])
 
 
 def spread_min_max(
@@ -93,7 +97,7 @@ def spread_min_max(
 
     ``values`` seeds the minimum pool; ``max_values`` (defaulting to the
     same array) seeds the maximum pool. The budget is
-    ``SPREAD_C * ceil(log2 n) * ceil(1/(1-mu))`` iterations of two rounds
+    ``ceil(SPREAD_C * ceil(log2 n) / (1 - mu))`` iterations of two rounds
     each; convergence before that is reported, running out is a per-trial
     failure the caller decides how to treat.
     """
@@ -102,7 +106,7 @@ def spread_min_max(
     hi = lo.copy() if max_values is None else np.asarray(max_values).copy()
     true_min = lo.min().item()
     true_max = hi.max().item()
-    budget = SPREAD_C * math.ceil(math.log2(max(2, n))) * _failure_scale(engine)
+    budget = failure_budget(engine, SPREAD_C * math.ceil(math.log2(max(2, n))))
     iterations = 0
     converged = bool((lo == true_min).all() and (hi == true_max).all())
     while not converged and iterations < budget:
@@ -138,7 +142,7 @@ def push_sum_multi(
 ) -> list[CountResult]:
     """Count the set 0/1 bits of each channel by push-sum, in lockstep.
 
-    Runs ``(ceil(c * log2 n) + extra_rounds) * ceil(1/(1-mu))`` push rounds;
+    Runs ``ceil((ceil(c * log2 n) + extra_rounds) / (1 - mu))`` push rounds;
     each node then outputs ``round(n * s/w)`` per channel. Estimates whose
     fractional part is within ``AMBIGUITY`` of one half are flagged as
     ambiguous so callers can retry with more rounds. All channels share
@@ -157,7 +161,7 @@ def push_sum_multi(
     state = np.empty((channels + 1, n), dtype=np.float64)
     state[:channels] = mat
     state[channels] = 1.0
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _failure_scale(engine)
+    rounds = failure_budget(engine, math.ceil(c * math.log2(max(2, n))) + extra_rounds)
     traces: list[list[float]] = [[] for _ in range(channels)]
     for _ in range(rounds):
         rd = engine.next_round()

@@ -25,8 +25,11 @@ rank counts with no count of its own:
 ``min(r_max, real_count) - r_min + 1``.
 
 Push-sum counts and min/max spreading run at their primitives' default
-budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``); the aggregates
-scale them by ceil(1/(1-mu)), read from the engine's failure model.
+budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``); these and the
+token phase cap are failure-free budgets that
+:func:`~gossipq.aggregates.failure_budget` scales to ceil(base / (1 - mu)),
+mu read from the engine's failure model. Token duplication is one phase
+loop: heavy tokens split and surplus tokens relocate in the same phases.
 Robust trials close with ceil(log2 n) adoption rounds.
 """
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregates import exact_count_multi, spread_min_max
+from .aggregates import exact_count_multi, failure_budget, spread_min_max
 from .engine import RoundEngine, SimConfig
 from .engine import canonical_ids  # noqa: F401  (benchmarks/tracer.py patches this binding)
 from .tournament import _make_state, _tournament_core, adoption_rounds, clamped_rank
@@ -55,9 +58,9 @@ class InvariantViolation(RuntimeError):
 # bounded away from zero at desk scale (asymptotically the occupied
 # fraction n^-0.01 vanishes on its own).
 FILL_CAP = 0.7
-# Splitting needs ceil(log2 m) phases without failures. Capping it at
-# SPLIT_CAP_C * log2 n phases (times 2/(1-mu) under failures; relocation
-# gets twice that) turns a stalled distribution into a trial failure.
+# Splitting needs log2 m phases without failures. Capping splitting and
+# relocation together at failure_budget(3 * SPLIT_CAP_C * log2 n) phases
+# turns a stalled distribution into a trial failure.
 SPLIT_CAP_C = 4
 # A node whose token pile passes this holds an abnormal share of the
 # copies; the trial fails rather than let one node's pile grow unbounded.
@@ -187,13 +190,18 @@ def distribute_tokens(
 
     ``origin_holders[c]`` is the node currently holding the c-th valued
     key. A token of weight w carries the lowest of the w copy ids it
-    stands for, starting at (id c*m, weight m); a splitting phase halves
-    weights, pushing the old id to a uniform node and keeping id + half,
-    until all weights are 1; relocation phases then push every token but
-    one off multi-token nodes until each token sits alone. A failed push
-    leaves the token merged at its holder (weights are conserved per
-    origin throughout). With m == 1 this is the identity and costs no
-    rounds.
+    stands for, starting at (id c*m, weight m). Each phase, every token
+    moves except a weight-1 token that is first in its holder's pile: a
+    moving token of weight w > 1 pushes its lower half (old id, weight
+    w/2) to a uniform node and keeps its upper half (id + w/2), a weight-1
+    token moves whole, and a failed push leaves the token in place. Each
+    node pushes its movers in consecutive rounds, until every token has
+    weight 1 and sits alone, in at most
+    ``failure_budget(3 * SPLIT_CAP_C * log2 n)`` phases. Phases that
+    start with a heavy token are ``split_phases``, the rest
+    ``relocate_phases``; ``track_phi`` records the heavy tokens' sum(w^2)
+    before the first phase and after each split phase. With m == 1 this
+    is the identity and costs no rounds.
 
     The c-th key's copies get ids c*m .. c*m + m - 1, duplicates below
     their original: the original holder ends with copy id c*m + m - 1.
@@ -210,54 +218,38 @@ def distribute_tokens(
     holder = np.asarray(origin_holders, dtype=np.int64).copy()
     token = np.arange(v_count, dtype=np.int64) * m
     weight = np.full(v_count, m, dtype=np.int64)
-
-    mu = engine.config.failure.mu
-    scale = 1.0 if mu == 0.0 else 2.0 / (1.0 - mu)
-    phase_cap = int(math.ceil(SPLIT_CAP_C * scale * math.log2(max(2, n))))
-    split_cap = max(math.ceil(math.log2(m)), phase_cap)
+    phase_cap = failure_budget(engine, 3 * SPLIT_CAP_C * math.log2(max(2, n)))
     phi_trace: list[float] = []
-
-    def record_phi():
-        heavy = weight >= 2
-        phi_trace.append(float(np.sum(weight[heavy].astype(np.float64) ** 2)))
-
-    if track_phi:
-        record_phi()
-
-    split_phases = 0
-    while bool((weight > 1).any()):
-        if split_phases >= split_cap:
-            raise TrialFailure("token splitting exceeded its phase cap")
-        split = np.nonzero(weight > 1)[0]
-        targets, failed = _push_token_rounds(holder[split], engine)
-        done = split[~failed]
-        if len(done):
-            half = weight[done] // 2
-            # the pushed half takes the old id, the retained half the upper block
-            pushed = token[done]
-            weight[done] = half
-            token[done] = pushed + half
-            token = np.concatenate([token, pushed])
-            weight = np.concatenate([weight, half])
-            holder = np.concatenate([holder, targets[~failed]])
-        split_phases += 1
-        if track_phi:
-            record_phi()
+    split_phases = relocate_phases = 0
+    while True:
+        heavy = weight > 1
+        if track_phi and len(phi_trace) == split_phases:
+            # before the first phase and after each split phase
+            phi_trace.append(float(np.sum(weight[heavy].astype(np.float64) ** 2)))
+        movers = np.flatnonzero(heavy | (_pile_positions(holder) > 0))
+        if not len(movers):
+            break
+        if split_phases + relocate_phases >= phase_cap:
+            raise TrialFailure("token distribution exceeded its phase cap")
+        targets, failed = _push_token_rounds(holder[movers], engine)
+        moved, targets = movers[~failed], targets[~failed]
+        splits = heavy[moved]
+        # a light mover goes whole; a heavy one pushes its lower half under
+        # the old id and keeps the upper block
+        holder[moved[~splits]] = targets[~splits]
+        done = moved[splits]
+        weight[done] //= 2
+        pushed = token[done]
+        token[done] += weight[done]
+        token = np.concatenate([token, pushed])
+        weight = np.concatenate([weight, weight[done]])
+        holder = np.concatenate([holder, targets[splits]])
+        if heavy.any():
+            split_phases += 1
+        else:
+            relocate_phases += 1
         if int(np.bincount(holder, minlength=n).max()) > TOKENS_PER_NODE_CAP:
             raise TrialFailure("per-node token pile exceeded its cap")
-
-    relocate_phases = 0
-    while True:
-        counts = np.bincount(holder, minlength=n)
-        if int(counts.max()) <= 1:
-            break
-        if relocate_phases >= 2 * phase_cap:
-            raise TrialFailure("token relocation exceeded its phase cap")
-        # every token but the first of each pile moves
-        movers = np.flatnonzero(_pile_positions(holder) > 0)
-        targets, failed = _push_token_rounds(holder[movers], engine)
-        holder[movers[~failed]] = targets[~failed]
-        relocate_phases += 1
 
     ids[holder] = token
     return TokenDistribution(ids, split_phases, relocate_phases, phi_trace)

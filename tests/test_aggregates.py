@@ -1,12 +1,13 @@
 """Min/max dissemination and push-sum counting."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gossipq import aggregates
+from gossipq import aggregates, exact
 from gossipq.aggregates import (
     CountResult,
     _gossip_exchange,
@@ -27,29 +28,32 @@ def _engine(n, seed, mu=0.0):
 def _reference_four_round_exchange(cur, engine, reduce_fn):
     """One push round and one pull round of one extreme, on contacts of
     their own: the exchange spreading ran twice per iteration, once per
-    extreme, before both extremes shared one contact."""
+    extreme, before both extremes shared one contact. The pull reads the
+    state after the push."""
     rd_push = engine.next_round()
     targets = rd_push.peers()
     senders = np.arange(engine.n) if rd_push.failed is None else np.nonzero(~rd_push.failed)[0]
     nxt = cur.copy()
     reduce_fn.at(nxt, targets[senders], cur[senders])
-    return reduce_fn(nxt, engine.next_round().pull(cur))
+    return reduce_fn(nxt, engine.next_round().pull(nxt))
 
 
 def _reference_one_contact_exchange(lo, hi, engine):
     """Node by node: each live node pushes both extremes to its one
-    contact, then each live node pulls both from its one contact."""
+    contact, then each live node pulls both from its one contact, as the
+    contact held them after the push round."""
     new_lo, new_hi = lo.copy(), hi.copy()
     rd = engine.next_round()
     for v, t in enumerate(rd.peers()):
         if rd.failed is None or not rd.failed[v]:
             new_lo[t] = min(new_lo[t], lo[v])
             new_hi[t] = max(new_hi[t], hi[v])
+    pushed_lo, pushed_hi = new_lo.copy(), new_hi.copy()
     rd = engine.next_round()
     for v, t in enumerate(rd.peers()):
         if rd.failed is None or not rd.failed[v]:
-            new_lo[v] = min(new_lo[v], lo[t])
-            new_hi[v] = max(new_hi[v], hi[t])
+            new_lo[v] = min(new_lo[v], pushed_lo[t])
+            new_hi[v] = max(new_hi[v], pushed_hi[t])
     return new_lo, new_hi
 
 
@@ -178,24 +182,42 @@ class TestSpreadMinMax:
             got, want = [f[name] for f in new], [f[name] for f in ref]
             assert stats.ks_2samp(got, want).pvalue > 0.01
 
-    @pytest.mark.parametrize("failure, scale", [
-        (FailureModel(), 1),
-        (FailureModel(mode="uniform", mu=0.3), 2),
-        (FailureModel(mode="uniform", mu=0.5), 2),
-        (FailureModel(mode="uniform", mu=0.75), 4),
-        (FailureModel(mode="scheduled", mu=0.5, seed=3), 2),
+    @pytest.mark.parametrize("failure", [
+        FailureModel(),
+        FailureModel(mode="uniform", mu=0.3),
+        FailureModel(mode="uniform", mu=0.5),
+        FailureModel(mode="uniform", mu=0.75),
+        FailureModel(mode="scheduled", mu=0.5, seed=3),
     ])
-    def test_budgets_scale_with_the_engine_failure_bound(self, monkeypatch, failure, scale):
+    def test_budgets_scale_with_the_engine_failure_bound(self, monkeypatch, failure):
+        # push-sum, spreading and the token phase cap each run
+        # ceil(base / (1 - mu)) for their failure-free base, in exact arithmetic
+        def scaled(base):
+            return math.ceil(Fraction(base) / (1 - Fraction(str(failure.mu))))
+
         n = 100
         engine = RoundEngine(SimConfig(n=n, seed=1, failure=failure))
         bits = np.arange(n) % 3 == 0
         res = push_sum_count(bits, engine)
-        assert res.rounds == engine.rounds == (math.ceil(4 * math.log2(n)) + 30) * scale
+        assert res.rounds == engine.rounds == scaled(math.ceil(4 * math.log2(n)) + 30)
         # an exchange that spreads nothing runs the whole budget
         monkeypatch.setattr(aggregates, "_gossip_exchange", lambda lo, hi, engine: (lo, hi))
         res = spread_min_max(np.arange(n), RoundEngine(SimConfig(n=n, seed=1, failure=failure)))
         assert not res.converged
-        assert res.iterations == 4 * math.ceil(math.log2(n)) * scale
+        assert res.iterations == scaled(4 * math.ceil(math.log2(n)))
+        # pushes that all fail run the token phases up to their cap; at
+        # n = 128 the base is 84, and 84 / (1 - 0.3) in floats exceeds 120
+        phases = []
+
+        def failing(holders, engine):
+            phases.append(len(holders))
+            return np.zeros(len(holders), dtype=np.int64), np.ones(len(holders), dtype=bool)
+
+        monkeypatch.setattr(exact, "_push_token_rounds", failing)
+        engine = RoundEngine(SimConfig(n=128, seed=1, failure=failure))
+        with pytest.raises(exact.TrialFailure, match="phase cap"):
+            exact.distribute_tokens(np.array([3, 9]), 4, engine)
+        assert len(phases) == scaled(3 * exact.SPLIT_CAP_C * 7)
 
 
 class TestPushSum:
@@ -270,9 +292,10 @@ class TestPushSum:
             exact_count_multi(mat, _engine(16, 1))
 
 
-def _scale(engine):
-    """ceil(1/(1-mu)), the factor push-sum scales its rounds by."""
-    return math.ceil(1.0 / (1.0 - engine.config.failure.mu))
+def _rounds(engine, c, extra_rounds):
+    """Push-sum's round count, ceil((ceil(c log2 n) + extra_rounds) / (1 - mu))."""
+    base = math.ceil(c * math.log2(max(2, engine.n))) + extra_rounds
+    return math.ceil(base / (1.0 - engine.config.failure.mu))
 
 
 def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
@@ -282,7 +305,7 @@ def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
     n = engine.n
     s = np.asarray(indicator_bits).astype(np.float64).copy()
     w = np.ones(n, dtype=np.float64)
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _scale(engine)
+    rounds = _rounds(engine, c, extra_rounds)
     trace = []
     for _ in range(rounds):
         rd = engine.next_round()
@@ -312,7 +335,7 @@ def _reference_push_sum_multi(indicator_matrix, engine, *, c=4, extra_rounds=30,
     channels, n = mat.shape
     s = mat.copy()
     w = np.ones(n, dtype=np.float64)
-    rounds = (math.ceil(c * math.log2(max(2, n))) + extra_rounds) * _scale(engine)
+    rounds = _rounds(engine, c, extra_rounds)
     for _ in range(rounds):
         rd = engine.next_round()
         targets = rd.peers(message_weight=channels)

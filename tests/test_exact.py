@@ -135,7 +135,104 @@ class TestValuedCountIdentity:
         ]
 
 
+def _reference_distribute_tokens(origin_holders, m, engine):
+    """The two-loop distribution the one phase loop replaced, kept as the
+    reference its draws must match without failures: splitting phases move
+    only the heavy tokens until all weights are 1, then relocation phases
+    push every token but the first of each pile."""
+    v_count = len(origin_holders)
+    n = engine.n
+    ids = np.full(n, -1, dtype=np.int64)
+    holder = np.asarray(origin_holders, dtype=np.int64).copy()
+    token = np.arange(v_count, dtype=np.int64) * m
+    weight = np.full(v_count, m, dtype=np.int64)
+    split_phases = 0
+    while bool((weight > 1).any()):
+        split = np.nonzero(weight > 1)[0]
+        targets, failed = exact._push_token_rounds(holder[split], engine)
+        done = split[~failed]
+        half = weight[done] // 2
+        pushed = token[done]
+        weight[done] = half
+        token[done] = pushed + half
+        token = np.concatenate([token, pushed])
+        weight = np.concatenate([weight, half])
+        holder = np.concatenate([holder, targets[~failed]])
+        split_phases += 1
+    relocate_phases = 0
+    while int(np.bincount(holder, minlength=n).max()) > 1:
+        movers = np.flatnonzero(exact._pile_positions(holder) > 0)
+        targets, failed = exact._push_token_rounds(holder[movers], engine)
+        holder[movers[~failed]] = targets[~failed]
+        relocate_phases += 1
+    ids[holder] = token
+    return ids, split_phases, relocate_phases
+
+
+def _check_copies(dist, holders, m):
+    """Exactly m copies of each key, with copy ranks 0..m-1, on distinct
+    nodes, and each origin holder keeps its key's top copy."""
+    placed = dist.ids >= 0
+    assert placed.sum() == m * len(holders)
+    key, copy_rank = dist.ids[placed] // m, dist.ids[placed] % m
+    order = np.lexsort((copy_rank, key))
+    assert np.array_equal(key[order], np.repeat(np.arange(len(holders)), m))
+    assert np.array_equal(copy_rank[order], np.tile(np.arange(m), len(holders)))
+    assert np.array_equal(dist.ids[holders], np.arange(len(holders)) * m + m - 1)
+
+
 class TestDistributeTokens:
+    @pytest.mark.parametrize("n, v_count, m", [
+        (64, 1, 4), (256, 20, 8), (512, 22, 16), (1024, 3, 128), (1024, 90, 4),
+        (4096, 1, 2048),
+    ])
+    def test_matches_the_two_loop_reference_without_failures(self, n, v_count, m):
+        for seed in range(4):
+            cfg = SimConfig(n=n, seed=seed)
+            holders = RoundEngine(cfg).values_rng().choice(n, size=v_count, replace=False)
+            a, b = RoundEngine(cfg), RoundEngine(cfg)
+            dist = distribute_tokens(holders, m, a)
+            ids, split_phases, relocate_phases = _reference_distribute_tokens(holders, m, b)
+            assert np.array_equal(dist.ids, ids)
+            assert (dist.split_phases, dist.relocate_phases) == (split_phases, relocate_phases)
+            assert dist.split_phases == int(math.log2(m))
+            assert (a.rounds, a.messages) == (b.rounds, b.messages)
+
+    @pytest.mark.parametrize("mode", ["uniform", "scheduled"])
+    @pytest.mark.parametrize("mu", [0.2, 0.5, 0.75])
+    def test_copies_under_failures(self, mode, mu):
+        for seed in range(4):
+            cfg = SimConfig(n=512, seed=seed,
+                            failure=FailureModel(mode=mode, mu=mu, seed=seed))
+            engine = RoundEngine(cfg)
+            holders = engine.values_rng().choice(512, size=22, replace=False)
+            dist = distribute_tokens(holders, 16, engine)
+            _check_copies(dist, holders, 16)
+            assert dist.split_phases >= 4
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_rounds_are_the_largest_mover_pile_of_each_phase(self, monkeypatch, mu):
+        # a phase pushes each node's movers in consecutive rounds, so a
+        # call's rounds are the sum over its phases of the most movers on
+        # one node, and its phases are split plus relocation phases
+        piles = []
+        original = exact._push_token_rounds
+
+        def recording(holders, engine):
+            piles.append(int(np.bincount(holders).max()))
+            return original(holders, engine)
+
+        monkeypatch.setattr(exact, "_push_token_rounds", recording)
+        for seed in range(4):
+            failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
+            engine = RoundEngine(SimConfig(n=1024, seed=seed, failure=failure))
+            holders = engine.values_rng().choice(1024, size=40, replace=False)
+            piles.clear()
+            dist = distribute_tokens(holders, 16, engine)
+            assert engine.rounds == sum(piles)
+            assert len(piles) == dist.split_phases + dist.relocate_phases
+            assert max(piles) > 1
+
     def test_m_one_is_identity(self):
         engine = RoundEngine(SimConfig(n=32, seed=1))
         holders = np.array([4, 9, 20])
@@ -184,7 +281,7 @@ class TestDistributeTokens:
 
     def test_overfilled_population_conserves_or_fails_cleanly(self):
         # 30 x 16 copies on 512 nodes is 94% fill, above FILL_CAP:
-        # relocation may run out of phases, but it must then raise its own
+        # the distribution may run out of phases, but it must then raise its own
         # failure, never return a wrong multiplicity
         from gossipq.exact import TrialFailure
         for seed in range(60):
@@ -193,7 +290,7 @@ class TestDistributeTokens:
             try:
                 dist = distribute_tokens(holders, 16, engine)
             except TrialFailure as exc:
-                assert str(exc) == "token relocation exceeded its phase cap"
+                assert str(exc) == "token distribution exceeded its phase cap"
                 continue
             placed = dist.ids >= 0
             counts = np.bincount(dist.ids[placed] // 16, minlength=30)

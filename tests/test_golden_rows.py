@@ -13,7 +13,9 @@ byte. Which stream each group pins:
   one engine's stream);
 - ``robust`` rows and ``exact --mu 0.5``: the round and failure streams
   under failures (pull batch sizes, the short mask and message total
-  drawn in law, adoption);
+  drawn in law, adoption); ``exact --mu 0.2`` also pins the failure
+  budget rule ceil(base / (1 - mu)) at a mu where it differs from scaling
+  by ceil(1 / (1 - mu));
 - ``exact`` rows: the exact protocol's stream (bracket tournaments,
   min/max spreading, push-sum counts, token duplication);
 - ``sketch`` and ``spread``: the sketch input and the spreading
@@ -54,14 +56,21 @@ GOLDEN = [
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,1479,476060,0,1\n"
+        "exact,256,0.5,0.08,0.0,1,2079,692998,0,1\n"
         "exact,256,0.5,0.08,0.0,2,745,232426,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.5,1,1602,229517,0,1\n"
-        "exact,256,0.3,0.08,0.5,2,2256,327625,0,1\n",
+        "exact,256,0.3,0.08,0.5,1,1956,273919,0,1\n"
+        "exact,256,0.3,0.08,0.5,2,2823,421069,0,1\n",
+    ),
+    (
+        # mu = 0.2: ceil(base / (1 - mu)) differs from base * ceil(1 / (1 - mu))
+        ["exact", "--n", "256", "--phi", "0.5", "--mu", "0.2",
+         "--trials", "2", "--seed", "1"],
+        "exact,256,0.5,0.08,0.2,1,879,211895,0,1\n"
+        "exact,256,0.5,0.08,0.2,2,2105,527602,0,1\n",
     ),
     (
         ["sketch", "--nprime", "1024", "--k", "16", "--trials", "2", "--seed", "1"],
@@ -104,20 +113,20 @@ GOLDEN = [
     (
         ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.1,0.0,1,544,169064,0,1\n"
-        "exact,256,0.5,0.1,0.0,2,1301,407856,0,1\n",
+        "exact,256,0.5,0.1,0.0,1,1360,440726,0,1\n"
+        "exact,256,0.5,0.1,0.0,2,947,305939,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--max-iterations", "2",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,1127,371410,0,1\n"
+        "exact,256,0.5,0.08,0.0,1,1328,439043,0,1\n"
         "exact,256,0.5,0.08,0.0,2,540,166163,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--k-sample", "10",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.0,1,1633,562429,0,1\n"
-        "exact,256,0.3,0.08,0.0,2,1080,358324,0,1\n",
+        "exact,256,0.3,0.08,0.0,1,761,257875,0,1\n"
+        "exact,256,0.3,0.08,0.0,2,607,199068,0,1\n",
     ),
 ]
 

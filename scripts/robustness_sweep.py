@@ -12,17 +12,13 @@ its failure-free rounds.
 import argparse
 import os
 
-from gossipq.harness import EXPERIMENTS, emit_report, run_batch
-from gossipq.tournament import clamped_rank, tournament_plan
-
-# the robust trials and the tournament rounds printed beside them use the
-# robust runner's default K
-K_SAMPLE = EXPERIMENTS["robust"].optional["k_sample"]
+from gossipq.harness import emit_report, run_batch
+from gossipq.tournament import K_SAMPLE, target_rank, tournament_plan
 
 
 def tournament_rounds(n, phi, eps, mu):
     """Rounds of one approximate tournament at failure bound mu."""
-    return tournament_plan(clamped_rank(phi * n, n), eps, n, K_SAMPLE, mu).rounds
+    return tournament_plan(target_rank(phi, n), eps, n, K_SAMPLE, mu).rounds
 
 
 def main():

@@ -26,7 +26,6 @@ from .engine import (
     draw_failures,
 )
 from .exact import (
-    ExactParams,
     ExactResult,
     InvariantViolation,
     TrialFailure,

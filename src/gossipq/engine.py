@@ -11,15 +11,14 @@ oblivious adversary's choice, made before execution. A plain round
 (:meth:`RoundEngine.next_round`) draws n uniforms from it for its failure
 bits, so a run of plain rounds reads successive n-blocks of the stream.
 A pull batch (:meth:`RoundEngine.advance_batch`) uses only each node's
-count of rounds whose pull did not fail, and under ``uniform`` (and
-``none``) it draws no per-round bit: the counts are i.i.d. binomial, so
-the engine draws, in law, which nodes are short of good pulls and the
-batch's message total. ``scheduled`` gives each node and round its own
-probability, so its batches still draw per-round bits. Its probabilities
-are the schedule stream read in round order, n uniforms per round, by
-plain rounds and batch rounds alike, so a run of R rounds tests the
-failure stream's ``(R, n)`` block against ``mu`` times the schedule
-stream's.
+count of rounds whose pull did not fail, and under ``uniform`` it draws
+no per-round bit: the counts are i.i.d. binomial, so the engine draws, in
+law, which nodes are short of good pulls and the batch's message total.
+``scheduled`` gives each node and round its own probability, so its
+batches still draw per-round bits. Its probabilities are the schedule
+stream read in round order, n uniforms per round, by plain rounds and
+batch rounds alike, so a run of R rounds tests the failure stream's
+``(R, n)`` block against ``mu`` times the schedule stream's.
 
 Protocol draws follow call order. Peer vectors and the protocol's own
 coins come from the round stream in the order the protocol asks for
@@ -70,7 +69,9 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 class FailureModel:
     """Per-node per-round failure probabilities, bounded by ``mu``.
 
-    mode "none"      : nothing ever fails.
+    Nothing fails at mu 0, in either mode (``active`` is ``mu > 0``); the
+    default, "uniform" at mu 0, is the failure-free model.
+
     mode "uniform"   : every node fails each round with probability ``mu``.
     mode "scheduled" : p[v, round] = mu * U(v, round), fixed before
                        execution: each round, in order, takes its n values
@@ -81,21 +82,19 @@ class FailureModel:
                        when ``seed`` equals the trial seed.
     """
 
-    mode: str = "none"
+    mode: str = "uniform"
     mu: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("none", "uniform", "scheduled"):
+        if self.mode not in ("uniform", "scheduled"):
             raise ValueError(f"unknown failure mode {self.mode!r}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("mu must lie in [0, 1)")
-        if self.mode == "none" and self.mu != 0.0:
-            raise ValueError("mode 'none' requires mu == 0")
 
     @property
     def active(self) -> bool:
-        return self.mode != "none" and self.mu > 0.0
+        return self.mu > 0.0
 
 
 def draw_failures(

@@ -42,7 +42,8 @@ import numpy as np
 from .aggregates import exact_count_multi, failure_budget, spread_min_max
 from .engine import RoundEngine, SimConfig
 from .engine import canonical_ids  # noqa: F401  (benchmarks/tracer.py patches this binding)
-from .tournament import _make_state, _tournament_core, adoption_rounds, clamped_rank
+from .tournament import (K_SAMPLE, _make_state, _tournament_core, adoption_rounds,
+                          clamped_rank, target_rank)
 
 
 class TrialFailure(RuntimeError):
@@ -71,24 +72,20 @@ TOKENS_PER_NODE_CAP = 3000
 MAX_RETRIES = 12
 
 
-@dataclass(frozen=True)
-class ExactParams:
-    """Desk-scale knobs of the exact algorithm; the CLI sets all three.
+# Narrowing iterations before the final run, unless a caller passes its own.
+MAX_ITERATIONS = 25
 
-    ``eps`` defaults to min(0.08, n^-0.05 / 2): the asymptotic rule capped
-    so the inner tournaments (run at accuracies eps/2 and eps/3) stay
-    inside their validity range and the duplication windows stay well
-    below the fill cap.
+
+def effective_eps(n: int, eps: float | None = None) -> float:
+    """The narrowing accuracy: ``eps`` when given, else min(0.08, n^-0.05 / 2).
+
+    The default is the asymptotic rule capped so the inner tournaments
+    (run at accuracies eps/2 and eps/3) stay inside their validity range
+    and the duplication windows stay well below the fill cap.
     """
-
-    eps: float | None = None
-    max_iterations: int = 25
-    k_sample: int = 30
-
-    def effective_eps(self, n: int) -> float:
-        if self.eps is not None:
-            return self.eps
-        return min(0.08, n ** -0.05 / 2.0)
+    if eps is not None:
+        return eps
+    return min(0.08, n ** -0.05 / 2.0)
 
 
 @dataclass
@@ -275,7 +272,7 @@ def narrow_window(
     k: int,
     eps: float,
     engine: RoundEngine,
-    params: ExactParams,
+    k_sample: int,
 ) -> tuple[int, int, int, int, int]:
     """Bracket the target rank: approximate both window ends, spread their
     extremes, count the rank of each end among the current values.
@@ -307,9 +304,7 @@ def narrow_window(
             if degenerate:
                 out, has = state.ids, valued_now
             else:
-                out, has, _ = _tournament_core(
-                    state.ids, rank, eps / 2.0, engine, params.k_sample
-                )
+                out, has, _ = _tournament_core(state.ids, rank, eps / 2.0, engine, k_sample)
             pools.append(np.where(has, out, fill))
         spread = spread_min_max(pools[0], engine, max_values=pools[1])
         if not spread.converged:
@@ -347,19 +342,24 @@ def exact_quantile(
     phi: float,
     config: SimConfig,
     values=None,
-    params: ExactParams | None = None,
+    *,
+    eps: float | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+    k_sample: int = K_SAMPLE,
     iteration_callback=None,
 ) -> ExactResult:
     """Compute the value of rank ceil(phi * n) exactly.
 
-    Raises :class:`TrialFailure` when a subroutine fails unrecoverably
-    (never observed at the tested scales with default parameters).
-    ``iteration_callback(state, k, copies)`` is a diagnostics hook called
-    after each narrowing iteration.
+    ``eps`` is the narrowing accuracy (None: :func:`effective_eps`),
+    ``max_iterations`` caps the narrowing iterations before the final run
+    and ``k_sample`` is every inner tournament's K. A phi outside [0, 1]
+    raises ``ValueError``. Raises :class:`TrialFailure` when a subroutine
+    fails unrecoverably (never observed at the tested scales with default
+    settings). ``iteration_callback(state, k, copies)`` is a diagnostics
+    hook called after each narrowing iteration.
     """
-    params = params or ExactParams()
     n = config.n
-    k0 = clamped_rank(phi * n, n)
+    k0 = target_rank(phi, n)
     engine, ids, value_by_rank = _make_state(config, values)
     if n == 1:
         return ExactResult(float(value_by_rank[0]), 0, 0, 0, 1)
@@ -371,33 +371,30 @@ def exact_quantile(
     value = value_by_rank.astype(float)
     state = _State(ids, np.arange(n))
     robust = config.failure.active
-    eps = params.effective_eps(n)
+    eps = effective_eps(n, eps)
 
     k = k0
     copies = 1            # certified surviving duplicates of the answer
-    m_product = 1
     iterations = 0
     retries_used = 0
-    details: dict = {"k_trace": [k0], "m_trace": [], "v_trace": [],
-                     "copies_trace": [], "attempts_trace": []}
+    details: dict = {"m_trace": [], "v_trace": [], "copies_trace": [], "attempts_trace": []}
     # the closing approximate run needs an answer block of ~eps*n ranks;
     # when eps*n is tiny the loop instead narrows until one value is left
     final_route = eps * n >= 2.0
 
-    while iterations < params.max_iterations:
+    while iterations < max_iterations:
         lo_val, hi_val = value[state.rank_by_id[[0, -1]]]
         if lo_val == hi_val:
             details["exit"] = "all-equal"
             return ExactResult(
                 float(lo_val), engine.rounds, engine.messages, iterations, k0,
-                details | {"retries": retries_used, "copies": copies,
-                           "m_product": m_product},
+                details | {"retries": retries_used, "copies": copies},
             )
         if final_route and copies >= eps * n:
             break
 
         min_id, max_id, r_min, r_max, attempts = narrow_window(
-            state, k, eps, engine, params
+            state, k, eps, engine, k_sample
         )
         retries_used += attempts - 1
 
@@ -409,7 +406,6 @@ def exact_quantile(
         surviving = k - r_min + 1
         copies = m * min(copies, surviving)
         k = rank_update(k, r_min, m)
-        m_product *= m
 
         holder_of_id = np.empty(n, dtype=np.int64)
         holder_of_id[state.ids] = np.arange(n)
@@ -417,7 +413,6 @@ def exact_quantile(
         dist = distribute_tokens(origin_holders, m, engine)
         state = _rebuild_state(state, min_id, v_count, m, dist)
         iterations += 1
-        details["k_trace"].append(k)
         details["m_trace"].append(m)
         details["v_trace"].append(v_count)
         details["copies_trace"].append(copies)
@@ -430,7 +425,7 @@ def exact_quantile(
     for _ in range(MAX_RETRIES + 1):
         final_rank = clamped_rank(k - eps / 2.0 * n, n)
         outputs, has_output, _ = _tournament_core(
-            state.ids, final_rank, eps / 3.0, engine, params.k_sample
+            state.ids, final_rank, eps / 3.0, engine, k_sample
         )
         if not has_output.any():
             raise TrialFailure("final run produced no outputs")
@@ -454,6 +449,5 @@ def exact_quantile(
         details["nodes_with_answer"] = int(np.count_nonzero(has_output))
     return ExactResult(
         float(candidates[0]), engine.rounds, engine.messages, iterations, k0,
-        details | {"retries": retries_used, "copies": copies,
-                   "m_product": m_product, "exit": "final-run"},
+        details | {"retries": retries_used, "copies": copies, "exit": "final-run"},
     )

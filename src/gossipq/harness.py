@@ -26,15 +26,18 @@ from .engine import (
     SimConfig,
     derive_rng,
 )
-from .exact import ExactParams, InvariantViolation, TrialFailure, exact_quantile
+from .exact import (MAX_ITERATIONS, InvariantViolation, TrialFailure, effective_eps,
+                     exact_quantile)
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
 from .tournament import (
+    K_SAMPLE,
     _make_state,
     _tournament_core,
     approx_quantile,
     clamped_rank,
     robust_approx_quantile,
+    target_rank,
 )
 
 CSV_COLUMNS = (
@@ -53,13 +56,14 @@ def rank_window(n: int, phi: float, eps: float) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # trial runners
 #
-# Each runner returns (rounds, messages, max_rank_error, success, extras);
-# ``run_trial`` builds the CSV row from the experiment's table key and the
-# runner's keywords. ``extras`` holds the columns only the runner knows
-# (exact's effective eps) and underscore keys the CSV leaves out.
+# Each runner takes its experiment's CLI options as keywords and returns
+# (rounds, messages, max_rank_error, success, extras); ``run_trial`` builds
+# the CSV row from the experiment's table key and the runner's keywords.
+# ``extras`` holds the columns only the runner knows (exact's effective
+# eps, the sketch's n) and underscore keys the CSV leaves out.
 
 
-def run_approx_trial(n, phi, eps, seed, k_sample=30):
+def run_approx_trial(n, phi, eps, seed, k_sample=K_SAMPLE):
     # failure-free: trials under failures go through run_robust_trial
     report = approx_quantile(phi, eps, SimConfig(n=n, seed=seed), k_sample=k_sample)
     lo, hi = rank_window(n, phi, eps)
@@ -68,7 +72,7 @@ def run_approx_trial(n, phi, eps, seed, k_sample=30):
     return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
-def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
+def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=K_SAMPLE):
     config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     report = robust_approx_quantile(phi, eps, t_extra, config, k_sample=k_sample)
     lo, hi = rank_window(n, phi, eps)
@@ -79,32 +83,31 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=30):
     return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
-def run_exact_trial(n, phi, seed, mu=0.0, params: ExactParams | None = None):
+def run_exact_trial(n, phi, seed, mu=0.0, exact_eps=None, k_sample=K_SAMPLE,
+                    max_iterations=MAX_ITERATIONS):
     config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     values = derive_rng(seed, STREAM_VALUES).permutation(n)
-    k0 = clamped_rank(phi * n, n)
-    oracle = float(np.sort(values)[k0 - 1])
-    extras = {"eps": (params or ExactParams()).effective_eps(n)}
+    k0 = target_rank(phi, n)
+    ordered = np.sort(values)
+    extras = {"eps": effective_eps(n, exact_eps)}
     try:
-        result = exact_quantile(phi, config, values=values, params=params)
+        result = exact_quantile(phi, config, values=values, eps=exact_eps,
+                                k_sample=k_sample, max_iterations=max_iterations)
     except (TrialFailure, BudgetExceededError, InvariantViolation) as exc:
         # one bad trial becomes a failed row instead of aborting the batch;
         # its kind goes to the JSON summary, not to the CSV
         extras["_failure_kind"] = type(exc).__name__
         return 0, 0, n, False, extras
-    ok = result.value == oracle
-    error = 0
-    if not ok:
-        rank = int(np.searchsorted(np.sort(values), result.value) + 1)
-        error = abs(rank - k0)
-    return result.rounds, result.messages, error, ok, extras
+    # the values are distinct, so the answer's rank is its sorted index + 1
+    error = abs(int(np.searchsorted(ordered, result.value)) + 1 - k0)
+    return result.rounds, result.messages, error, result.value == ordered[k0 - 1], extras
 
 
-def run_sketch_trial(n, k, seed):
-    """Compaction error check over a permutation of n = n' keys."""
-    data = derive_rng(seed, STREAM_VALUES).permutation(n).astype(np.int64)
-    err = compaction_error_check(n, k, data)
-    return int(math.log2(n)) + 1, 0, err, True, {}
+def run_sketch_trial(nprime, k, seed):
+    """Compaction error check over a permutation of n' keys; n' is the row's n."""
+    data = derive_rng(seed, STREAM_VALUES).permutation(nprime).astype(np.int64)
+    err = compaction_error_check(nprime, k, data)
+    return int(math.log2(nprime)) + 1, 0, err, True, {"n": nprime}
 
 
 def spread_experiment(n: int, eps: float, seed: int) -> int:
@@ -147,7 +150,7 @@ def run_spread_trial(n, eps, seed):
     return rounds, 2 * n * rounds, 0, rounds >= threshold, {}
 
 
-def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
+def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=K_SAMPLE):
     """Every node estimates its own value's quantile to within 2 eps.
 
     Runs the approximate protocol's tournament at each grid quantile
@@ -172,7 +175,7 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=30):
     return eps * below, ids, engine.rounds, engine.messages
 
 
-def run_selfq_trial(n, eps, seed, k_sample=30):
+def run_selfq_trial(n, eps, seed, k_sample=K_SAMPLE):
     config = SimConfig(n=n, seed=seed)
     estimates, ids, rounds, messages = self_quantile(
         eps, config, k_sample=k_sample
@@ -196,32 +199,24 @@ class Experiment:
     """How the CLI runs one trial experiment and judges its batch.
 
     The table key names the experiment in every row ``run_trial`` builds
-    from ``runner``'s result. Options are config keys (key ``k_sample`` is flag ``--k-sample``).
+    from ``runner``'s result. Options are config keys (key ``k_sample`` is
+    flag ``--k-sample``) and ``runner`` takes each one under its own name.
     ``optional`` gives the default applied after the config merge (None:
-    the runner's own); ``renamed`` gives runner keywords; options in
-    ``exact_params`` reach the runner inside one ``ExactParams``. A batch
-    of at least ``gate[1]`` trials passes at success rate ``gate[0]``; a
-    smaller one only when every trial succeeds.
+    the runner's own). A batch of at least ``gate[1]`` trials passes at
+    success rate ``gate[0]``; a smaller one only when every trial succeeds.
     """
 
     runner: Callable[..., tuple]
     help: str
     required: tuple[str, ...]
     optional: dict = field(default_factory=dict)
-    renamed: dict = field(default_factory=dict)
-    exact_params: tuple[str, ...] = ()
     gate: tuple[float, int] = (1.0, 1)
     fits_rounds: bool = False
 
     def tasks(self, cfg: dict, seeds) -> list[dict]:
         """Runner kwargs for each seed from a merged, typed config."""
-        kwargs, params = {}, {}
-        for name in (*self.required, *self.optional):
-            if cfg.get(name) is not None:
-                into = params if name in self.exact_params else kwargs
-                into[self.renamed.get(name, name)] = cfg[name]
-        if self.exact_params:
-            kwargs["params"] = ExactParams(**params)
+        kwargs = {name: cfg[name] for name in (*self.required, *self.optional)
+                  if cfg.get(name) is not None}
         return [dict(kwargs, seed=s) for s in seeds]
 
     def passes(self, success_rate: float, trials: int) -> bool:
@@ -232,29 +227,27 @@ class Experiment:
 EXPERIMENTS = {
     "approx": Experiment(
         run_approx_trial, "approximate quantile trials", ("n", "phi", "eps"),
-        {"k_sample": 30}, gate=(0.99, 100), fits_rounds=True,
+        {"k_sample": K_SAMPLE}, gate=(0.99, 100), fits_rounds=True,
     ),
     "exact": Experiment(
         run_exact_trial, "exact quantile trials", ("n", "phi"),
-        {"mu": None, "exact_eps": None, "k_sample": 30, "max_iterations": 25},
-        renamed={"exact_eps": "eps"},
-        exact_params=("exact_eps", "k_sample", "max_iterations"),
+        {"mu": None, "exact_eps": None, "k_sample": K_SAMPLE,
+         "max_iterations": MAX_ITERATIONS},
     ),
     "robust": Experiment(
         run_robust_trial, "failure-robust approximate trials",
-        ("n", "phi", "eps", "mu"), {"t_extra": 10, "k_sample": 30},
+        ("n", "phi", "eps", "mu"), {"t_extra": 10, "k_sample": K_SAMPLE},
         gate=(0.95, 20), fits_rounds=True,
     ),
     "sketch": Experiment(
         run_sketch_trial, "compaction error-bound trials", ("nprime", "k"),
-        renamed={"nprime": "n"},
     ),
     "spread": Experiment(
         run_spread_trial, "good-set spreading experiment", ("n", "eps"),
     ),
     "selfq": Experiment(
         run_selfq_trial, "per-node self-quantile trials", ("n", "eps"),
-        {"k_sample": 30}, gate=(0.95, 20), fits_rounds=True,
+        {"k_sample": K_SAMPLE}, gate=(0.95, 20), fits_rounds=True,
     ),
 }
 
@@ -269,7 +262,7 @@ def run_trial(experiment: str, **kwargs) -> dict:
         EXPERIMENTS[experiment].runner(**kwargs)
     )
     row = {
-        "experiment": experiment, "n": kwargs["n"],
+        "experiment": experiment, "n": kwargs.get("n"),
         "phi": kwargs.get("phi", ""), "eps": kwargs.get("eps", ""),
         "mu": kwargs.get("mu", 0.0), "seed": kwargs["seed"],
         "rounds": rounds, "messages": messages,

@@ -315,6 +315,8 @@ def adoption_rounds(
 # (see TestPhaseOneComposition), so the median band to amplify has half-width
 # eps/4.
 PHASE2_EPS_FACTOR = 4
+# K, the final sample's pulls, unless a caller passes its own.
+K_SAMPLE = 30
 
 
 def _id_dtype(n: int):
@@ -404,6 +406,13 @@ def clamped_rank(rank: float, n: int) -> int:
     return max(1, min(n, math.ceil(rank - 1e-9)))
 
 
+def target_rank(phi: float, n: int) -> int:
+    """The rank a phi-quantile targets; a phi outside [0, 1] raises ``ValueError``."""
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError(f"phi must lie in [0, 1], got {phi!r}")
+    return clamped_rank(phi * n, n)
+
+
 def _make_state(config: SimConfig, values):
     engine = RoundEngine(config)
     if values is None:
@@ -440,22 +449,23 @@ def _finish_report(
 def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
     """One approximate-quantile trial: the tournaments, then ``t_extra``
     adoption rounds for nodes without an answer."""
+    if t_extra < 0:
+        raise ValueError("t_extra must be >= 0")
+    rank = target_rank(phi, config.n)
     engine, ids, value_by_rank = _make_state(config, values)
-    n = config.n
-    target_rank = clamped_rank(phi * n, n)
     report = TrialReport()
-    if n == 1:
+    if config.n == 1:
         return _finish_report(
             engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
-            value_by_rank, target_rank,
+            value_by_rank, rank,
         )
-    outputs, has_output, info = _tournament_core(ids, target_rank, eps, engine, k_sample)
+    outputs, has_output, info = _tournament_core(ids, rank, eps, engine, k_sample)
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
     report.details["good_trace"] = info["good_trace"]
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     report.phase1_iterations = info["phase1_iterations"]
     report.phase2_iterations = info["phase2_iterations"]
-    return _finish_report(engine, report, outputs, has_output, value_by_rank, target_rank)
+    return _finish_report(engine, report, outputs, has_output, value_by_rank, rank)
 
 
 def approx_quantile(
@@ -464,7 +474,7 @@ def approx_quantile(
     config: SimConfig,
     values=None,
     *,
-    k_sample: int = 30,
+    k_sample: int = K_SAMPLE,
 ) -> TrialReport:
     """The epsilon-approximate phi-quantile protocol, one full trial.
 
@@ -485,11 +495,12 @@ def robust_approx_quantile(
     config: SimConfig,
     values=None,
     *,
-    k_sample: int = 30,
+    k_sample: int = K_SAMPLE,
 ) -> TrialReport:
     """Failure-robust approximate quantile with t_extra adoption rounds.
 
     With mu == 0 every node has an answer after the tournaments, so no
     adoption round runs and this is :func:`approx_quantile` draw for draw.
+    A negative ``t_extra`` raises ``ValueError``.
     """
     return _approx_trial(phi, eps, t_extra, config, values, k_sample)

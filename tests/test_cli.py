@@ -1,6 +1,6 @@
 """CLI surface: subcommands, report formats, exit codes, reproducibility."""
 import argparse
-import dataclasses
+import inspect
 import json
 import math
 
@@ -19,7 +19,7 @@ from gossipq.harness import (
     spread_experiment,
 )
 from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
-from gossipq.exact import ExactParams, InvariantViolation, TrialFailure
+from gossipq.exact import InvariantViolation, TrialFailure, exact_quantile
 from gossipq.tournament import clamped_rank, tournament_plan
 
 
@@ -106,6 +106,21 @@ class TestConfigFile:
     def test_mu_outside_its_range_exit_2(self, tmp_path, argv, mu):
         path = tmp_path / "rows.csv"
         assert run_cli(argv + ["--mu", mu, "--csv", str(path)]) == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--n", "200", "--phi", "1.5", "--eps", "0.05"],
+        ["robust", "--n", "200", "--phi", "-0.5", "--eps", "0.05", "--mu", "0.5"],
+        ["robust", "--n", "200", "--phi", "0.5", "--eps", "0.05", "--mu", "0.5",
+         "--t-extra", "-1"],
+        ["exact", "--n", "64", "--phi", "1.5"],
+        ["exact", "--n", "64", "--phi", "-0.5"],
+    ])
+    def test_phi_outside_unit_interval_or_negative_t_extra_exit_2(self, tmp_path, argv):
+        # a clamped phi would run the maximum's or the minimum's trial and
+        # could report success for a quantile no one asked for
+        path = tmp_path / "rows.csv"
+        assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 2
         assert not path.exists()
 
     def test_missing_required_option_exit_2(self):
@@ -238,11 +253,21 @@ class TestCommandTable:
 
         assert set(harness.EXPERIMENTS) <= {argv[0] for argv, _ in GOLDEN}
 
-    def test_every_exact_param_reachable_from_cli(self):
-        # a field no option sets is a setting nothing runs
+    def test_every_exact_setting_reachable_from_cli(self):
+        # a setting no option reaches is a setting nothing runs; the CLI
+        # names exact's eps --exact-eps, apart from the approximate --eps
+        settings = {
+            name: p.default
+            for name, p in inspect.signature(exact_quantile).parameters.items()
+            if p.kind is p.KEYWORD_ONLY and name != "iteration_callback"
+        }
+        assert set(settings) == {"eps", "k_sample", "max_iterations"}
         exp = harness.EXPERIMENTS["exact"]
-        reachable = {exp.renamed.get(name, name) for name in exp.exact_params}
-        assert {f.name for f in dataclasses.fields(ExactParams)} == reachable
+        runner = inspect.signature(exp.runner).parameters
+        for name, default in settings.items():
+            option = "exact_eps" if name == "eps" else name
+            assert option in runner and option in exp.optional
+            assert runner[option].default == exp.optional[option] == default
 
 
 class TestSelfQuantile:

@@ -19,7 +19,8 @@ from gossipq.engine import (
     draw_failures,
 )
 from gossipq.schedules import binomial_below
-from gossipq.tournament import robust_approx_quantile, tournament_plan
+from gossipq.exact import exact_quantile
+from gossipq.tournament import approx_quantile, robust_approx_quantile, tournament_plan
 
 _SEED_EDGES = [0, 1, 2**32, 2**64 - 1, -1, -2**63]
 
@@ -115,7 +116,29 @@ class TestFailureDraws:
         with pytest.raises(ValueError):
             FailureModel(mode="uniform", mu=1.0)
         with pytest.raises(ValueError):
-            FailureModel(mode="none", mu=0.2)
+            FailureModel(mode="none")
+
+    def test_every_model_at_mu_zero_is_failure_free(self):
+        # the default, "uniform" at mu 0 and "scheduled" at mu 0 are one
+        # model: the same trial, draw for draw
+        models = [
+            FailureModel(), FailureModel("uniform", 0.0), FailureModel("scheduled", 0.0, 1),
+        ]
+
+        def trials(failure):
+            config = SimConfig(n=300, seed=5, failure=failure)
+            approx = approx_quantile(0.3, 0.1, config)
+            robust = robust_approx_quantile(0.3, 0.1, 4, config)
+            exact = exact_quantile(0.5, SimConfig(n=128, seed=5, failure=failure))
+            return [
+                (approx.rounds, approx.messages, approx.outputs.tobytes()),
+                (robust.rounds, robust.messages, robust.outputs.tobytes()),
+                (exact.rounds, exact.messages, exact.value, exact.iterations),
+            ]
+
+        assert not any(model.active for model in models)
+        first = trials(models[0])
+        assert all(trials(model) == first for model in models[1:])
 
 
 class TestEngine:
@@ -185,7 +208,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("failure", [
         FailureModel(), FailureModel("uniform", 0.4), FailureModel("scheduled", 0.4, 1),
-    ], ids=["none", "uniform", "scheduled"])
+    ], ids=["mu0", "uniform", "scheduled"])
     def test_messages_count_the_live_pulls(self, failure):
         # with every node short regardless of its live count, the short
         # mask tells nothing, so the messages are the batch's live pulls:
@@ -197,7 +220,7 @@ class TestBatch:
             short = engine.advance_batch(batch, np.ones((1, batch + 1)), 0)
             assert short.all() and engine.rounds == batch
             totals.append(engine.messages)
-        if failure.mode == "none":
+        if not failure.active:
             assert set(totals) == {n * batch}
         elif failure.mode == "uniform":
             assert stats.kstest(totals, stats.binom(n * batch, 0.6).cdf).pvalue > 0.01

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from gossipq import exact
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.exact import (
-    ExactParams,
     InvariantViolation,
     compute_m,
     distribute_tokens,
@@ -432,10 +431,9 @@ class TestExactQuantile:
     def test_window_size_within_derived_bound(self):
         # for iterations bracketed on the first attempt, the surviving
         # window holds at most 2 eps n + 2 M values
-        params = ExactParams()
         cfg = SimConfig(n=4096, seed=2)
-        res = exact_quantile(0.5, cfg, params=params)
-        eps = params.effective_eps(4096)
+        res = exact_quantile(0.5, cfg)
+        eps = exact.effective_eps(4096)
         copies_before = [1] + res.details["copies_trace"][:-1]
         for v, attempts, m_prev in zip(
             res.details["v_trace"], res.details["attempts_trace"], copies_before

@@ -30,6 +30,7 @@ from gossipq.tournament import (
     robust_phase1_iteration,
     robust_phase2_iteration,
     robust_pull_batch,
+    target_rank,
     tournament_plan,
 )
 
@@ -210,6 +211,26 @@ class TestApproxQuantile:
         values = np.random.default_rng(5).normal(size=2000)
         rep = approx_quantile(0.5, 0.08, SimConfig(n=2000, seed=8), values=values)
         assert set(rep.outputs) <= set(values)
+
+    def test_target_rank_covers_the_unit_interval(self):
+        assert [target_rank(phi, 10) for phi in (0.0, 0.3, 0.31, 1.0)] == [1, 3, 4, 10]
+        assert target_rank(0.07, 100) == 7  # 0.07 * 100 lands a rounding error above 7
+
+    @pytest.mark.parametrize("phi", [-0.5, 1.5, math.nan])
+    def test_phi_outside_unit_interval_raises(self, phi):
+        # clamping would turn the request into the minimum's or the maximum's
+        config = SimConfig(n=64, seed=1)
+        for run in (lambda: target_rank(phi, 64),
+                    lambda: approx_quantile(phi, 0.1, config),
+                    lambda: robust_approx_quantile(phi, 0.1, 3, config),
+                    lambda: exact_quantile(phi, config)):
+            with pytest.raises(ValueError, match="phi"):
+                run()
+
+    def test_negative_t_extra_raises(self):
+        # the harness gate n / 2**t_extra would then exceed n
+        with pytest.raises(ValueError, match="t_extra"):
+            robust_approx_quantile(0.5, 0.1, -1, SimConfig(n=64, seed=1))
 
 
 class TestPhaseOneComposition:
@@ -491,7 +512,7 @@ class TestPullBatchAgainstReference:
 
     @pytest.mark.parametrize("failure", [
         FailureModel(), FailureModel("uniform", 0.5), FailureModel("scheduled", 0.5, 2),
-    ], ids=["none", "uniform", "scheduled"])
+    ], ids=["mu0", "uniform", "scheduled"])
     def test_batch_crossing_the_budget_stops_at_it(self, failure):
         # like the per-round loop, a batch that would cross max_rounds
         # raises and leaves the engine at max_rounds

@@ -16,9 +16,11 @@ lockstep routine, :func:`push_sum_multi`, over a (channels + 1, n) state
 whose channels share the contact draws and the weight row, with one retry
 loop, :func:`exact_count_multi`; the single-channel names call them.
 
-Both budgets, and the exact protocol's token phase cap, are failure-free
-round counts ``base`` run for ceil(base / (1 - mu)) rounds, mu read from
-the engine's failure model by :func:`failure_budget`.
+Both budgets (``SPREAD_C`` for spreading; ``PUSH_SUM_C`` and
+``PUSH_SUM_EXTRA`` per push-sum attempt, of at most ``COUNT_ATTEMPTS``),
+and the exact protocol's token phase cap, are failure-free round counts
+``base`` run for ceil(base / (1 - mu)) rounds, mu read from the engine's
+failure model by :func:`failure_budget`.
 """
 from __future__ import annotations
 
@@ -33,6 +35,14 @@ from .engine import RoundEngine
 # failure_budget). Push-pull spreading of one value completes in
 # log2 n + O(log n) rounds w.h.p., so 4x leaves an overrun vanishingly rare.
 SPREAD_C = 4
+# Push-sum budget: ceil(PUSH_SUM_C * log2 n) + PUSH_SUM_EXTRA rounds (through
+# failure_budget). Push-sum reaches relative error delta in O(log n +
+# log 1/delta) rounds w.h.p., and an exact count needs delta below 1/(4n).
+PUSH_SUM_C = 4
+PUSH_SUM_EXTRA = 30
+# An exact count runs push-sum up to COUNT_ATTEMPTS times, doubling the
+# extra rounds each time, before the caller sees a failure.
+COUNT_ATTEMPTS = 3
 # A push-sum estimate n*s/w is flagged when its distance to the nearest
 # integer exceeds 0.5 - AMBIGUITY = 0.25, halfway between an exact count
 # (distance 0) and a tie between two counts (distance 0.5).
@@ -120,36 +130,31 @@ def push_sum_count(
     indicator_bits: np.ndarray,
     engine: RoundEngine,
     *,
-    c: int = 4,
-    extra_rounds: int = 30,
     track_mass: bool = False,
 ) -> CountResult:
     """Count set indicator bits by push-sum: :func:`push_sum_multi` on one channel."""
     bits = np.asarray(indicator_bits)
-    return push_sum_multi(
-        bits[np.newaxis, :], engine,
-        c=c, extra_rounds=extra_rounds, track_mass=track_mass,
-    )[0]
+    return push_sum_multi(bits[np.newaxis, :], engine, track_mass=track_mass)[0]
 
 
 def push_sum_multi(
     indicator_matrix: np.ndarray,
     engine: RoundEngine,
     *,
-    c: int = 4,
-    extra_rounds: int = 30,
+    attempt: int = 0,
     track_mass: bool = False,
 ) -> list[CountResult]:
     """Count the set 0/1 bits of each channel by push-sum, in lockstep.
 
-    Runs ``ceil((ceil(c * log2 n) + extra_rounds) / (1 - mu))`` push rounds;
-    each node then outputs ``round(n * s/w)`` per channel. Estimates whose
-    fractional part is within ``AMBIGUITY`` of one half are flagged as
-    ambiguous so callers can retry with more rounds. All channels share
-    the contact draws and the weight component, so k counts cost the same
-    number of rounds as one; each pushed share is a (k+1)-number message
-    and is accounted as k message units. ``track_mass`` records each
-    channel's total sum after every round.
+    Runs ``ceil((ceil(PUSH_SUM_C * log2 n) + PUSH_SUM_EXTRA * 2**attempt)
+    / (1 - mu))`` push rounds; each node then outputs ``round(n * s/w)``
+    per channel. Estimates whose fractional part is within ``AMBIGUITY``
+    of one half are flagged as ambiguous so callers can retry with more
+    rounds. All channels share the contact draws and the weight
+    component, so k counts cost the same number of rounds as one; each
+    pushed share is a (k+1)-number message and is accounted as k message
+    units. ``track_mass`` records each channel's total sum after every
+    round.
     """
     mat = np.asarray(indicator_matrix, dtype=np.float64)
     if mat.ndim != 2:
@@ -161,7 +166,8 @@ def push_sum_multi(
     state = np.empty((channels + 1, n), dtype=np.float64)
     state[:channels] = mat
     state[channels] = 1.0
-    rounds = failure_budget(engine, math.ceil(c * math.log2(max(2, n))) + extra_rounds)
+    base = math.ceil(PUSH_SUM_C * math.log2(max(2, n))) + PUSH_SUM_EXTRA * 2**attempt
+    rounds = failure_budget(engine, base)
     traces: list[list[float]] = [[] for _ in range(channels)]
     for _ in range(rounds):
         rd = engine.next_round()
@@ -185,41 +191,21 @@ def push_sum_multi(
     return results
 
 
-def exact_count(
-    indicator_bits: np.ndarray,
-    engine: RoundEngine,
-    *,
-    c: int = 4,
-    extra_rounds: int = 30,
-    max_attempts: int = 3,
-) -> int | None:
+def exact_count(indicator_bits: np.ndarray, engine: RoundEngine) -> int | None:
     """One-channel :func:`exact_count_multi`: the count, or None."""
-    bits = np.asarray(indicator_bits)
-    counts = exact_count_multi(
-        bits[np.newaxis, :], engine,
-        c=c, extra_rounds=extra_rounds, max_attempts=max_attempts,
-    )
+    counts = exact_count_multi(np.asarray(indicator_bits)[np.newaxis, :], engine)
     return None if counts is None else counts[0]
 
 
-def exact_count_multi(
-    indicator_matrix: np.ndarray,
-    engine: RoundEngine,
-    *,
-    c: int = 4,
-    extra_rounds: int = 30,
-    max_attempts: int = 3,
-) -> list[int] | None:
+def exact_count_multi(indicator_matrix: np.ndarray, engine: RoundEngine) -> list[int] | None:
     """Lockstep push-sum counts retried until all are exact, else None.
 
-    A count is exact when no node flags it and all nodes agree. Each retry
-    doubles the extra rounds; the protocol-level consumers treat ``None``
-    as a trial failure.
+    A count is exact when no node flags it and all nodes agree. Each of
+    the ``COUNT_ATTEMPTS`` attempts doubles the extra rounds; the
+    protocol-level consumers treat ``None`` as a trial failure.
     """
-    extra = extra_rounds
-    for _ in range(max_attempts):
-        results = push_sum_multi(indicator_matrix, engine, c=c, extra_rounds=extra)
+    for attempt in range(COUNT_ATTEMPTS):
+        results = push_sum_multi(indicator_matrix, engine, attempt=attempt)
         if all(not r.any_flagged and r.unanimous for r in results):
             return [int(r.estimates[0]) for r in results]
-        extra *= 2
     return None

@@ -24,8 +24,8 @@ plus one, so the valued count inside the bracket follows from its two
 rank counts with no count of its own:
 ``min(r_max, real_count) - r_min + 1``.
 
-Push-sum counts and min/max spreading run at their primitives' default
-budgets (``c=4``, ``extra_rounds=30``, ``SPREAD_C=4``); these and the
+Push-sum counts and min/max spreading run at their primitives' budgets
+(``aggregates.PUSH_SUM_C``, ``PUSH_SUM_EXTRA`` and ``SPREAD_C``); these and the
 token phase cap are failure-free budgets that
 :func:`~gossipq.aggregates.failure_budget` scales to ceil(base / (1 - mu)),
 mu read from the engine's failure model. Token duplication is one phase
@@ -74,18 +74,10 @@ MAX_RETRIES = 12
 
 # Narrowing iterations before the final run, unless a caller passes its own.
 MAX_ITERATIONS = 25
-
-
-def effective_eps(n: int, eps: float | None = None) -> float:
-    """The narrowing accuracy: ``eps`` when given, else min(0.08, n^-0.05 / 2).
-
-    The default is the asymptotic rule capped so the inner tournaments
-    (run at accuracies eps/2 and eps/3) stay inside their validity range
-    and the duplication windows stay well below the fill cap.
-    """
-    if eps is not None:
-        return eps
-    return min(0.08, n ** -0.05 / 2.0)
+# The narrowing accuracy, unless a caller passes its own. Inner tournaments
+# run at eps/2 and eps/3, inside their validity range, and the duplication
+# windows stay well below the fill cap.
+NARROW_EPS = 0.08
 
 
 @dataclass
@@ -343,16 +335,16 @@ def exact_quantile(
     config: SimConfig,
     values=None,
     *,
-    eps: float | None = None,
+    eps: float = NARROW_EPS,
     max_iterations: int = MAX_ITERATIONS,
     k_sample: int = K_SAMPLE,
     iteration_callback=None,
 ) -> ExactResult:
     """Compute the value of rank ceil(phi * n) exactly.
 
-    ``eps`` is the narrowing accuracy (None: :func:`effective_eps`),
-    ``max_iterations`` caps the narrowing iterations before the final run
-    and ``k_sample`` is every inner tournament's K. A phi outside [0, 1]
+    ``eps`` is the narrowing accuracy, ``max_iterations`` caps the
+    narrowing iterations before the final run and ``k_sample`` is every
+    inner tournament's K. A phi outside [0, 1] or a ``k_sample`` below 1
     raises ``ValueError``. Raises :class:`TrialFailure` when a subroutine
     fails unrecoverably (never observed at the tested scales with default
     settings). ``iteration_callback(state, k, copies)`` is a diagnostics
@@ -360,6 +352,8 @@ def exact_quantile(
     """
     n = config.n
     k0 = target_rank(phi, n)
+    if k_sample < 1:
+        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     engine, ids, value_by_rank = _make_state(config, values)
     if n == 1:
         return ExactResult(float(value_by_rank[0]), 0, 0, 0, 1)
@@ -371,7 +365,6 @@ def exact_quantile(
     value = value_by_rank.astype(float)
     state = _State(ids, np.arange(n))
     robust = config.failure.active
-    eps = effective_eps(n, eps)
 
     k = k0
     copies = 1            # certified surviving duplicates of the answer

@@ -26,7 +26,7 @@ from .engine import (
     SimConfig,
     derive_rng,
 )
-from .exact import (MAX_ITERATIONS, InvariantViolation, TrialFailure, effective_eps,
+from .exact import (MAX_ITERATIONS, NARROW_EPS, InvariantViolation, TrialFailure,
                      exact_quantile)
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
@@ -59,8 +59,8 @@ def rank_window(n: int, phi: float, eps: float) -> tuple[int, int]:
 # Each runner takes its experiment's CLI options as keywords and returns
 # (rounds, messages, max_rank_error, success, extras); ``run_trial`` builds
 # the CSV row from the experiment's table key and the runner's keywords.
-# ``extras`` holds the columns only the runner knows (exact's effective
-# eps, the sketch's n) and underscore keys the CSV leaves out.
+# ``extras`` holds the columns only the runner knows (exact's eps, the
+# sketch's n) and underscore keys the CSV leaves out.
 
 
 def run_approx_trial(n, phi, eps, seed, k_sample=K_SAMPLE):
@@ -83,13 +83,13 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=K_SAMPLE):
     return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
-def run_exact_trial(n, phi, seed, mu=0.0, exact_eps=None, k_sample=K_SAMPLE,
+def run_exact_trial(n, phi, seed, mu=0.0, exact_eps=NARROW_EPS, k_sample=K_SAMPLE,
                     max_iterations=MAX_ITERATIONS):
     config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     values = derive_rng(seed, STREAM_VALUES).permutation(n)
     k0 = target_rank(phi, n)
     ordered = np.sort(values)
-    extras = {"eps": effective_eps(n, exact_eps)}
+    extras = {"eps": exact_eps}
     try:
         result = exact_quantile(phi, config, values=values, eps=exact_eps,
                                 k_sample=k_sample, max_iterations=max_iterations)
@@ -163,6 +163,8 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=K_SAMP
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
+    if k_sample < 1:
+        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     engine, ids, _ = _make_state(config, values)
     n = config.n
     below = np.zeros(n, dtype=np.int64)
@@ -231,7 +233,7 @@ EXPERIMENTS = {
     ),
     "exact": Experiment(
         run_exact_trial, "exact quantile trials", ("n", "phi"),
-        {"mu": None, "exact_eps": None, "k_sample": K_SAMPLE,
+        {"mu": None, "exact_eps": NARROW_EPS, "k_sample": K_SAMPLE,
          "max_iterations": MAX_ITERATIONS},
     ),
     "robust": Experiment(
@@ -344,7 +346,8 @@ def summarize(rows, config_echo: dict) -> dict:
                 fit_round_constant(sub) if EXPERIMENTS[name].fits_rounds else None
             ),
         }
-    return {"config": config_echo, "experiments": experiments}
+    # a trial's draws depend on numpy's Generator methods as well as the config
+    return {"config": config_echo, "experiments": experiments, "numpy": np.__version__}
 
 
 def emit_report(rows, csv_path=None, json_path=None, config_echo=None) -> dict:

@@ -294,17 +294,17 @@ def compaction_error_bound(n_prime: int, k: int) -> int:
     return (n_prime // (2 * k)) * int(math.log2(ratio))
 
 
-def choose_buffer_size(eps: float, n: int, c: float = 4.0) -> int:
+def choose_buffer_size(eps: float, n: int) -> int:
     """Compacted-buffer capacity: next power of two of the sizing rule.
 
-    k = smallest power of two >= c * (1/eps) * (log2 log2 n + log2(1/eps)),
+    k = smallest power of two >= 4 * (1/eps) * (log2 log2 n + log2(1/eps)),
     never below 2.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if n < 4:
         raise ValueError("n must be >= 4")
-    raw = c * (1.0 / eps) * (math.log2(math.log2(n)) + math.log2(1.0 / eps))
+    raw = 4.0 * (1.0 / eps) * (math.log2(math.log2(n)) + math.log2(1.0 / eps))
     k = 2
     while k < raw:
         k *= 2

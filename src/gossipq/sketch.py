@@ -48,9 +48,9 @@ def _merge_compact(left, right, k, out=None):
 # sizing
 
 
-def sample_size(n: int, eps: float, c: float = 8.0) -> int:
-    """Per-node sample count: ceil(c * ln(n) / eps^2)."""
-    return int(math.ceil(c * math.log(n) / (eps * eps)))
+def sample_size(n: int, eps: float) -> int:
+    """Per-node sample count: ceil(8 ln(n) / eps^2)."""
+    return int(math.ceil(8.0 * math.log(n) / (eps * eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +73,14 @@ def _tree_levels(data: np.ndarray, k: int):
     return level[0], weight
 
 
-def compaction_error_check(
-    n_prime: int,
-    k: int,
-    data: np.ndarray,
-    *,
-    z_values: np.ndarray | None = None,
-) -> int:
+def compaction_error_check(n_prime: int, k: int, data: np.ndarray) -> int:
     """Max weighted-rank error between the sorted data and its compacted
-    merge tree, asserted against the deterministic bound.
+    merge tree over every data element, asserted against the
+    deterministic bound.
 
-    The sweep defaults to every data element, at the 2 * len(tilde)
-    points where the error can peak (see the module docstring).
+    The sweep reads the 2 * len(tilde) points where the error can peak:
+    each compacted element and the data element just below it (see the
+    module docstring).
     """
     data = _int64_keys(data)
     if len(data) != n_prime:
@@ -95,10 +91,7 @@ def compaction_error_check(
     full = np.sort(data)
     if len(tilde) * w_tilde != n_prime:
         raise AssertionError("weighted size was not conserved")
-    if z_values is None:  # each compacted element and the element below it
-        zs = np.concatenate([tilde, full[np.searchsorted(full, tilde) - 1]])
-    else:
-        zs = _int64_keys(z_values)
+    zs = np.concatenate([tilde, full[np.searchsorted(full, tilde) - 1]])
     r_full = np.searchsorted(full, zs, side="right")
     r_tilde = w_tilde * np.searchsorted(tilde, zs, side="right")
     err = int(np.abs(r_full - r_tilde).max())

@@ -245,7 +245,7 @@ def robust_final_median_sample(
     K is rounded up to the next odd number so the median is an element.
     """
     medians, used, _ = robust_pull_batch(
-        values, good_prev, _odd(max(1, k_sample)), batch, engine, median=True
+        values, good_prev, _odd(k_sample), batch, engine, median=True
     )
     return medians, used > 0
 
@@ -275,7 +275,7 @@ def phase2_iteration(values: np.ndarray, engine: RoundEngine) -> np.ndarray:
 
 def final_median_sample(values: np.ndarray, k_sample: int, engine: RoundEngine) -> np.ndarray:
     """Each node pulls K peers over K rounds and outputs their median."""
-    k = _odd(max(1, k_sample))
+    k = _odd(k_sample)
     outputs, has_output = robust_final_median_sample(values, None, k, k, engine)
     return _keep_short(outputs, values, has_output)[0]
 
@@ -354,7 +354,7 @@ def tournament_plan(
     """
     sched1 = two_tournament_schedule(target_rank / n, eps)
     sched2 = three_tournament_schedule(eps / PHASE2_EPS_FACTOR, n)
-    k = _odd(max(1, k_sample))
+    k = _odd(k_sample)
     return TournamentPlan(sched1, sched2, k, *pull_batch_sizes(mu, sched1, sched2, k, n))
 
 
@@ -451,6 +451,8 @@ def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
     adoption rounds for nodes without an answer."""
     if t_extra < 0:
         raise ValueError("t_extra must be >= 0")
+    if k_sample < 1:
+        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     rank = target_rank(phi, config.n)
     engine, ids, value_by_rank = _make_state(config, values)
     report = TrialReport()
@@ -501,6 +503,6 @@ def robust_approx_quantile(
 
     With mu == 0 every node has an answer after the tournaments, so no
     adoption round runs and this is :func:`approx_quantile` draw for draw.
-    A negative ``t_extra`` raises ``ValueError``.
+    A negative ``t_extra`` or a ``k_sample`` below 1 raises ``ValueError``.
     """
     return _approx_trial(phi, eps, t_extra, config, values, k_sample)

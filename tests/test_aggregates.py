@@ -257,16 +257,37 @@ class TestPushSum:
         with pytest.raises(ValueError):
             push_sum_count(np.array([0, 2] * 8), engine)
 
-    def test_too_few_rounds_is_flagged_or_retried(self):
+    def test_too_few_rounds_is_flagged_or_retried(self, monkeypatch):
         # starving the averaging of rounds must never return a silently
         # wrong unanimous count through the retry wrapper
+        monkeypatch.setattr(aggregates, "PUSH_SUM_C", 0.1)
+        monkeypatch.setattr(aggregates, "PUSH_SUM_EXTRA", 1)
+        monkeypatch.setattr(aggregates, "COUNT_ATTEMPTS", 1)
         for seed in range(10):
             engine = _engine(256, seed)
             bits = (engine.values_rng().random(256) < 0.5).astype(int)
-            out = exact_count(
-                bits, engine, c=0.1, extra_rounds=1, max_attempts=1
-            )
+            out = exact_count(bits, engine)
             assert out is None or out == int(bits.sum())
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_budget_constants_are_read_at_call_time(self, monkeypatch, mu):
+        # the starved counts in this file patch these constants; one bound
+        # at definition time would leave them at the default budget
+        n = 256
+        bits = np.arange(n) % 2
+        monkeypatch.setattr(aggregates, "PUSH_SUM_C", 2)
+        monkeypatch.setattr(aggregates, "PUSH_SUM_EXTRA", 5)
+        engine = _engine(n, 1, mu)
+        push_sum_count(bits, engine)
+        assert engine.rounds == math.ceil((2 * 8 + 5) / (1 - mu))
+        # no c log2 n term and one extra round, doubled per attempt: no
+        # attempt converges, so every one of them runs
+        monkeypatch.setattr(aggregates, "PUSH_SUM_C", 0)
+        monkeypatch.setattr(aggregates, "PUSH_SUM_EXTRA", 1)
+        monkeypatch.setattr(aggregates, "COUNT_ATTEMPTS", 4)
+        engine = _engine(n, 1, mu)
+        assert exact_count(bits, engine) is None
+        assert engine.rounds == sum(math.ceil(2**a / (1 - mu)) for a in range(4))
 
     def test_multi_channel_matches_single(self):
         engine_a = _engine(512, 6)
@@ -381,8 +402,9 @@ def _reference_exact_count(count_fn, indicator, engine, *, c, extra_rounds,
 
 
 class TestPushSumMatchesReference:
-    # (c, extra_rounds): the protocol default, and a starved count whose
-    # per-node estimates have not converged, so any change to a share shows
+    # (PUSH_SUM_C, PUSH_SUM_EXTRA): the protocol default, and a starved
+    # count whose per-node estimates have not converged, so any change to a
+    # share shows
     BUDGETS = [(4, 30), (1, 1)]
 
     @staticmethod
@@ -398,15 +420,21 @@ class TestPushSumMatchesReference:
         assert new.rounds == ref.rounds
         assert new.mass_trace == ref.mass_trace
 
+    @staticmethod
+    def _budget(monkeypatch, c, extra):
+        monkeypatch.setattr(aggregates, "PUSH_SUM_C", c)
+        monkeypatch.setattr(aggregates, "PUSH_SUM_EXTRA", extra)
+
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("channels", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 17, 1024])
-    def test_same_counts_traces_rounds_and_messages(self, mu, channels, n):
+    def test_same_counts_traces_rounds_and_messages(self, monkeypatch, mu, channels, n):
         for seed in (0, 1, 2):
             mat = self._bits(n, channels, seed)
             for c, extra in self.BUDGETS:
+                self._budget(monkeypatch, c, extra)
                 a, b = _engine(n, seed, mu), _engine(n, seed, mu)
-                new = push_sum_multi(mat, a, c=c, extra_rounds=extra)
+                new = push_sum_multi(mat, a)
                 ref = _reference_push_sum_multi(mat, b, c=c, extra_rounds=extra)
                 for x, y in zip(new, ref, strict=True):
                     self._same(x, y)
@@ -414,8 +442,7 @@ class TestPushSumMatchesReference:
 
                 # each channel's mass trace is the single-channel run's
                 a = _engine(n, seed, mu)
-                traced = push_sum_multi(mat, a, c=c, extra_rounds=extra,
-                                        track_mass=True)
+                traced = push_sum_multi(mat, a, track_mass=True)
                 for ch in range(channels):
                     b = _engine(n, seed, mu)
                     ref = _reference_push_sum_count(mat[ch], b, c=c,
@@ -425,7 +452,7 @@ class TestPushSumMatchesReference:
                     assert traced[ch].mass_trace
 
                 a, b = _engine(n, seed, mu), _engine(n, seed, mu)
-                got = exact_count_multi(mat, a, c=c, extra_rounds=extra)
+                got = exact_count_multi(mat, a)
                 want = _reference_exact_count(_reference_push_sum_multi, mat, b,
                                               c=c, extra_rounds=extra)
                 assert got == want
@@ -433,20 +460,20 @@ class TestPushSumMatchesReference:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("n", [2, 17, 1024])
-    def test_single_channel_names(self, mu, n):
+    def test_single_channel_names(self, monkeypatch, mu, n):
         for seed in (0, 1, 2):
             bits = self._bits(n, 1, seed)[0]
             for c, extra in self.BUDGETS:
+                self._budget(monkeypatch, c, extra)
                 a, b = _engine(n, seed, mu), _engine(n, seed, mu)
-                new = push_sum_count(bits, a, c=c, extra_rounds=extra,
-                                     track_mass=True)
+                new = push_sum_count(bits, a, track_mass=True)
                 ref = _reference_push_sum_count(bits, b, c=c, extra_rounds=extra,
                                                 track_mass=True)
                 self._same(new, ref)
                 assert (a.rounds, a.messages) == (b.rounds, b.messages)
 
                 a, b = _engine(n, seed, mu), _engine(n, seed, mu)
-                got = exact_count(bits, a, c=c, extra_rounds=extra)
+                got = exact_count(bits, a)
                 want = _reference_exact_count(_reference_push_sum_count, bits, b,
                                               c=c, extra_rounds=extra)
                 assert got == (None if want is None else want[0])

@@ -19,7 +19,7 @@ from gossipq.harness import (
     spread_experiment,
 )
 from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
-from gossipq.exact import InvariantViolation, TrialFailure, exact_quantile
+from gossipq.exact import NARROW_EPS, InvariantViolation, TrialFailure, exact_quantile
 from gossipq.tournament import clamped_rank, tournament_plan
 
 
@@ -70,6 +70,8 @@ class TestReports:
         assert rc == 0
         summary = json.loads(jpath.read_text())
         assert summary["experiments"]["spread"]["trials"] == 2
+        # the draws rest on numpy's Generator methods (tests/test_numpy_streams.py)
+        assert summary["numpy"] == np.__version__
         # re-serialise and re-parse: golden stability
         again = json.loads(json.dumps(summary, sort_keys=True))
         assert again == summary
@@ -115,10 +117,17 @@ class TestConfigFile:
          "--t-extra", "-1"],
         ["exact", "--n", "64", "--phi", "1.5"],
         ["exact", "--n", "64", "--phi", "-0.5"],
+        *([cmd, *opts, "--k-sample", k] for k in ("0", "-5") for cmd, *opts in (
+            ["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
+            ["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5"],
+            ["exact", "--n", "64", "--phi", "0.5"],
+            ["selfq", "--n", "200", "--eps", "0.1"],
+        )),
     ])
     def test_phi_outside_unit_interval_or_negative_t_extra_exit_2(self, tmp_path, argv):
         # a clamped phi would run the maximum's or the minimum's trial and
-        # could report success for a quantile no one asked for
+        # could report success for a quantile no one asked for; a K below 1
+        # would run as K = 1
         path = tmp_path / "rows.csv"
         assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 2
         assert not path.exists()
@@ -230,9 +239,9 @@ class TestCommandTable:
     @pytest.mark.parametrize("argv, defaults", [
         (["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
          {"k_sample": 30}),
-        # mu and exact_eps have no CLI default: the runner's own applies
+        # mu has no CLI default: the runner's own applies
         (["exact", "--n", "64", "--phi", "0.5"],
-         {"k_sample": 30, "max_iterations": 25}),
+         {"exact_eps": 0.08, "k_sample": 30, "max_iterations": 25}),
         (["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5"],
          {"k_sample": 30, "t_extra": 10}),
         (["sketch", "--nprime", "64", "--k", "8"], {}),
@@ -262,6 +271,7 @@ class TestCommandTable:
             if p.kind is p.KEYWORD_ONLY and name != "iteration_callback"
         }
         assert set(settings) == {"eps", "k_sample", "max_iterations"}
+        assert settings["eps"] == NARROW_EPS
         exp = harness.EXPERIMENTS["exact"]
         runner = inspect.signature(exp.runner).parameters
         for name, default in settings.items():

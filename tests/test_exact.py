@@ -433,7 +433,7 @@ class TestExactQuantile:
         # window holds at most 2 eps n + 2 M values
         cfg = SimConfig(n=4096, seed=2)
         res = exact_quantile(0.5, cfg)
-        eps = exact.effective_eps(4096)
+        eps = exact.NARROW_EPS
         copies_before = [1] + res.details["copies_trace"][:-1]
         for v, attempts, m_prev in zip(
             res.details["v_trace"], res.details["attempts_trace"], copies_before

@@ -232,6 +232,18 @@ class TestApproxQuantile:
         with pytest.raises(ValueError, match="t_extra"):
             robust_approx_quantile(0.5, 0.1, -1, SimConfig(n=64, seed=1))
 
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("k_sample", [0, -5])
+    def test_k_sample_below_one_raises(self, n, k_sample):
+        # K = 0 ran as K = 1; a lone node raises too, though it runs no round
+        config = SimConfig(n=n, seed=1)
+        for run in (lambda: approx_quantile(0.5, 0.1, config, k_sample=k_sample),
+                    lambda: robust_approx_quantile(0.5, 0.1, 3, config, k_sample=k_sample),
+                    lambda: exact_quantile(0.5, config, k_sample=k_sample),
+                    lambda: harness.self_quantile(0.1, config, k_sample=k_sample)):
+            with pytest.raises(ValueError, match="k_sample"):
+                run()
+
 
 class TestPhaseOneComposition:
     def test_median_neighbourhood_lands_in_target_band(self):

@@ -347,6 +347,4 @@ class TrialReport:
     outputs: np.ndarray | None = None
     output_ranks: np.ndarray | None = None
     max_rank_error: int = 0
-    phase1_iterations: int = 0
-    phase2_iterations: int = 0
     details: dict = field(default_factory=dict)

@@ -30,7 +30,8 @@ token phase cap are failure-free budgets that
 :func:`~gossipq.aggregates.failure_budget` scales to ceil(base / (1 - mu)),
 mu read from the engine's failure model. Token duplication is one phase
 loop: heavy tokens split and surplus tokens relocate in the same phases.
-Robust trials close with ceil(log2 n) adoption rounds.
+Every trial closes with ceil(log2 n) adoption rounds, which without
+failures find every node answered and run none.
 """
 from __future__ import annotations
 
@@ -344,14 +345,20 @@ def exact_quantile(
 
     ``eps`` is the narrowing accuracy, ``max_iterations`` caps the
     narrowing iterations before the final run and ``k_sample`` is every
-    inner tournament's K. A phi outside [0, 1] or a ``k_sample`` below 1
-    raises ``ValueError``. Raises :class:`TrialFailure` when a subroutine
+    inner tournament's K. A phi outside [0, 1], an ``eps`` outside
+    (0, 1/4] (the brackets run at eps/2, within the tournaments' 1/8), a
+    negative ``max_iterations`` or a ``k_sample`` below 1 raises
+    ``ValueError`` before any round. Raises :class:`TrialFailure` when a subroutine
     fails unrecoverably (never observed at the tested scales with default
     settings). ``iteration_callback(state, k, copies)`` is a diagnostics
     hook called after each narrowing iteration.
     """
     n = config.n
     k0 = target_rank(phi, n)
+    if not 0 < eps <= 0.25:
+        raise ValueError(f"exact eps must lie in (0, 1/4], got {eps!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     if k_sample < 1:
         raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     engine, ids, value_by_rank = _make_state(config, values)
@@ -364,7 +371,6 @@ def exact_quantile(
     # benchmark's bound allows until narrowing gets cheaper.
     value = value_by_rank.astype(float)
     state = _State(ids, np.arange(n))
-    robust = config.failure.active
 
     k = k0
     copies = 1            # certified surviving duplicates of the answer
@@ -436,10 +442,9 @@ def exact_quantile(
     else:
         raise TrialFailure("final output failed rank verification")
 
-    if robust:
-        t_extra = int(math.ceil(math.log2(max(2, n))))
-        outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
-        details["nodes_with_answer"] = int(np.count_nonzero(has_output))
+    t_extra = int(math.ceil(math.log2(max(2, n))))
+    outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
+    details["nodes_with_answer"] = int(np.count_nonzero(has_output))
     return ExactResult(
         float(candidates[0]), engine.rounds, engine.messages, iterations, k0,
         details | {"retries": retries_used, "copies": copies, "exit": "final-run"},

@@ -3,8 +3,8 @@
 Success columns are always computed from the sort-based rank oracle (the
 initial canonical ranking), never from protocol-internal state. Re-running
 a command with the same config and seeds reproduces byte-identical CSV
-data rows; seed-level parallelism (env ``GOSSIPQ_THREADS``) does not
-affect row content or order.
+data rows; seed-level parallelism (``run_batch``'s ``threads``, the CLI's
+``--threads``) does not affect row content or order.
 """
 from __future__ import annotations
 
@@ -120,13 +120,15 @@ def spread_experiment(n: int, eps: float, seed: int) -> int:
     change a node, a bad node's pull and a good node's push, so only
     those are drawn (the bad nodes' pull targets, then the good nodes'
     push targets, uniform on the round stream); the other contacts would
-    leave every node as it is.
+    leave every node as it is. An empty initial set, from which no node
+    could ever turn good, raises ``ValueError`` before any round.
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
-    config = SimConfig(n=n, seed=seed)
-    engine = RoundEngine(config)
     initial = 2 * int(2 * eps * n)
+    if not initial:
+        raise ValueError(f"the initial good set 2*floor(2*eps*n) is empty at n={n}, eps={eps!r}")
+    engine = RoundEngine(SimConfig(n=n, seed=seed))
     good = np.zeros(n, dtype=bool)
     good[engine.values_rng().choice(n, size=min(n, initial), replace=False)] = True
     rounds = 0
@@ -280,11 +282,9 @@ def _worker(task):
 
 
 def run_batch(experiment: str, tasks, threads: int | None = None):
-    """Rows of one experiment over many runner kwargs dicts, seed-parallel."""
+    """Rows of one experiment's runner kwargs, on ``threads`` processes (default: up to 4)."""
     if threads is None:
-        threads = int(os.environ.get("GOSSIPQ_THREADS", "0")) or min(
-            4, os.cpu_count() or 1
-        )
+        threads = min(4, os.cpu_count() or 1)
     if threads <= 1 or len(tasks) <= 1:
         return [run_trial(experiment, **t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -367,10 +367,11 @@ def _tournament_core(
 ):
     """Run Phase I + Phase II + final sample over an id state.
 
-    Returns ``(outputs, has_output, info)`` with per-node int64 output
-    ids. The state runs as int32 when every id fits (see the module
-    docstring). Every step pulls through the good-pull batch; the failure
-    model only sizes the batches (see :func:`tournament_plan`).
+    Returns ``(outputs, has_output, good_trace)``: per-node int64 output
+    ids, the answered mask and the good-node count after each phase-I and
+    phase-II iteration. The state runs as int32 when every id fits (see the
+    module docstring). Every step pulls through the good-pull batch; the
+    failure model only sizes the batches (see :func:`tournament_plan`).
     """
     n = engine.n
     plan = tournament_plan(target_rank, eps, n, k_sample, engine.config.failure.mu)
@@ -389,12 +390,7 @@ def _tournament_core(
     outputs, has_output = robust_final_median_sample(
         values, good, plan.k, plan.sample_batch, engine
     )
-    info = {
-        "phase1_iterations": sched1.t,
-        "phase2_iterations": sched2.t,
-        "good_trace": good_trace,
-    }
-    return outputs.astype(np.int64), has_output, info
+    return outputs.astype(np.int64), has_output, good_trace
 
 
 def clamped_rank(rank: float, n: int) -> int:
@@ -414,13 +410,18 @@ def target_rank(phi: float, n: int) -> int:
 
 
 def _make_state(config: SimConfig, values):
+    """The trial's engine, canonical ids and sorted raw values. Values of a
+    dtype other than bool, int, uint or float (str, datetime64, complex,
+    object) raise ``ValueError`` before the engine exists."""
+    if values is not None:
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"values must be bool, integer or float, not {values.dtype}")
+        if values.shape[0] != config.n:
+            raise ValueError("values length must equal config.n")
     engine = RoundEngine(config)
     if values is None:
         values = engine.values_rng().permutation(config.n)
-    else:
-        values = np.asarray(values)
-        if values.shape[0] != config.n:
-            raise ValueError("values length must equal config.n")
     ids, value_by_rank = canonical_ids(values)
     return engine, ids, value_by_rank
 
@@ -442,7 +443,6 @@ def _finish_report(
     if has_output.any():
         report.max_rank_error = int(np.abs(ranks[has_output] - target_rank).max())
     report.details["target_rank"] = target_rank
-    report.details["missing_outputs"] = int(np.count_nonzero(~has_output))
     return report
 
 
@@ -461,12 +461,10 @@ def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
             engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
             value_by_rank, rank,
         )
-    outputs, has_output, info = _tournament_core(ids, rank, eps, engine, k_sample)
+    outputs, has_output, good_trace = _tournament_core(ids, rank, eps, engine, k_sample)
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
-    report.details["good_trace"] = info["good_trace"]
+    report.details["good_trace"] = good_trace
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
-    report.phase1_iterations = info["phase1_iterations"]
-    report.phase2_iterations = info["phase2_iterations"]
     return _finish_report(engine, report, outputs, has_output, value_by_rank, rank)
 
 

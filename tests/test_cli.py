@@ -123,14 +123,24 @@ class TestConfigFile:
             ["exact", "--n", "64", "--phi", "0.5"],
             ["selfq", "--n", "200", "--eps", "0.1"],
         )),
+        # exact's own settings: eps in (0, 1/4], since its brackets run at
+        # eps/2, and no negative iteration cap
+        *(["exact", "--n", "64", "--phi", "0.5", "--exact-eps", e]
+          for e in ("0.26", "nan", "0", "-0.1")),
+        ["exact", "--n", "64", "--phi", "0.5", "--max-iterations", "-1"],
+        # 2*floor(2*eps*n) = 0 initial good nodes: no node could turn good
+        ["spread", "--n", "2", "--eps", "0.1"],
+        ["spread", "--n", "10", "--eps", "0.01"],
     ])
-    def test_phi_outside_unit_interval_or_negative_t_extra_exit_2(self, tmp_path, argv):
+    def test_phi_outside_unit_interval_or_negative_t_extra_exit_2(self, tmp_path, capsys,
+                                                                  argv):
         # a clamped phi would run the maximum's or the minimum's trial and
         # could report success for a quantile no one asked for; a K below 1
         # would run as K = 1
         path = tmp_path / "rows.csv"
         assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 2
         assert not path.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_required_option_exit_2(self):
         assert run_cli(["approx", "--phi", "0.5", "--eps", "0.1"]) == 2
@@ -356,6 +366,17 @@ class TestSpreadExperiment:
         # eps large enough that the initial good set covers everyone
         assert spread_experiment(16, 0.124, seed=1) >= 0
 
+    @pytest.mark.parametrize("n, eps", [(2, 0.1), (10, 0.01), (24, 0.02)])
+    def test_empty_initial_good_set_raises_before_any_round(self, monkeypatch, n, eps):
+        # with no good node the run could only end at the round budget
+        monkeypatch.setattr(harness, "RoundEngine", None)
+        with pytest.raises(ValueError, match="initial good set"):
+            spread_experiment(n, eps, seed=1)
+
+    def test_smallest_nonempty_good_set_spreads(self):
+        # 2*floor(2*0.02*25) = 2 good nodes at the start
+        assert spread_experiment(25, 0.02, seed=1) > 0
+
     def test_rounds_exceed_lower_threshold(self):
         import math
         r = spread_experiment(100_000, 0.01, seed=5)
@@ -413,12 +434,11 @@ class TestSpreadExperiment:
 
 
 class TestParallelism:
-    def test_thread_count_does_not_change_rows(self, tmp_path, monkeypatch):
+    def test_thread_count_does_not_change_rows(self):
         from gossipq.harness import run_batch
         tasks = [dict(n=256, phi=0.5, seed=s) for s in range(4)]
         serial = run_batch("exact", tasks, threads=1)
-        monkeypatch.setenv("GOSSIPQ_THREADS", "2")
-        parallel = run_batch("exact", tasks)
+        parallel = run_batch("exact", tasks, threads=2)
         assert serial == parallel
 
 

@@ -447,12 +447,51 @@ class TestExactQuantile:
         assert res.iterations == len(res.details["m_trace"])
 
 
+@pytest.mark.parametrize("setting, match", [
+    (dict(eps=0.26), "exact eps must lie in"),
+    (dict(eps=float("nan")), "exact eps must lie in"),
+    (dict(eps=0.0), "exact eps must lie in"),
+    (dict(eps=-0.1), "exact eps must lie in"),
+    (dict(max_iterations=-1), "max_iterations must be >= 0"),
+])
+def test_settings_outside_their_range_raise_before_any_round(monkeypatch, setting, match):
+    monkeypatch.setattr(exact, "_make_state", None)  # no engine, so no round
+    with pytest.raises(ValueError, match=match):
+        exact_quantile(0.5, SimConfig(n=64, seed=1), **setting)
+
+
+def test_widest_eps_runs():
+    # the brackets run at eps/2 = 1/8, the tournaments' widest accuracy
+    values = np.random.default_rng(3).permutation(256)
+    res = exact_quantile(0.5, SimConfig(n=256, seed=3), values=values, eps=0.25)
+    assert res.value == np.sort(values)[127]
+
+
 class TestRobustExact:
     def test_mu_zero_identical(self):
         cfg = SimConfig(n=512, seed=5)
         a = exact_quantile(0.3, cfg)
         b = exact_quantile(0.3, cfg)
         assert a.value == b.value and a.rounds == b.rounds
+
+    def test_adoption_without_failures_is_a_no_op(self, monkeypatch):
+        # adoption closes every trial; without failures every node already
+        # answers after the final run, so it runs no round and draws nothing
+        real, seen = exact.adoption_rounds, []
+
+        def recording(outputs, has_output, t_extra, engine):
+            before = (engine.rounds, engine.messages, engine.rng.bit_generator.state)
+            result = real(outputs, has_output, t_extra, engine)
+            seen.append((before, (engine.rounds, engine.messages,
+                                  engine.rng.bit_generator.state), bool(has_output.all())))
+            return result
+
+        monkeypatch.setattr(exact, "adoption_rounds", recording)
+        res = exact_quantile(0.3, SimConfig(n=512, seed=5))
+        assert len(seen) == 1
+        before, after, all_answered = seen[0]
+        assert all_answered and before == after
+        assert res.details["nodes_with_answer"] == 512
 
     def test_heavy_failures_still_exact(self):
         for seed in range(5):

@@ -26,7 +26,7 @@ SWEEPS = [
 
 @pytest.mark.parametrize("script,args,csv_name,lines", SWEEPS)
 def test_sweep_writes_csv(tmp_path, script, args, csv_name, lines):
-    env = dict(os.environ, GOSSIPQ_THREADS="1")
+    env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(

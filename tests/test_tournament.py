@@ -196,7 +196,8 @@ class TestApproxQuantile:
 
     def test_round_accounting(self):
         rep = approx_quantile(0.5, 0.05, SimConfig(n=5000, seed=3), k_sample=30)
-        expected = 2 * rep.phase1_iterations + 3 * rep.phase2_iterations + 31
+        plan = tournament.tournament_plan(rep.details["target_rank"], 0.05, 5000, 30, 0.0)
+        expected = 2 * plan.sched1.t + 3 * plan.sched2.t + 31
         assert rep.rounds == expected
         assert rep.messages == expected * 5000
 
@@ -825,14 +826,38 @@ class TestIdStateDtype:
         assert len(answers) == 9 and set(answers) == {ids.dtype} == {np.dtype(np.int64)}
         assert set(seen) == {np.dtype(np.int32)}
 
-    @pytest.mark.parametrize("run", [
-        lambda config, values: approx_quantile(0.5, 0.1, config, values=values),
-        lambda config, values: exact_quantile(0.5, config, values=values),
-        lambda config, values: harness.self_quantile(0.1, config, values=values),
-    ], ids=["approx", "exact", "selfq"])
-    def test_one_front_end_rejects_wrong_length_values(self, run):
+    FRONT_ENDS = {
+        "approx": lambda config, values: approx_quantile(0.5, 0.1, config, values=values),
+        "robust": lambda config, values: robust_approx_quantile(0.5, 0.1, 2, config,
+                                                                values=values),
+        "exact": lambda config, values: exact_quantile(0.5, config, values=values),
+        "selfq": lambda config, values: harness.self_quantile(0.1, config, values=values),
+    }
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_one_front_end_rejects_wrong_length_values(self, front_end):
         with pytest.raises(ValueError, match="^values length must equal config.n$"):
-            run(SimConfig(n=300, seed=2), np.arange(299))
+            self.FRONT_ENDS[front_end](SimConfig(n=300, seed=2), np.arange(299))
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @pytest.mark.parametrize("values", [
+        np.arange(300).astype(str),
+        np.arange(300).astype("datetime64[D]"),
+        np.arange(300) + 0j,
+        np.arange(300).astype(object),
+    ], ids=["str", "datetime64", "complex", "object"])
+    def test_non_numeric_values_rejected_before_any_round(self, monkeypatch, front_end,
+                                                          values):
+        # rejected before the engine exists, so before any round
+        monkeypatch.setattr(tournament, "RoundEngine", None)
+        with pytest.raises(ValueError, match="^values must be bool, integer or float, not"):
+            self.FRONT_ENDS[front_end](SimConfig(n=300, seed=2), values)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint16, np.int8, np.float32])
+    def test_numeric_dtypes_accepted(self, dtype):
+        values = (np.arange(300) % 2 if dtype is bool else np.arange(300) % 100).astype(dtype)
+        rep = approx_quantile(0.5, 0.1, SimConfig(n=300, seed=2), values=values)
+        assert rep.rounds > 0 and rep.output_ranks.min() >= 1
 
     def test_int64_state_runs_the_same_trials(self, monkeypatch):
         seen = _record_state_dtypes(monkeypatch)

@@ -39,7 +39,7 @@ def main():
     for mu in args.mus:
         tasks = [
             dict(n=args.n, phi=args.phi, eps=args.eps, seed=args.seed + t,
-                 mu=mu, t_extra=args.t_extra, k_sample=K_SAMPLE)
+                 mu=mu, t_extra=args.t_extra)
             for t in range(args.trials)
         ]
         rows = run_batch("robust", tasks)

@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # types of the config keys that are not experiment options; a file key
-# that is neither is echoed in the JSON summary and otherwise unused
+# that is neither, nor ``seeds``, exits 2, while an option of another
+# command is accepted and unused
 _RUN_TYPES = {"trials": int, "seed": int, "threads": int, "csv": str, "json_path": str}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
@@ -85,6 +86,9 @@ def _load_config(path: str) -> dict:
             f"top level must be a JSON object, got {type(loaded).__name__}"
         )
     types = {**harness.OPTION_TYPES, **_RUN_TYPES}
+    unknown = [key for key in loaded if key not in types and key != "seeds"]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     cfg = {}
     for key, value in loaded.items():
         if value is None:
@@ -93,7 +97,7 @@ def _load_config(path: str) -> dict:
             if not isinstance(value, list):
                 raise ValueError(f"config key 'seeds' needs a list, got {json.dumps(value)}")
             value = [_typed(key, seed, int) for seed in value]
-        elif key in types:
+        else:
             value = _typed(key, value, types[key])
         cfg[key] = value
     return cfg
@@ -110,12 +114,11 @@ def _merge_config(args) -> dict:
 
 def _seed_list(cfg) -> list[int]:
     seeds = cfg.get("seeds")
-    if seeds:
-        return seeds
-    base = cfg.get("seed", 1)
-    seeds = list(range(base, base + cfg.get("trials", 1)))
+    if seeds is None:
+        base = cfg.get("seed", 1)
+        seeds = list(range(base, base + cfg.get("trials", 1)))
     if not seeds:
-        raise ValueError("no trials to run: --trials must be at least 1")
+        raise ValueError("no trials to run: the seed list is empty or --trials is below 1")
     return seeds
 
 

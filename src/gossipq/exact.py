@@ -24,6 +24,9 @@ plus one, so the valued count inside the bracket follows from its two
 rank counts with no count of its own:
 ``min(r_max, real_count) - r_min + 1``.
 
+The narrowing accuracy ``NARROW_EPS``, the iteration cap
+``MAX_ITERATIONS`` and the inner tournaments' K (``tournament.K_SAMPLE``)
+are constants of the protocol, read at call time; no caller sets them.
 Push-sum counts and min/max spreading run at their primitives' budgets
 (``aggregates.PUSH_SUM_C``, ``PUSH_SUM_EXTRA`` and ``SPREAD_C``); these and the
 token phase cap are failure-free budgets that
@@ -43,8 +46,8 @@ import numpy as np
 from .aggregates import exact_count_multi, failure_budget, spread_min_max
 from .engine import RoundEngine, SimConfig
 from .engine import canonical_ids  # noqa: F401  (benchmarks/tracer.py patches this binding)
-from .tournament import (K_SAMPLE, _make_state, _tournament_core, adoption_rounds,
-                          clamped_rank, target_rank)
+from .tournament import (_make_state, _tournament_core, adoption_rounds, clamped_rank,
+                          target_rank)
 
 
 class TrialFailure(RuntimeError):
@@ -73,11 +76,11 @@ TOKENS_PER_NODE_CAP = 3000
 MAX_RETRIES = 12
 
 
-# Narrowing iterations before the final run, unless a caller passes its own.
+# Narrowing iterations before the final run.
 MAX_ITERATIONS = 25
-# The narrowing accuracy, unless a caller passes its own. Inner tournaments
-# run at eps/2 and eps/3, inside their validity range, and the duplication
-# windows stay well below the fill cap.
+# The narrowing accuracy. Inner tournaments run at eps/2 and eps/3, inside
+# their validity range, and the duplication windows stay well below the
+# fill cap.
 NARROW_EPS = 0.08
 
 
@@ -261,11 +264,7 @@ class _State:
 
 
 def narrow_window(
-    state: _State,
-    k: int,
-    eps: float,
-    engine: RoundEngine,
-    k_sample: int,
+    state: _State, k: int, eps: float, engine: RoundEngine
 ) -> tuple[int, int, int, int, int]:
     """Bracket the target rank: approximate both window ends, spread their
     extremes, count the rank of each end among the current values.
@@ -297,7 +296,7 @@ def narrow_window(
             if degenerate:
                 out, has = state.ids, valued_now
             else:
-                out, has, _ = _tournament_core(state.ids, rank, eps / 2.0, engine, k_sample)
+                out, has, _ = _tournament_core(state.ids, rank, eps / 2.0, engine)
             pools.append(np.where(has, out, fill))
         spread = spread_min_max(pools[0], engine, max_values=pools[1])
         if not spread.converged:
@@ -332,35 +331,22 @@ def _rebuild_state(state: _State, min_id: int, v_count: int, m: int,
 
 
 def exact_quantile(
-    phi: float,
-    config: SimConfig,
-    values=None,
-    *,
-    eps: float = NARROW_EPS,
-    max_iterations: int = MAX_ITERATIONS,
-    k_sample: int = K_SAMPLE,
-    iteration_callback=None,
+    phi: float, config: SimConfig, values=None, *, iteration_callback=None
 ) -> ExactResult:
     """Compute the value of rank ceil(phi * n) exactly.
 
-    ``eps`` is the narrowing accuracy, ``max_iterations`` caps the
-    narrowing iterations before the final run and ``k_sample`` is every
-    inner tournament's K. A phi outside [0, 1], an ``eps`` outside
-    (0, 1/4] (the brackets run at eps/2, within the tournaments' 1/8), a
-    negative ``max_iterations`` or a ``k_sample`` below 1 raises
-    ``ValueError`` before any round. Raises :class:`TrialFailure` when a subroutine
-    fails unrecoverably (never observed at the tested scales with default
-    settings). ``iteration_callback(state, k, copies)`` is a diagnostics
-    hook called after each narrowing iteration.
+    The protocol's constants are read at call time: ``NARROW_EPS`` is the
+    narrowing accuracy, ``MAX_ITERATIONS`` caps the narrowing iterations
+    before the final run and ``tournament.K_SAMPLE`` is every inner
+    tournament's K. A phi outside [0, 1] raises ``ValueError`` before any
+    round. Raises :class:`TrialFailure` when a subroutine fails
+    unrecoverably (never observed at the tested scales).
+    ``iteration_callback(state, k, copies)`` is a diagnostics hook called
+    after each narrowing iteration.
     """
     n = config.n
     k0 = target_rank(phi, n)
-    if not 0 < eps <= 0.25:
-        raise ValueError(f"exact eps must lie in (0, 1/4], got {eps!r}")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
-    if k_sample < 1:
-        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
+    eps = NARROW_EPS
     engine, ids, value_by_rank = _make_state(config, values)
     if n == 1:
         return ExactResult(float(value_by_rank[0]), 0, 0, 0, 1)
@@ -381,7 +367,7 @@ def exact_quantile(
     # when eps*n is tiny the loop instead narrows until one value is left
     final_route = eps * n >= 2.0
 
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         lo_val, hi_val = value[state.rank_by_id[[0, -1]]]
         if lo_val == hi_val:
             details["exit"] = "all-equal"
@@ -392,9 +378,7 @@ def exact_quantile(
         if final_route and copies >= eps * n:
             break
 
-        min_id, max_id, r_min, r_max, attempts = narrow_window(
-            state, k, eps, engine, k_sample
-        )
+        min_id, max_id, r_min, r_max, attempts = narrow_window(state, k, eps, engine)
         retries_used += attempts - 1
 
         # valued ids inside [min_id, max_id]; below 1 when min_id is a sentinel
@@ -423,9 +407,7 @@ def exact_quantile(
     # eps*n-wide window below (and including) k
     for _ in range(MAX_RETRIES + 1):
         final_rank = clamped_rank(k - eps / 2.0 * n, n)
-        outputs, has_output, _ = _tournament_core(
-            state.ids, final_rank, eps / 3.0, engine, k_sample
-        )
+        outputs, has_output, _ = _tournament_core(state.ids, final_rank, eps / 3.0, engine)
         if not has_output.any():
             raise TrialFailure("final run produced no outputs")
         answered = outputs[has_output]

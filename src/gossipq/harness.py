@@ -26,12 +26,11 @@ from .engine import (
     SimConfig,
     derive_rng,
 )
-from .exact import (MAX_ITERATIONS, NARROW_EPS, InvariantViolation, TrialFailure,
-                     exact_quantile)
+from . import exact
+from .exact import InvariantViolation, TrialFailure, exact_quantile
 from .schedules import three_tournament_schedule, two_tournament_schedule
 from .sketch import compaction_error_check
 from .tournament import (
-    K_SAMPLE,
     _make_state,
     _tournament_core,
     approx_quantile,
@@ -63,18 +62,18 @@ def rank_window(n: int, phi: float, eps: float) -> tuple[int, int]:
 # sketch's n) and underscore keys the CSV leaves out.
 
 
-def run_approx_trial(n, phi, eps, seed, k_sample=K_SAMPLE):
+def run_approx_trial(n, phi, eps, seed):
     # failure-free: trials under failures go through run_robust_trial
-    report = approx_quantile(phi, eps, SimConfig(n=n, seed=seed), k_sample=k_sample)
+    report = approx_quantile(phi, eps, SimConfig(n=n, seed=seed))
     lo, hi = rank_window(n, phi, eps)
     ranks = report.output_ranks
     ok = bool(((ranks >= lo) & (ranks <= hi)).all())
     return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
-def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=K_SAMPLE):
+def run_robust_trial(n, phi, eps, seed, mu, t_extra):
     config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
-    report = robust_approx_quantile(phi, eps, t_extra, config, k_sample=k_sample)
+    report = robust_approx_quantile(phi, eps, t_extra, config)
     lo, hi = rank_window(n, phi, eps)
     ranks = report.output_ranks
     answered = ranks > 0
@@ -83,16 +82,14 @@ def run_robust_trial(n, phi, eps, seed, mu, t_extra, k_sample=K_SAMPLE):
     return report.rounds, report.messages, report.max_rank_error, ok, {}
 
 
-def run_exact_trial(n, phi, seed, mu=0.0, exact_eps=NARROW_EPS, k_sample=K_SAMPLE,
-                    max_iterations=MAX_ITERATIONS):
+def run_exact_trial(n, phi, seed, mu=0.0):
     config = SimConfig(n=n, seed=seed, failure=FailureModel(mode="uniform", mu=mu, seed=seed))
     values = derive_rng(seed, STREAM_VALUES).permutation(n)
     k0 = target_rank(phi, n)
     ordered = np.sort(values)
-    extras = {"eps": exact_eps}
+    extras = {"eps": exact.NARROW_EPS}  # read per trial, so a patched constant reaches the row
     try:
-        result = exact_quantile(phi, config, values=values, eps=exact_eps,
-                                k_sample=k_sample, max_iterations=max_iterations)
+        result = exact_quantile(phi, config, values=values)
     except (TrialFailure, BudgetExceededError, InvariantViolation) as exc:
         # one bad trial becomes a failed row instead of aborting the batch;
         # its kind goes to the JSON summary, not to the CSV
@@ -152,7 +149,7 @@ def run_spread_trial(n, eps, seed):
     return rounds, 2 * n * rounds, 0, rounds >= threshold, {}
 
 
-def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=K_SAMPLE):
+def self_quantile(eps: float, config: SimConfig, values=None):
     """Every node estimates its own value's quantile to within 2 eps.
 
     Runs the approximate protocol's tournament at each grid quantile
@@ -165,28 +162,29 @@ def self_quantile(eps: float, config: SimConfig, values=None, *, k_sample=K_SAMP
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
-    if k_sample < 1:
-        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     engine, ids, _ = _make_state(config, values)
     n = config.n
     below = np.zeros(n, dtype=np.int64)
     grid = range(1, math.ceil(1.0 / eps)) if n > 1 else ()  # a lone node answers itself
     for j in grid:
         outputs, has_output, _ = _tournament_core(
-            ids, clamped_rank(j * eps * n, n), eps / 2.0, engine, k_sample
+            ids, clamped_rank(j * eps * n, n), eps / 2.0, engine
         )
         below += has_output & (outputs < ids)
     return eps * below, ids, engine.rounds, engine.messages
 
 
-def run_selfq_trial(n, eps, seed, k_sample=K_SAMPLE):
+def run_selfq_trial(n, eps, seed):
     config = SimConfig(n=n, seed=seed)
-    estimates, ids, rounds, messages = self_quantile(
-        eps, config, k_sample=k_sample
-    )
+    gate = 2 * eps + 1e-12
+    # the least node estimates 0 against its quantile 1/n, so a trial at
+    # 1/n above the gate would fail whatever the protocol draws
+    if eps > 0 and 1.0 / n > gate:
+        raise ValueError(f"selfq needs 1/n <= 2 eps: n={n} is too small at eps={eps!r}")
+    estimates, ids, rounds, messages = self_quantile(eps, config)
     true_q = (ids + 1) / n
     worst = float(np.abs(estimates - true_q).max())
-    return rounds, messages, int(round(worst * n)), worst <= 2 * eps + 1e-12, {}
+    return rounds, messages, int(round(worst * n)), worst <= gate, {}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,7 @@ def run_selfq_trial(n, eps, seed, k_sample=K_SAMPLE):
 
 OPTION_TYPES = {
     "n": int, "phi": float, "eps": float, "mu": float, "nprime": int, "k": int,
-    "k_sample": int, "t_extra": int, "max_iterations": int, "exact_eps": float,
+    "t_extra": int,
 }
 
 
@@ -203,8 +201,10 @@ class Experiment:
     """How the CLI runs one trial experiment and judges its batch.
 
     The table key names the experiment in every row ``run_trial`` builds
-    from ``runner``'s result. Options are config keys (key ``k_sample`` is
-    flag ``--k-sample``) and ``runner`` takes each one under its own name.
+    from ``runner``'s result. Options are config keys (key ``t_extra`` is
+    flag ``--t-extra``) and ``runner`` takes each one under its own name;
+    the protocols' constants (K, exact's narrowing eps and iteration cap)
+    are no options.
     ``optional`` gives the default applied after the config merge (None:
     the runner's own). A batch of at least ``gate[1]`` trials passes at
     success rate ``gate[0]``; a smaller one only when every trial succeeds.
@@ -231,16 +231,14 @@ class Experiment:
 EXPERIMENTS = {
     "approx": Experiment(
         run_approx_trial, "approximate quantile trials", ("n", "phi", "eps"),
-        {"k_sample": K_SAMPLE}, gate=(0.99, 100), fits_rounds=True,
+        gate=(0.99, 100), fits_rounds=True,
     ),
     "exact": Experiment(
-        run_exact_trial, "exact quantile trials", ("n", "phi"),
-        {"mu": None, "exact_eps": NARROW_EPS, "k_sample": K_SAMPLE,
-         "max_iterations": MAX_ITERATIONS},
+        run_exact_trial, "exact quantile trials", ("n", "phi"), {"mu": None},
     ),
     "robust": Experiment(
         run_robust_trial, "failure-robust approximate trials",
-        ("n", "phi", "eps", "mu"), {"t_extra": 10, "k_sample": K_SAMPLE},
+        ("n", "phi", "eps", "mu"), {"t_extra": 10},
         gate=(0.95, 20), fits_rounds=True,
     ),
     "sketch": Experiment(
@@ -251,7 +249,7 @@ EXPERIMENTS = {
     ),
     "selfq": Experiment(
         run_selfq_trial, "per-node self-quantile trials", ("n", "eps"),
-        {"k_sample": K_SAMPLE}, gate=(0.95, 20), fits_rounds=True,
+        gate=(0.95, 20), fits_rounds=True,
     ),
 }
 

@@ -315,7 +315,7 @@ def adoption_rounds(
 # (see TestPhaseOneComposition), so the median band to amplify has half-width
 # eps/4.
 PHASE2_EPS_FACTOR = 4
-# K, the final sample's pulls, unless a caller passes its own.
+# K, the final sample's pulls (rounded up to odd), read at call time.
 K_SAMPLE = 30
 
 
@@ -358,14 +358,8 @@ def tournament_plan(
     return TournamentPlan(sched1, sched2, k, *pull_batch_sizes(mu, sched1, sched2, k, n))
 
 
-def _tournament_core(
-    ids: np.ndarray,
-    target_rank: int,
-    eps: float,
-    engine: RoundEngine,
-    k_sample: int,
-):
-    """Run Phase I + Phase II + final sample over an id state.
+def _tournament_core(ids: np.ndarray, target_rank: int, eps: float, engine: RoundEngine):
+    """Run Phase I + Phase II + a ``K_SAMPLE`` final sample over an id state.
 
     Returns ``(outputs, has_output, good_trace)``: per-node int64 output
     ids, the answered mask and the good-node count after each phase-I and
@@ -374,7 +368,7 @@ def _tournament_core(
     failure model only sizes the batches (see :func:`tournament_plan`).
     """
     n = engine.n
-    plan = tournament_plan(target_rank, eps, n, k_sample, engine.config.failure.mu)
+    plan = tournament_plan(target_rank, eps, n, K_SAMPLE, engine.config.failure.mu)
     sched1, sched2 = plan.sched1, plan.sched2
     values = ids.astype(_id_dtype(n), copy=False)
     good = None
@@ -446,13 +440,11 @@ def _finish_report(
     return report
 
 
-def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
+def _approx_trial(phi, eps, t_extra, config, values) -> TrialReport:
     """One approximate-quantile trial: the tournaments, then ``t_extra``
     adoption rounds for nodes without an answer."""
     if t_extra < 0:
         raise ValueError("t_extra must be >= 0")
-    if k_sample < 1:
-        raise ValueError(f"k_sample must be >= 1, got {k_sample!r}")
     rank = target_rank(phi, config.n)
     engine, ids, value_by_rank = _make_state(config, values)
     report = TrialReport()
@@ -461,21 +453,14 @@ def _approx_trial(phi, eps, t_extra, config, values, k_sample) -> TrialReport:
             engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
             value_by_rank, rank,
         )
-    outputs, has_output, good_trace = _tournament_core(ids, rank, eps, engine, k_sample)
+    outputs, has_output, good_trace = _tournament_core(ids, rank, eps, engine)
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
     report.details["good_trace"] = good_trace
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     return _finish_report(engine, report, outputs, has_output, value_by_rank, rank)
 
 
-def approx_quantile(
-    phi: float,
-    eps: float,
-    config: SimConfig,
-    values=None,
-    *,
-    k_sample: int = K_SAMPLE,
-) -> TrialReport:
+def approx_quantile(phi: float, eps: float, config: SimConfig, values=None) -> TrialReport:
     """The epsilon-approximate phi-quantile protocol, one full trial.
 
     Every node ends up holding an output whose initial rank should lie in
@@ -485,22 +470,16 @@ def approx_quantile(
     sample pulls outputs nothing (NaN, rank 0): the trial is
     :func:`robust_approx_quantile` with ``t_extra=0``.
     """
-    return _approx_trial(phi, eps, 0, config, values, k_sample)
+    return _approx_trial(phi, eps, 0, config, values)
 
 
 def robust_approx_quantile(
-    phi: float,
-    eps: float,
-    t_extra: int,
-    config: SimConfig,
-    values=None,
-    *,
-    k_sample: int = K_SAMPLE,
+    phi: float, eps: float, t_extra: int, config: SimConfig, values=None
 ) -> TrialReport:
     """Failure-robust approximate quantile with t_extra adoption rounds.
 
     With mu == 0 every node has an answer after the tournaments, so no
     adoption round runs and this is :func:`approx_quantile` draw for draw.
-    A negative ``t_extra`` or a ``k_sample`` below 1 raises ``ValueError``.
+    A negative ``t_extra`` raises ``ValueError``.
     """
-    return _approx_trial(phi, eps, t_extra, config, values, k_sample)
+    return _approx_trial(phi, eps, t_extra, config, values)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gossipq import harness
+from gossipq import harness, tournament
 from gossipq.cli import build_parser, run_cli
 from gossipq.harness import (
     fit_round_constant,
@@ -19,8 +19,9 @@ from gossipq.harness import (
     spread_experiment,
 )
 from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
-from gossipq.exact import NARROW_EPS, InvariantViolation, TrialFailure, exact_quantile
-from gossipq.tournament import clamped_rank, tournament_plan
+from gossipq.exact import InvariantViolation, TrialFailure, exact_quantile
+from gossipq.tournament import (approx_quantile, clamped_rank, robust_approx_quantile,
+                                tournament_plan)
 
 
 class TestScheduleCommand:
@@ -117,26 +118,17 @@ class TestConfigFile:
          "--t-extra", "-1"],
         ["exact", "--n", "64", "--phi", "1.5"],
         ["exact", "--n", "64", "--phi", "-0.5"],
-        *([cmd, *opts, "--k-sample", k] for k in ("0", "-5") for cmd, *opts in (
-            ["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
-            ["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5"],
-            ["exact", "--n", "64", "--phi", "0.5"],
-            ["selfq", "--n", "200", "--eps", "0.1"],
-        )),
-        # exact's own settings: eps in (0, 1/4], since its brackets run at
-        # eps/2, and no negative iteration cap
-        *(["exact", "--n", "64", "--phi", "0.5", "--exact-eps", e]
-          for e in ("0.26", "nan", "0", "-0.1")),
-        ["exact", "--n", "64", "--phi", "0.5", "--max-iterations", "-1"],
         # 2*floor(2*eps*n) = 0 initial good nodes: no node could turn good
         ["spread", "--n", "2", "--eps", "0.1"],
         ["spread", "--n", "10", "--eps", "0.01"],
+        # the least node's estimate 0 misses its quantile 1/n > 2 eps
+        ["selfq", "--n", "1", "--eps", "0.1"],
+        ["selfq", "--n", "4", "--eps", "0.1"],
     ])
     def test_phi_outside_unit_interval_or_negative_t_extra_exit_2(self, tmp_path, capsys,
                                                                   argv):
         # a clamped phi would run the maximum's or the minimum's trial and
-        # could report success for a quantile no one asked for; a K below 1
-        # would run as K = 1
+        # could report success for a quantile no one asked for
         path = tmp_path / "rows.csv"
         assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 2
         assert not path.exists()
@@ -149,12 +141,25 @@ class TestConfigFile:
         assert run_cli(["schedule", "--config", "/nope.json",
                         "--phi", "0.2", "--eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--k-sample", "5"],
+        ["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5",
+         "--k-sample", "5"],
+        ["selfq", "--n", "200", "--eps", "0.1", "--k-sample", "5"],
+        *(["exact", "--n", "64", "--phi", "0.5", *flag] for flag in (
+            ["--k-sample", "5"], ["--exact-eps", "0.1"], ["--max-iterations", "2"])),
+    ])
+    def test_protocol_constant_flags_exit_2(self, capsys, argv):
+        # K, exact's narrowing eps and its iteration cap are constants
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, argv", [
-        ("k_sample", 5, ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05"]),
         # 2 bad nodes pass only when 2 <= 300 / 2**t_extra (exit 1 at t_extra 10)
         ("t_extra", 7, ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02",
                         "--mu", "0.5", "--seed", "119"]),
-        ("max_iterations", 2, ["exact", "--n", "256", "--phi", "0.5", "--seed", "2"]),
     ])
     def test_file_value_beats_default(self, tmp_path, key, value, argv):
         cfg = tmp_path / "c.json"
@@ -170,12 +175,70 @@ class TestConfigFile:
         run_cli(argv + ["--csv", str(by_default)])
         assert by_default.read_bytes() != by_flag.read_bytes()
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_empty_seed_list_exit_2(self, capsys, trials):
+    @pytest.mark.parametrize("flags, body", [
+        (["--trials", "0"], None),
+        (["--trials", "-3"], None),
+        # an explicit empty list ran seed 1
+        (["--seeds"], None),
+        ([], {"seeds": []}),
+    ])
+    def test_empty_seed_list_exit_2(self, tmp_path, capsys, flags, body):
+        if body is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(body))
+            flags = flags + ["--config", str(cfg)]
+        path = tmp_path / "rows.csv"
         rc = run_cli(["approx", "--n", "100", "--phi", "0.5", "--eps", "0.1",
-                      "--trials", trials, "--threads", "1"])
+                      *flags, "--threads", "1", "--csv", str(path)])
         assert rc == 2
+        assert not path.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["k_sampel", "k_sample", "exact_eps", "max_iterations"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, key):
+        # a misspelt or retired key was echoed in the summary and ignored
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 5}))
+        rc = run_cli(["approx", "--n", "100", "--phi", "0.5", "--eps", "0.1",
+                      "--threads", "1", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config: unknown config key(s): '{key}'\n"
+        )
+
+    @pytest.mark.parametrize("body, seeds", [
+        ({"trials": 2}, [1, 2]),
+        ({"seed": 3}, [3]),
+        ({"seeds": [4, 6]}, [4, 6]),
+        ({"threads": 1}, [1]),
+        ({"csv": "file.csv"}, [1]),
+        ({"json_path": "file.json"}, [1]),
+    ])
+    def test_run_keys_are_known_config_keys(self, tmp_path, monkeypatch, body, seeds):
+        # the unknown-key check leaves the run keys and ``seeds`` alone
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(body))
+        summary = tmp_path / "s.json"
+        rc = run_cli(["approx", "--n", "100", "--phi", "0.5", "--eps", "0.1",
+                      "--config", str(cfg)]
+                     + ([] if "json_path" in body else ["--json", str(summary)]))
+        assert rc == 0
+        if "json_path" in body:
+            summary = tmp_path / body["json_path"]
+        assert json.loads(summary.read_text())["config"]["seeds"] == seeds
+        if "csv" in body:
+            assert (tmp_path / body["csv"]).read_text().count("\napprox,") == len(seeds)
+
+    def test_other_commands_option_accepted_and_unused(self, tmp_path):
+        # one file can serve several commands
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nprime": 64, "k": 8}))
+        argv = ["approx", "--n", "100", "--phi", "0.5", "--eps", "0.1", "--threads", "1"]
+        with_file, without = tmp_path / "file.csv", tmp_path / "plain.csv"
+        assert run_cli(argv + ["--config", str(cfg), "--csv", str(with_file)]) == 0
+        assert run_cli(argv + ["--csv", str(without)]) == 0
+        assert with_file.read_bytes() == without.read_bytes()
 
 
     SKETCH = ["sketch", "--nprime", "64", "--k", "8"]
@@ -228,14 +291,12 @@ class TestCommandTable:
     COMMON = {"-h", "--help", "--config", "--trials", "--seed", "--seeds",
               "--csv", "--json", "--threads"}
     OPTIONS = {
-        "approx": COMMON | {"--n", "--phi", "--eps", "--k-sample"},
-        "exact": COMMON | {"--n", "--phi", "--mu", "--exact-eps", "--k-sample",
-                           "--max-iterations"},
-        "robust": COMMON | {"--n", "--phi", "--eps", "--mu", "--t-extra",
-                            "--k-sample"},
+        "approx": COMMON | {"--n", "--phi", "--eps"},
+        "exact": COMMON | {"--n", "--phi", "--mu"},
+        "robust": COMMON | {"--n", "--phi", "--eps", "--mu", "--t-extra"},
         "sketch": COMMON | {"--nprime", "--k"},
         "spread": COMMON | {"--n", "--eps"},
-        "selfq": COMMON | {"--n", "--eps", "--k-sample"},
+        "selfq": COMMON | {"--n", "--eps"},
         "schedule": {"-h", "--help", "--config", "--phi", "--eps", "--n"},
     }
 
@@ -247,16 +308,14 @@ class TestCommandTable:
         assert found == self.OPTIONS
 
     @pytest.mark.parametrize("argv, defaults", [
-        (["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"],
-         {"k_sample": 30}),
+        (["approx", "--n", "200", "--phi", "0.5", "--eps", "0.1"], {}),
         # mu has no CLI default: the runner's own applies
-        (["exact", "--n", "64", "--phi", "0.5"],
-         {"exact_eps": 0.08, "k_sample": 30, "max_iterations": 25}),
+        (["exact", "--n", "64", "--phi", "0.5"], {}),
         (["robust", "--n", "200", "--phi", "0.5", "--eps", "0.1", "--mu", "0.5"],
-         {"k_sample": 30, "t_extra": 10}),
+         {"t_extra": 10}),
         (["sketch", "--nprime", "64", "--k", "8"], {}),
         (["spread", "--n", "200", "--eps", "0.1"], {}),
-        (["selfq", "--n", "200", "--eps", "0.1"], {"k_sample": 30}),
+        (["selfq", "--n", "200", "--eps", "0.1"], {}),
     ])
     def test_defaults_in_config_echo(self, tmp_path, argv, defaults):
         path = tmp_path / "s.json"
@@ -272,22 +331,17 @@ class TestCommandTable:
 
         assert set(harness.EXPERIMENTS) <= {argv[0] for argv, _ in GOLDEN}
 
-    def test_every_exact_setting_reachable_from_cli(self):
-        # a setting no option reaches is a setting nothing runs; the CLI
-        # names exact's eps --exact-eps, apart from the approximate --eps
-        settings = {
-            name: p.default
-            for name, p in inspect.signature(exact_quantile).parameters.items()
-            if p.kind is p.KEYWORD_ONLY and name != "iteration_callback"
-        }
-        assert set(settings) == {"eps", "k_sample", "max_iterations"}
-        assert settings["eps"] == NARROW_EPS
+    def test_exact_takes_no_settings(self):
+        # K, the narrowing eps and the iteration cap are module constants;
+        # the one keyword left is the diagnostics hook
+        keywords = {name for name, p in inspect.signature(exact_quantile).parameters.items()
+                    if p.kind is p.KEYWORD_ONLY}
+        assert keywords == {"iteration_callback"}
         exp = harness.EXPERIMENTS["exact"]
-        runner = inspect.signature(exp.runner).parameters
-        for name, default in settings.items():
-            option = "exact_eps" if name == "eps" else name
-            assert option in runner and option in exp.optional
-            assert runner[option].default == exp.optional[option] == default
+        assert set(inspect.signature(exp.runner).parameters) == {"n", "phi", "seed", "mu"}
+        assert exp.optional == {"mu": None}
+        for front_end in (approx_quantile, robust_approx_quantile, self_quantile):
+            assert "k_sample" not in inspect.signature(front_end).parameters
 
 
 class TestSelfQuantile:
@@ -312,15 +366,28 @@ class TestSelfQuantile:
         assert row["rounds"] >= 9 * 30
 
     @pytest.mark.parametrize("n, eps, k_sample", [(1000, 0.1, 30), (1000, 0.1, 10), (700, 0.05, 30)])
-    def test_rounds_and_messages_are_the_grid_plans(self, n, eps, k_sample):
+    def test_rounds_and_messages_are_the_grid_plans(self, monkeypatch, n, eps, k_sample):
         # the engine's ledger: one tournament plan per grid point, and
         # without failures every node sends one message a round
-        _, _, rounds, messages = self_quantile(eps, SimConfig(n=n, seed=1), k_sample=k_sample)
+        monkeypatch.setattr(tournament, "K_SAMPLE", k_sample)
+        _, _, rounds, messages = self_quantile(eps, SimConfig(n=n, seed=1))
         assert rounds == sum(
             tournament_plan(clamped_rank(j * eps * n, n), eps / 2, n, k_sample, 0).rounds
             for j in range(1, math.ceil(1 / eps))
         )
         assert messages == n * rounds
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_trial_its_oracle_must_fail_raises_before_any_round(self, monkeypatch, n):
+        # the least node estimates 0 against its quantile 1/n > 2 eps
+        monkeypatch.setattr(harness, "_make_state", None)  # no engine, so no round
+        with pytest.raises(ValueError, match="selfq needs 1/n <= 2 eps"):
+            run_trial("selfq", n=n, eps=0.1, seed=1)
+
+    def test_trial_at_the_oracle_bound_runs(self):
+        # 1/n = 2 eps exactly: the least node's error meets the gate
+        row = run_trial("selfq", n=5, eps=0.1, seed=1)
+        assert row["rounds"] > 0
 
     def test_lone_node_runs_no_tournament(self):
         # one node answers every grid point with its own key, never below it

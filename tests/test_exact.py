@@ -447,23 +447,11 @@ class TestExactQuantile:
         assert res.iterations == len(res.details["m_trace"])
 
 
-@pytest.mark.parametrize("setting, match", [
-    (dict(eps=0.26), "exact eps must lie in"),
-    (dict(eps=float("nan")), "exact eps must lie in"),
-    (dict(eps=0.0), "exact eps must lie in"),
-    (dict(eps=-0.1), "exact eps must lie in"),
-    (dict(max_iterations=-1), "max_iterations must be >= 0"),
-])
-def test_settings_outside_their_range_raise_before_any_round(monkeypatch, setting, match):
-    monkeypatch.setattr(exact, "_make_state", None)  # no engine, so no round
-    with pytest.raises(ValueError, match=match):
-        exact_quantile(0.5, SimConfig(n=64, seed=1), **setting)
-
-
-def test_widest_eps_runs():
+def test_widest_eps_runs(monkeypatch):
     # the brackets run at eps/2 = 1/8, the tournaments' widest accuracy
+    monkeypatch.setattr(exact, "NARROW_EPS", 0.25)
     values = np.random.default_rng(3).permutation(256)
-    res = exact_quantile(0.5, SimConfig(n=256, seed=3), values=values, eps=0.25)
+    res = exact_quantile(0.5, SimConfig(n=256, seed=3), values=values)
     assert res.value == np.sort(values)[127]
 
 

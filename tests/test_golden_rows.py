@@ -21,13 +21,17 @@ byte. Which stream each group pins:
 - ``sketch`` and ``spread``: the sketch input and the spreading
   experiment's contacts.
 
-The cases with a non-default --k-sample, --t-extra, --max-iterations or
---exact-eps check each option's path to the trial runner byte for byte;
-the ``t_extra`` case uses the first seed whose t_extra-7 row succeeds
-and differs from the default row.
+The case with a non-default --t-extra checks the option's path to the
+trial runner byte for byte; it uses the first seed whose t_extra-7 row
+succeeds and differs from the default row. K (``tournament.K_SAMPLE``),
+exact's narrowing eps (``exact.NARROW_EPS``) and its iteration cap
+(``exact.MAX_ITERATIONS``) are constants, not options: the
+``CONSTANT_ROWS`` cases run with one of them patched, which shows that
+each is read at call time, the exact row's ``eps`` column included.
 """
 import pytest
 
+from gossipq import exact, tournament
 from gossipq.cli import run_cli
 
 HEADER = "experiment,n,phi,eps,mu,seed,rounds,messages,max_rank_error,success\n"
@@ -88,51 +92,71 @@ GOLDEN = [
         "selfq,1000,,0.1,0.0,2,577,577000,124,1\n",
     ),
     (
-        ["selfq", "--n", "1000", "--eps", "0.1", "--k-sample", "10",
-         "--trials", "1", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,397,397000,134,1\n",
-    ),
-    (
-        ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
-         "--k-sample", "5", "--trials", "2", "--seed", "1"],
-        "approx,2000,0.3,0.05,0.0,1,37,74000,28,1\n"
-        "approx,2000,0.3,0.05,0.0,2,37,74000,57,1\n",
-    ),
-    (
         # two wrong nodes: success needs 2 <= 300 / 2**t_extra, which the
         # default t_extra = 10 fails
         ["robust", "--n", "300", "--phi", "0.3", "--eps", "0.02", "--mu", "0.5",
          "--t-extra", "7", "--trials", "1", "--seed", "119"],
         "robust,300,0.3,0.02,0.5,119,231,34715,8,1\n",
     ),
+]
+
+# (module, constant, value): rows run with one protocol constant patched
+CONSTANT_ROWS = [
     (
+        (tournament, "K_SAMPLE", 10),
+        ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "1", "--seed", "1"],
+        "selfq,1000,,0.1,0.0,1,397,397000,134,1\n",
+    ),
+    (
+        (tournament, "K_SAMPLE", 5),
+        ["approx", "--n", "2000", "--phi", "0.3", "--eps", "0.05",
+         "--trials", "2", "--seed", "1"],
+        "approx,2000,0.3,0.05,0.0,1,37,74000,28,1\n"
+        "approx,2000,0.3,0.05,0.0,2,37,74000,57,1\n",
+    ),
+    (
+        (tournament, "K_SAMPLE", 7),
         ["robust", "--n", "2000", "--phi", "0.3", "--eps", "0.05", "--mu", "0.5",
-         "--k-sample", "7", "--trials", "1", "--seed", "1"],
+         "--trials", "1", "--seed", "1"],
         "robust,2000,0.3,0.05,0.5,1,162,160758,34,1\n",
     ),
     (
-        ["exact", "--n", "256", "--phi", "0.5", "--exact-eps", "0.1",
-         "--trials", "2", "--seed", "1"],
+        (exact, "NARROW_EPS", 0.1),
+        ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
         "exact,256,0.5,0.1,0.0,1,1360,440726,0,1\n"
         "exact,256,0.5,0.1,0.0,2,947,305939,0,1\n",
     ),
     (
-        ["exact", "--n", "256", "--phi", "0.5", "--max-iterations", "2",
-         "--trials", "2", "--seed", "1"],
+        (exact, "MAX_ITERATIONS", 2),
+        ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
         "exact,256,0.5,0.08,0.0,1,1328,439043,0,1\n"
         "exact,256,0.5,0.08,0.0,2,540,166163,0,1\n",
     ),
     (
-        ["exact", "--n", "256", "--phi", "0.3", "--k-sample", "10",
-         "--trials", "2", "--seed", "1"],
+        (tournament, "K_SAMPLE", 10),
+        ["exact", "--n", "256", "--phi", "0.3", "--trials", "2", "--seed", "1"],
         "exact,256,0.3,0.08,0.0,1,761,257875,0,1\n"
         "exact,256,0.3,0.08,0.0,2,607,199068,0,1\n",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, rows", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_cli_rows_byte_identical(tmp_path, argv, rows):
+def _rows(tmp_path, argv):
     path = tmp_path / "rows.csv"
     assert run_cli(argv + ["--threads", "1", "--csv", str(path)]) == 0
-    assert path.read_bytes() == (HEADER + rows).encode()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv, rows", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cli_rows_byte_identical(tmp_path, argv, rows):
+    assert _rows(tmp_path, argv) == (HEADER + rows).encode()
+
+
+@pytest.mark.parametrize(
+    "constant, argv, rows", CONSTANT_ROWS,
+    ids=[f"{name}={value} " + " ".join(a) for (_, name, value), a, _ in CONSTANT_ROWS],
+)
+def test_patched_constant_rows_byte_identical(monkeypatch, tmp_path, constant, argv, rows):
+    # each constant is read at call time, so the patch reaches the trial
+    monkeypatch.setattr(*constant)
+    assert _rows(tmp_path, argv) == (HEADER + rows).encode()

@@ -195,8 +195,11 @@ class TestApproxQuantile:
             assert rep.output_ranks.max() <= hi
 
     def test_round_accounting(self):
-        rep = approx_quantile(0.5, 0.05, SimConfig(n=5000, seed=3), k_sample=30)
-        plan = tournament.tournament_plan(rep.details["target_rank"], 0.05, 5000, 30, 0.0)
+        rep = approx_quantile(0.5, 0.05, SimConfig(n=5000, seed=3))
+        plan = tournament.tournament_plan(
+            rep.details["target_rank"], 0.05, 5000, tournament.K_SAMPLE, 0.0
+        )
+        # K_SAMPLE = 30 rounds up to 31 pulls
         expected = 2 * plan.sched1.t + 3 * plan.sched2.t + 31
         assert rep.rounds == expected
         assert rep.messages == expected * 5000
@@ -232,18 +235,6 @@ class TestApproxQuantile:
         # the harness gate n / 2**t_extra would then exceed n
         with pytest.raises(ValueError, match="t_extra"):
             robust_approx_quantile(0.5, 0.1, -1, SimConfig(n=64, seed=1))
-
-    @pytest.mark.parametrize("n", [1, 64])
-    @pytest.mark.parametrize("k_sample", [0, -5])
-    def test_k_sample_below_one_raises(self, n, k_sample):
-        # K = 0 ran as K = 1; a lone node raises too, though it runs no round
-        config = SimConfig(n=n, seed=1)
-        for run in (lambda: approx_quantile(0.5, 0.1, config, k_sample=k_sample),
-                    lambda: robust_approx_quantile(0.5, 0.1, 3, config, k_sample=k_sample),
-                    lambda: exact_quantile(0.5, config, k_sample=k_sample),
-                    lambda: harness.self_quantile(0.1, config, k_sample=k_sample)):
-            with pytest.raises(ValueError, match="k_sample"):
-                run()
 
 
 class TestPhaseOneComposition:

@@ -27,6 +27,8 @@ rank counts with no count of its own:
 The narrowing accuracy ``NARROW_EPS``, the iteration cap
 ``MAX_ITERATIONS`` and the inner tournaments' K (``tournament.K_SAMPLE``)
 are constants of the protocol, read at call time; no caller sets them.
+Below n = 25 the loop narrows to one value, and an iteration there that
+keeps every survivor at one copy changes nothing: the final run follows.
 Push-sum counts and min/max spreading run at their primitives' budgets
 (``aggregates.PUSH_SUM_C``, ``PUSH_SUM_EXTRA`` and ``SPREAD_C``); these and the
 token phase cap are failure-free budgets that
@@ -89,8 +91,6 @@ class ExactResult:
     value: float
     rounds: int
     messages: int
-    iterations: int
-    rank: int
     details: dict = field(default_factory=dict)
 
 
@@ -330,26 +330,20 @@ def _rebuild_state(state: _State, min_id: int, v_count: int, m: int,
     return _State(ids, np.repeat(state.rank_by_id[min_id:min_id + v_count], m))
 
 
-def exact_quantile(
-    phi: float, config: SimConfig, values=None, *, iteration_callback=None
-) -> ExactResult:
-    """Compute the value of rank ceil(phi * n) exactly.
+def exact_quantile(phi: float, config: SimConfig, values=None) -> ExactResult:
+    """Compute the value of rank ceil(phi * n) exactly, from the problem alone.
 
-    The protocol's constants are read at call time: ``NARROW_EPS`` is the
-    narrowing accuracy, ``MAX_ITERATIONS`` caps the narrowing iterations
-    before the final run and ``tournament.K_SAMPLE`` is every inner
-    tournament's K. A phi outside [0, 1] raises ``ValueError`` before any
-    round. Raises :class:`TrialFailure` when a subroutine fails
-    unrecoverably (never observed at the tested scales).
-    ``iteration_callback(state, k, copies)`` is a diagnostics hook called
-    after each narrowing iteration.
+    A phi outside [0, 1] or a NaN value raises ``ValueError`` before any
+    round; a lone node is all-equal and answers in 0 rounds. Raises
+    :class:`TrialFailure` when a subroutine fails unrecoverably (about 1% of
+    trials below n = 25, 0.06% at n = 25-64). ``details`` holds the
+    per-iteration ``m_trace``, ``v_trace``, ``copies_trace`` and
+    ``attempts_trace``, the bracket and final-run ``retries`` and the ``exit``.
     """
     n = config.n
-    k0 = target_rank(phi, n)
     eps = NARROW_EPS
+    k = target_rank(phi, n)
     engine, ids, value_by_rank = _make_state(config, values)
-    if n == 1:
-        return ExactResult(float(value_by_rank[0]), 0, 0, 0, 1)
     # The one view of raw values, and a known defect (ROADMAP, "Carry keys
     # end to end"): in float64 distinct int64 keys above 2**53 collapse, so
     # the all-equal test ends such trials early with a wrong answer. The
@@ -358,23 +352,19 @@ def exact_quantile(
     value = value_by_rank.astype(float)
     state = _State(ids, np.arange(n))
 
-    k = k0
     copies = 1            # certified surviving duplicates of the answer
-    iterations = 0
     retries_used = 0
     details: dict = {"m_trace": [], "v_trace": [], "copies_trace": [], "attempts_trace": []}
     # the closing approximate run needs an answer block of ~eps*n ranks;
-    # when eps*n is tiny the loop instead narrows until one value is left
+    # when eps*n is tiny the loop instead narrows until one value is left,
+    # or until an iteration changes nothing (the final run is exact there)
     final_route = eps * n >= 2.0
 
-    while iterations < MAX_ITERATIONS:
+    for _ in range(MAX_ITERATIONS):
         lo_val, hi_val = value[state.rank_by_id[[0, -1]]]
         if lo_val == hi_val:
-            details["exit"] = "all-equal"
-            return ExactResult(
-                float(lo_val), engine.rounds, engine.messages, iterations, k0,
-                details | {"retries": retries_used, "copies": copies},
-            )
+            details |= {"retries": retries_used, "exit": "all-equal"}
+            return ExactResult(float(lo_val), engine.rounds, engine.messages, details)
         if final_route and copies >= eps * n:
             break
 
@@ -389,19 +379,18 @@ def exact_quantile(
         surviving = k - r_min + 1
         copies = m * min(copies, surviving)
         k = rank_update(k, r_min, m)
+        details["m_trace"].append(m)
+        details["v_trace"].append(v_count)
+        details["copies_trace"].append(copies)
+        details["attempts_trace"].append(attempts)
+        if not final_route and m == 1 and v_count == state.real_count:
+            break  # every survivor kept at one copy: nothing would change
 
         holder_of_id = np.empty(n, dtype=np.int64)
         holder_of_id[state.ids] = np.arange(n)
         origin_holders = holder_of_id[min_id:min_id + v_count]
         dist = distribute_tokens(origin_holders, m, engine)
         state = _rebuild_state(state, min_id, v_count, m, dist)
-        iterations += 1
-        details["m_trace"].append(m)
-        details["v_trace"].append(v_count)
-        details["copies_trace"].append(copies)
-        details["attempts_trace"].append(attempts)
-        if iteration_callback is not None:
-            iteration_callback(state, k, copies)
 
     # final approximate run: the answer now owns every rank in an
     # eps*n-wide window below (and including) k
@@ -427,7 +416,5 @@ def exact_quantile(
     t_extra = int(math.ceil(math.log2(max(2, n))))
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     details["nodes_with_answer"] = int(np.count_nonzero(has_output))
-    return ExactResult(
-        float(candidates[0]), engine.rounds, engine.messages, iterations, k0,
-        details | {"retries": retries_used, "copies": copies, "exit": "final-run"},
-    )
+    details |= {"retries": retries_used, "exit": "final-run"}
+    return ExactResult(float(candidates[0]), engine.rounds, engine.messages, details)

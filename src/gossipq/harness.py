@@ -158,15 +158,15 @@ def self_quantile(eps: float, config: SimConfig, values=None):
     bounds the whole grid. A node's estimate is eps times the number of
     grid answers it holds strictly below its own key: a grid point that
     left the node without an answer (possible only under failures)
-    counts neither way. Returns ``(estimates, ids, rounds, messages)``.
+    counts neither way; a lone node answers every grid point with its own
+    key, in no round. Returns ``(estimates, ids, rounds, messages)``.
     """
     if not 0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8)")
     engine, ids, _ = _make_state(config, values)
     n = config.n
     below = np.zeros(n, dtype=np.int64)
-    grid = range(1, math.ceil(1.0 / eps)) if n > 1 else ()  # a lone node answers itself
-    for j in grid:
+    for j in range(1, math.ceil(1.0 / eps)):
         outputs, has_output, _ = _tournament_core(
             ids, clamped_rank(j * eps * n, n), eps / 2.0, engine
         )

@@ -366,8 +366,11 @@ def _tournament_core(ids: np.ndarray, target_rank: int, eps: float, engine: Roun
     phase-II iteration. The state runs as int32 when every id fits (see the
     module docstring). Every step pulls through the good-pull batch; the
     failure model only sizes the batches (see :func:`tournament_plan`).
+    A lone node answers its own id in no round.
     """
     n = engine.n
+    if n == 1:  # phase II's schedule needs n >= 2
+        return ids.astype(np.int64), np.ones(1, dtype=bool), []
     plan = tournament_plan(target_rank, eps, n, K_SAMPLE, engine.config.failure.mu)
     sched1, sched2 = plan.sched1, plan.sched2
     values = ids.astype(_id_dtype(n), copy=False)
@@ -406,11 +409,14 @@ def target_rank(phi: float, n: int) -> int:
 def _make_state(config: SimConfig, values):
     """The trial's engine, canonical ids and sorted raw values. Values of a
     dtype other than bool, int, uint or float (str, datetime64, complex,
-    object) raise ``ValueError`` before the engine exists."""
+    object), or holding a NaN (no rank; a report's "no answer"), raise
+    ``ValueError`` before the engine exists."""
     if values is not None:
         values = np.asarray(values)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"values must be bool, integer or float, not {values.dtype}")
+        if values.dtype.kind == "f" and np.isnan(values).any():
+            raise ValueError("values must not hold NaN")
         if values.shape[0] != config.n:
             raise ValueError("values length must equal config.n")
     engine = RoundEngine(config)
@@ -448,11 +454,6 @@ def _approx_trial(phi, eps, t_extra, config, values) -> TrialReport:
     rank = target_rank(phi, config.n)
     engine, ids, value_by_rank = _make_state(config, values)
     report = TrialReport()
-    if config.n == 1:
-        return _finish_report(
-            engine, report, np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
-            value_by_rank, rank,
-        )
     outputs, has_output, good_trace = _tournament_core(ids, rank, eps, engine)
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
     report.details["good_trace"] = good_trace

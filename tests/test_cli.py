@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report formats, exit codes, reproducibility."""
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -19,7 +20,7 @@ from gossipq.harness import (
     spread_experiment,
 )
 from gossipq.engine import BudgetExceededError, RoundEngine, SimConfig
-from gossipq.exact import InvariantViolation, TrialFailure, exact_quantile
+from gossipq.exact import ExactResult, InvariantViolation, TrialFailure, exact_quantile
 from gossipq.tournament import (approx_quantile, clamped_rank, robust_approx_quantile,
                                 tournament_plan)
 
@@ -332,11 +333,13 @@ class TestCommandTable:
         assert set(harness.EXPERIMENTS) <= {argv[0] for argv, _ in GOLDEN}
 
     def test_exact_takes_no_settings(self):
-        # K, the narrowing eps and the iteration cap are module constants;
-        # the one keyword left is the diagnostics hook
-        keywords = {name for name, p in inspect.signature(exact_quantile).parameters.items()
-                    if p.kind is p.KEYWORD_ONLY}
-        assert keywords == {"iteration_callback"}
+        # K, the narrowing eps and the iteration cap are module constants,
+        # and the protocol takes the problem alone and returns the answer
+        params = inspect.signature(exact_quantile).parameters
+        assert list(params) == ["phi", "config", "values"]
+        assert not any(p.kind is p.KEYWORD_ONLY for p in params.values())
+        assert [f.name for f in dataclasses.fields(ExactResult)] == [
+            "value", "rounds", "messages", "details"]
         exp = harness.EXPERIMENTS["exact"]
         assert set(inspect.signature(exp.runner).parameters) == {"n", "phi", "seed", "mu"}
         assert exp.optional == {"mu": None}

@@ -133,7 +133,7 @@ class TestFailureDraws:
             return [
                 (approx.rounds, approx.messages, approx.outputs.tobytes()),
                 (robust.rounds, robust.messages, robust.outputs.tobytes()),
-                (exact.rounds, exact.messages, exact.value, exact.iterations),
+                (exact.rounds, exact.messages, exact.value, exact.details),
             ]
 
         assert not any(model.active for model in models)

@@ -105,7 +105,7 @@ class TestValuedCountIdentity:
         values = RoundEngine(cfg).values_rng().permutation(256)
         res = exact_quantile(0.5, cfg, values=values)
         assert res.value == float(np.sort(values)[127])
-        assert res.iterations >= 2
+        assert len(res.details["m_trace"]) >= 2
         assert res.details["v_trace"] == direct
 
     @pytest.mark.parametrize("mu, seed", [(0.0, s) for s in range(4)] + [(0.5, 0), (0.5, 1)])
@@ -113,7 +113,7 @@ class TestValuedCountIdentity:
         # each iteration's v_trace entry equals the direct count over the
         # bracket narrow_window returned, and the rebuilt state holds m
         # copies of each of those values
-        original = exact.narrow_window
+        original, original_rebuild = exact.narrow_window, exact._rebuild_state
         direct, real_counts = [], []
 
         def recording(state, *args):
@@ -121,13 +121,16 @@ class TestValuedCountIdentity:
             direct.append(_valued_in_bracket(state.ids, out[0], out[1], state.real_count))
             return out
 
+        def rebuilding(*args):
+            state = original_rebuild(*args)
+            real_counts.append(state.real_count)
+            return state
+
         monkeypatch.setattr(exact, "narrow_window", recording)
+        monkeypatch.setattr(exact, "_rebuild_state", rebuilding)
         failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
-        res = exact_quantile(
-            0.5, SimConfig(n=256, seed=seed, failure=failure),
-            iteration_callback=lambda state, k, copies: real_counts.append(state.real_count),
-        )
-        assert res.iterations >= 1
+        res = exact_quantile(0.5, SimConfig(n=256, seed=seed, failure=failure))
+        assert len(res.details["m_trace"]) >= 1
         assert res.details["v_trace"] == direct
         assert real_counts == [
             m * v for m, v in zip(res.details["m_trace"], res.details["v_trace"])
@@ -345,8 +348,21 @@ class TestExactQuantile:
         assert res.value == 13.0
 
     def test_single_node(self):
+        # one node is an all-equal valued range: answered in no round
         res = exact_quantile(0.9, SimConfig(n=1, seed=1), values=np.array([42]))
         assert res.value == 42.0 and res.rounds == 0
+        assert res.details["exit"] == "all-equal"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_tiny_n_stops_when_an_iteration_changes_nothing(self, n):
+        # an iteration that keeps every survivor at one copy leaves the
+        # state unchanged, so the trial goes to the final run at once
+        cfg = SimConfig(n=n, seed=1)
+        values = RoundEngine(cfg).values_rng().permutation(n)
+        res = exact_quantile(0.0, cfg, values=values)
+        assert len(res.details["m_trace"]) < exact.MAX_ITERATIONS
+        assert res.details["m_trace"][-1] == 1
+        assert res.value == float(np.sort(values)[0])
 
     def test_all_values_equal_input(self):
         res = exact_quantile(0.5, SimConfig(n=64, seed=2), values=np.full(64, 7.0))
@@ -375,48 +391,53 @@ class TestExactQuantile:
         b = exact_quantile(0.4, cfg)
         assert a.value == b.value and a.rounds == b.rounds
 
-    def test_answer_block_invariant(self):
+    def test_answer_block_invariant(self, monkeypatch):
         # after every iteration the oracle-sorted state has all ranks in
         # (k - copies, k] equal to the true answer
         cfg = SimConfig(n=1024, seed=12)
         values = RoundEngine(cfg).values_rng().permutation(1024)
         ans = float(np.sort(values)[math.ceil(0.5 * 1024) - 1])
         value_by_rank = np.sort(values).astype(float)
-        checked = []
+        rebuild, update = exact._rebuild_state, exact.rank_update
+        states, ks = [], []
+        monkeypatch.setattr(exact, "_rebuild_state",
+                            lambda *args: states.append(rebuild(*args)) or states[-1])
+        monkeypatch.setattr(exact, "rank_update", lambda *args: ks.append(update(*args)) or ks[-1])
 
-        def check(state, k, copies):
-            block = value_by_rank[state.rank_by_id[k - copies:k]]
-            checked.append(len(block))
-            assert (block == ans).all()
-
-        res = exact_quantile(0.5, cfg, values=values, iteration_callback=check)
+        res = exact_quantile(0.5, cfg, values=values)
         assert res.value == ans
-        assert checked  # the hook ran
+        copies_trace = res.details["copies_trace"]
+        assert states and len(states) == len(ks) == len(copies_trace)
+        for state, k, copies in zip(states, ks, copies_trace):
+            assert (value_by_rank[state.rank_by_id[k - copies:k]] == ans).all()
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_state_is_canonical_after_every_iteration(self, monkeypatch, mu):
         # ids stay a permutation of 0..n-1, the rank table stays sorted, and
         # the sentinel ids sit exactly on the nodes the tokens left empty
-        original = exact.distribute_tokens
+        original, rebuild = exact.distribute_tokens, exact._rebuild_state
         dists, checked = [], []
 
         def recording(*args, **kwargs):
             dists.append(original(*args, **kwargs))
             return dists[-1]
 
-        def check(state, k, copies):
+        def check(*args):
+            state = rebuild(*args)
             n = len(state.ids)
             assert np.array_equal(np.sort(state.ids), np.arange(n))
             assert (np.diff(state.rank_by_id) >= 0).all()
             assert np.array_equal(state.ids >= state.real_count, dists[-1].ids < 0)
             checked.append(state.real_count)
+            return state
 
         monkeypatch.setattr(exact, "distribute_tokens", recording)
+        monkeypatch.setattr(exact, "_rebuild_state", check)
         for seed in range(3):
             failure = FailureModel(mode="uniform", mu=mu, seed=seed) if mu else FailureModel()
             cfg = SimConfig(n=512, seed=seed, failure=failure)
             values = RoundEngine(cfg).values_rng().integers(0, 64, size=512)
-            res = exact_quantile(0.5, cfg, values=values, iteration_callback=check)
+            res = exact_quantile(0.5, cfg, values=values)
             assert res.value == float(np.sort(values)[255])
         assert len(checked) >= 3 and min(checked) < 512
 
@@ -444,7 +465,6 @@ class TestExactQuantile:
     def test_trial_report_counters_accumulate(self):
         res = exact_quantile(0.5, SimConfig(n=256, seed=3))
         assert res.rounds > 0 and res.messages > 0
-        assert res.iterations == len(res.details["m_trace"])
 
 
 def test_widest_eps_runs(monkeypatch):

@@ -185,6 +185,14 @@ class TestApproxQuantile:
         assert rep.outputs[0] == 3.5
         assert rep.rounds == 0
 
+    def test_single_node_under_failures(self):
+        # the lone node answers itself before any batch, so no adoption runs
+        failure = FailureModel(mode="uniform", mu=0.5, seed=1)
+        rep = robust_approx_quantile(0.7, 0.05, 4, SimConfig(n=1, seed=1, failure=failure),
+                                     values=np.array([3.5]))
+        assert rep.outputs[0] == 3.5 and list(rep.output_ranks) == [1]
+        assert rep.rounds == rep.messages == 0
+
     def test_outputs_within_window(self):
         n = 20_000
         for phi in (0.1, 0.5, 0.9):
@@ -844,6 +852,17 @@ class TestIdStateDtype:
         with pytest.raises(ValueError, match="^values must be bool, integer or float, not"):
             self.FRONT_ENDS[front_end](SimConfig(n=300, seed=2), values)
 
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_values_rejected_before_any_round(self, monkeypatch, front_end, n, dtype):
+        # NaN has no rank, and a NaN answer would read as "no answer"
+        monkeypatch.setattr(tournament, "RoundEngine", None)
+        values = np.arange(n, dtype=dtype)
+        values[-1] = np.nan
+        with pytest.raises(ValueError, match="^values must not hold NaN$"):
+            self.FRONT_ENDS[front_end](SimConfig(n=n, seed=2), values)
+
     @pytest.mark.parametrize("dtype", [bool, np.uint16, np.int8, np.float32])
     def test_numeric_dtypes_accepted(self, dtype):
         values = (np.arange(300) % 2 if dtype is bool else np.arange(300) % 100).astype(dtype)
@@ -864,5 +883,5 @@ class TestIdStateDtype:
             assert (a.rounds, a.messages, a.max_rank_error) == (b.rounds, b.messages, b.max_rank_error)
             assert a.details == b.details
         a, b = narrow[2], wide[2]
-        assert (a.value, a.rounds, a.messages, a.iterations) == (b.value, b.rounds, b.messages, b.iterations)
+        assert (a.value, a.rounds, a.messages) == (b.value, b.rounds, b.messages)
         assert a.details == b.details

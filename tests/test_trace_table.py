@@ -5,6 +5,8 @@ function breaks ``benchmarks/run.py --trace 1``. This installs it, runs
 one small exact trial, one compaction check and a plain and a robust
 approximate trial, and checks that the push-sum, sketch and tournament
 layers were seen and that uninstalling restores every patched attribute.
+Two more exact trials check the ``details`` the tracer reads on both of
+the protocol's exits.
 """
 from pathlib import Path
 
@@ -45,6 +47,28 @@ def test_exact_trial_traces_push_sum_and_uninstalls(tracer_class):
         assert stats.calls > 0 and stats.rounds > 0
     per_layer = tracer.per_layer(1)
     assert per_layer["aggregates.exact_count.attempts_per_call"] >= 1
+
+
+@pytest.mark.parametrize("n, phi, values, exit_", [
+    (64, 0.5, np.full(64, 7.0), "all-equal"),
+    (4, 0.0, None, "final-run"),  # stops after an iteration that changes nothing
+])
+def test_exact_details_feed_the_tracer_on_both_exits(tracer_class, n, phi, values, exit_):
+    # the tracer takes final-run retries as retries - sum(attempts - 1), so
+    # every narrow_window call must show in attempts_trace on either exit
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        tracer.trial = 0
+        result = exact.exact_quantile(phi, SimConfig(n=n, seed=1), values=values)
+    finally:
+        tracer.uninstall()
+    details = result.details
+    assert details["exit"] == exit_
+    assert len(details["m_trace"]) < exact.MAX_ITERATIONS
+    assert "attempts_trace" in details and "retries" in details
+    assert tracer.stats["exact.narrow_window"].calls == len(details["attempts_trace"])
+    assert tracer.per_layer(1)["exact.final.retries"] >= 0
 
 
 def test_compaction_check_traces_sketch_layers_and_uninstalls(tracer_class):

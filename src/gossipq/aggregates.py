@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RoundEngine
+from .engine import ROUND_BLOCK, RoundEngine
 
 # Spreading budget: SPREAD_C * ceil(log2 n) iterations (through
 # failure_budget). Push-pull spreading of one value completes in
@@ -153,8 +153,9 @@ def push_sum_multi(
     rounds. All channels share the contact draws and the weight
     component, so k counts cost the same number of rounds as one; each
     pushed share is a (k+1)-number message and is accounted as k message
-    units. ``track_mass`` records each channel's total sum after every
-    round.
+    units. The rounds are drawn in blocks (``RoundEngine.plain_rounds``),
+    and each round adds every row's pushed shares with one bincount.
+    ``track_mass`` records each channel's total sum after every round.
     """
     mat = np.asarray(indicator_matrix, dtype=np.float64)
     if mat.ndim != 2:
@@ -169,19 +170,26 @@ def push_sum_multi(
     base = math.ceil(PUSH_SUM_C * math.log2(max(2, n))) + PUSH_SUM_EXTRA * 2**attempt
     rounds = failure_budget(engine, base)
     traces: list[list[float]] = [[] for _ in range(channels)]
-    for _ in range(rounds):
-        rd = engine.next_round()
-        targets = rd.peers(message_weight=channels)
-        send = state * 0.5
-        if rd.failed is not None:
-            # a failed node keeps both halves
-            send = np.where(rd.failed, 0.0, send)
-        state -= send
-        for row, share in zip(state, send):
-            row += np.bincount(targets, weights=share, minlength=n)
-        if track_mass:
-            for ch in range(channels):
-                traces[ch].append(float(state[ch].sum()))
+    # row r's share to node t lands in bin r * n + t of one flat bincount
+    offsets = (np.arange(channels + 1) * n)[:, np.newaxis]
+    step = max(1, ROUND_BLOCK // n)
+    for start in range(0, rounds, step):
+        contacts, failures = engine.plain_rounds(min(step, rounds - start),
+                                                 message_weight=channels)
+        # each node's pushed fraction per round: a failed node keeps both halves
+        halves = np.full((len(contacts), 1), 0.5) if failures is None else np.where(
+            failures, 0.0, 0.5)[:, np.newaxis]
+        for targets, half in zip(contacts, halves):
+            send = state * half
+            if failures is None:
+                state = send  # x - x/2 is x/2 exactly: each node keeps what it sends
+            else:
+                state -= send
+            state += np.bincount((targets + offsets).ravel(), weights=send.ravel(),
+                                 minlength=state.size).reshape(state.shape)
+            if track_mass:
+                for ch in range(channels):
+                    traces[ch].append(float(state[ch].sum()))
     results = []
     for ch in range(channels):
         raw = n * state[ch] / state[channels]

@@ -9,11 +9,13 @@ stream when failures are on, and under ``scheduled`` the schedule stream.
 Failures are fixed ahead of the protocol, on the failure stream: an
 oblivious adversary's choice, made before execution. A plain round
 (:meth:`RoundEngine.next_round`) draws n uniforms from it for its failure
-bits, so a run of plain rounds reads successive n-blocks of the stream.
-A pull batch (:meth:`RoundEngine.advance_batch`) uses only each node's
-count of rounds whose pull did not fail, and under ``uniform`` it draws
-no per-round bit: the counts are i.i.d. binomial, so the engine draws, in
-law, which nodes are short of good pulls and the batch's message total.
+bits, so a run of plain rounds reads successive n-blocks of the stream,
+and :meth:`RoundEngine.plain_rounds` draws such a run, with its contacts,
+as one block. A pull batch (:meth:`RoundEngine.advance_batch`) uses only
+each node's count of rounds whose pull did not fail, and under
+``uniform`` it draws no per-round bit: the counts are i.i.d. binomial,
+so the engine draws, in law, which nodes are short of good pulls and the
+batch's message total.
 ``scheduled`` gives each node and round its own probability, so its
 batches still draw per-round bits. Its probabilities are the schedule
 stream read in round order, n uniforms per round, by plain rounds and
@@ -31,7 +33,8 @@ Messages are counted per round or per batch.
 
 One engine round corresponds to one contact per node: one push or one
 pull. A message may carry several values, and ``message_weight`` counts
-them (push-sum's channels, both extremes of min/max spreading).
+them (push-sum's and a tournament's channels, both extremes of min/max
+spreading).
 :meth:`Round.pull` is the one plain pull, and a node whose pull fails
 keeps its own value (:meth:`Round.sources`). Protocols that perform ``k``
 pulls per iteration advance the engine by ``k`` rounds, so reported
@@ -53,6 +56,9 @@ STREAM_VALUES = 3
 STREAM_SCHEDULE = 4
 
 _MASK64 = (1 << 64) - 1
+# The most contacts a caller asks of one RoundEngine.plain_rounds call
+# (8 MB of int64): a longer run is drawn ROUND_BLOCK // n rounds at a time.
+ROUND_BLOCK = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,10 +104,11 @@ class FailureModel:
 
 
 def draw_failures(
-    model: FailureModel, n: int, rng: np.random.Generator,
+    model: FailureModel, n, rng: np.random.Generator,
     schedule: np.random.Generator | None,
 ) -> np.ndarray:
-    """Failure bits for one round of an active model.
+    """Failure bits for one round of an active model, or for a block of
+    rounds when ``n`` is the shape ``(rounds, n)``.
 
     Draws exactly ``n`` uniforms from ``rng``, the failure stream, and
     tests them against ``mu`` (``uniform``) or against this round's
@@ -216,87 +223,134 @@ class RoundEngine:
                 self._schedule_rng = derive_rng(config.failure.seed, STREAM_SCHEDULE)
 
     def next_round(self) -> Round:
-        if self.rounds >= self.config.max_rounds:
-            raise BudgetExceededError(
-                f"round budget {self.config.max_rounds} exceeded"
-            )
-        self.rounds += 1
+        self._charge(1)
         failed = None
         if self._failure_rng is not None:
             failed = draw_failures(self.config.failure, self.n, self._failure_rng,
                                    self._schedule_rng)
         return Round(self.rng, failed, self)
 
-    def advance_batch(self, batch: int, short_given_live: np.ndarray, row) -> np.ndarray:
-        """Charge ``batch`` pull rounds at once; return the mask of nodes short of good pulls.
+    def plain_rounds(self, count: int, actors: np.ndarray | None = None,
+                     message_weight: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
+        """Charge ``count`` plain rounds at once; return their ``(count, n)``
+        contacts and failure bits (None without failures).
 
-        ``short_given_live[r, m]`` is the chance that a node of row ``r``
-        is short when its pull did not fail in m of the batch's rounds
-        (its live count); ``row`` is one row for every node, or one per
-        node. The rounds are charged under :meth:`next_round`'s budget
-        rule: a batch that would cross ``max_rounds`` stops the engine at
-        ``max_rounds`` and raises. Each live round of a node counts one
-        message.
-
-        Without failures every live count is ``batch``. Under ``uniform``
-        the live counts are i.i.d. Binomial(batch, 1 - mu), so a node is
-        short with probability ``p[row] = sum_k pmf[k] short_given_live[row, k]``,
-        and given the short mask the live counts within each (row, short)
-        class are i.i.d. with pmf proportional to pmf * short_given_live[row]
-        (or pmf * (1 - short_given_live[row])): the message total is drawn
-        from the failure stream as one multinomial per class, and no
-        per-round bit is drawn. ``scheduled`` gives every node and round
-        its own probability, so its per-round bits are drawn from the
-        failure and schedule streams by :func:`draw_failures`, round by
-        round as :meth:`next_round` draws them, and summed into live counts.
-        The short mask is one uniform per node from the round stream,
-        drawn only when some chance in play lies strictly between 0 and 1.
+        The streams are read exactly as ``count`` :meth:`next_round` calls,
+        each followed by one :meth:`Round.peers`, would read them: the
+        failure stream (and under ``scheduled`` the schedule stream) one
+        n-block per round, the round stream one n-vector of contacts per
+        round. The rounds are charged under :meth:`next_round`'s budget
+        rule, except that a block that would cross ``max_rounds`` stops the
+        engine at ``max_rounds`` and raises before drawing. Messages are
+        counted as :meth:`Round.peers` counts them, ``actors`` being one
+        ``(count, n)`` mask of the nodes that act in each round.
         """
-        if self.rounds + batch > self.config.max_rounds:
+        self._charge(count)
+        failed = None
+        if self._failure_rng is not None:
+            failed = draw_failures(self.config.failure, (count, self.n), self._failure_rng,
+                                   self._schedule_rng)
+            actors = ~failed if actors is None else actors & ~failed
+        targets = self.rng.integers(0, self.n, size=(count, self.n))
+        performed = count * self.n if actors is None else int(np.count_nonzero(actors))
+        self.messages += message_weight * performed
+        return targets, failed
+
+    def _charge(self, count: int) -> None:
+        """Charge ``count`` rounds, or stop at ``max_rounds`` and raise."""
+        if self.rounds + count > self.config.max_rounds:
             self.rounds = self.config.max_rounds
             raise BudgetExceededError(
                 f"round budget {self.config.max_rounds} exceeded"
             )
-        self.rounds += batch
-        model, n = self.config.failure, self.n
+        self.rounds += count
+
+    def advance_batch(self, batch: int, short_given_live, rows) -> np.ndarray:
+        """Charge ``batch`` pull rounds at once for C channels in lockstep;
+        return the ``(C, n)`` mask of each channel's nodes short of good pulls.
+
+        Channel c's ``short_given_live[c][r, m]`` is the chance that its
+        node of row ``r`` is short when the node's pull did not fail in m of
+        the batch's rounds (its live count); ``rows[c]`` is one row for
+        every node, or one per node. The channels share every round's
+        contact and failure bit, so a node has one live count for all of
+        them, and each live round counts one message carrying one id per
+        channel (C message units). Given the live counts, the channels'
+        masks are independent. The rounds are charged under
+        :meth:`next_round`'s budget rule: a batch that would cross
+        ``max_rounds`` stops the engine at ``max_rounds`` and raises.
+
+        Without failures every live count is ``batch``. ``scheduled`` gives
+        every node and round its own probability, so its per-round bits are
+        drawn from the failure and schedule streams by :func:`draw_failures`,
+        round by round as :meth:`next_round` draws them, and summed into
+        live counts. Under ``uniform`` the live counts are i.i.d.
+        Binomial(batch, 1 - mu), so the first channel's node is short with
+        probability ``p[row] = sum_k pmf[k] short_given_live[0][row, k]``,
+        and given that mask the live counts within each (row, short) class
+        are i.i.d. with pmf proportional to pmf * short_given_live[0][row]
+        (or pmf * (1 - short_given_live[0][row])): the message total is
+        drawn from the failure stream as one multinomial per class, and no
+        per-round bit is drawn. When more channels follow, each node then
+        takes one of its class's drawn live counts, in an order drawn from
+        the failure stream (one uniform per node), which makes the counts
+        i.i.d. draws from the class's law, and the other channels' masks are
+        drawn given them. A mask is one uniform per node from the round
+        stream, drawn only when the entry picked for all, or some entry of
+        the chances in play, lies strictly between 0 and 1.
+        """
+        self._charge(batch)
+        model, n, weight = self.config.failure, self.n, len(short_given_live)
         if not model.active:
-            self.messages += n * batch
-            return self._short(short_given_live[:, batch], row)
+            self.messages += weight * n * batch
+            return np.array([self._short(table[:, batch], row)
+                             for table, row in zip(short_given_live, rows)])
+        shorts = []
         if model.mode == "scheduled":
             live = np.full(n, batch, dtype=np.min_scalar_type(batch))
             for _ in range(batch):
                 live -= draw_failures(model, n, self._failure_rng, self._schedule_rng)
-            self.messages += int(live.sum())
-            return self._short(short_given_live, (row, live))
-        pmf = _live_pmf(batch, model.mu)
-        lacking = pmf * short_given_live
-        short = self._short(lacking.sum(axis=1), row)
-        sizes = np.zeros((len(lacking), 2), dtype=np.int64)  # [row, short]
-        if np.ndim(row):
-            sizes.flat[:] = np.bincount(2 * row + short, minlength=sizes.size)
+            self.messages += weight * int(live.sum())
         else:
-            count = int(np.count_nonzero(short))
-            sizes[row] = n - count, count
-        live = np.arange(batch + 1)
-        for r, (kept_size, short_size) in enumerate(sizes):
-            for size, weights in ((kept_size, pmf - lacking[r]), (short_size, lacking[r])):
+            pmf = _live_pmf(batch, model.mu)
+            lacking = pmf * short_given_live[0]
+            row0, short0 = rows[0], self._short(lacking.sum(axis=1), rows[0])
+            shorts.append(short0)
+            # each class's law of the live count: kept, then short, row by row
+            law = np.maximum(np.stack((pmf - lacking, lacking), axis=1), 0.0).reshape(
+                -1, batch + 1)
+            # the nodes of each (row, short) class, class 2 * row + short
+            if np.ndim(row0):
+                sizes = np.bincount(2 * row0 + short0, minlength=len(law))
+            else:  # one row for every node: counting costs less than a bincount
+                sizes = np.zeros(len(law), dtype=np.int64)
+                sizes[2 * row0 + 1] = np.count_nonzero(short0)
+                sizes[2 * row0] = n - sizes[2 * row0 + 1]
+            counts = np.zeros(law.shape, dtype=np.int64)
+            for cls, size in enumerate(sizes):
                 if size:
-                    weights = np.maximum(weights, 0.0)
-                    counts = self._failure_rng.multinomial(size, weights / weights.sum())
-                    self.messages += int(live @ counts)
-        return short
+                    counts[cls] = self._failure_rng.multinomial(
+                        size, law[cls] / law[cls].sum())
+                    self.messages += weight * int(np.arange(batch + 1) @ counts[cls])
+            if weight > 1:
+                order = np.argsort(2 * row0 + short0 + self._failure_rng.random(n))
+                live = np.empty(n, dtype=np.intp)
+                live[order] = np.repeat(np.tile(np.arange(batch + 1), len(law)), counts.ravel())
+        for table, row in zip(short_given_live[len(shorts):], rows[len(shorts):]):
+            shorts.append(self._short(table, (row, live)))
+        return np.array(shorts)
 
     def _short(self, chance: np.ndarray, index) -> np.ndarray:
         """Nodes short of good pulls, node v with chance ``chance[index]``:
-        an int ``index`` picks one entry for every node, an array or a
-        tuple of arrays one entry per node.
+        an index of ints picks one entry for every node, an array or a
+        tuple holding arrays one entry per node.
 
         One uniform per node is drawn from the round stream, and only when
         the entry picked for all, or some entry of ``chance``, lies
         strictly between 0 and 1.
         """
-        if isinstance(index, int):  # one chance: a float test costs less than array ops
-            p = float(chance[index])
+        if not any(np.ndim(part) for part in (index if isinstance(index, tuple) else (index,))):
+            p = float(chance[index])  # one chance: a float test costs less than array ops
             return self.rng.random(self.n) < p if 0.0 < p < 1.0 else np.full(self.n, p >= 1.0)
         if ((chance > 0.0) & (chance < 1.0)).any():
             return self.rng.random(self.n) < chance[index]

@@ -1,6 +1,7 @@
 """Exact quantile computation by repeated approximate narrowing.
 
 Each iteration brackets the answer with two approximate quantile runs,
+the two channels of one tournament (``tournament._tournament_core``),
 spreads the global extremes of those approximations, counts the rank of
 each extreme by push-sum, filters every value outside the bracket,
 duplicates the survivors onto valueless nodes via weight-halving tokens
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregates import exact_count_multi, failure_budget, spread_min_max
-from .engine import RoundEngine, SimConfig
+from .engine import ROUND_BLOCK, RoundEngine, SimConfig
 from .engine import canonical_ids  # noqa: F401  (benchmarks/tracer.py patches this binding)
 from .tournament import (_make_state, _tournament_core, adoption_rounds, clamped_rank,
                           target_rank)
@@ -139,36 +140,46 @@ class TokenDistribution:
     phi_trace: list[float]
 
 
-def _pile_positions(holders):
-    """Each token's 0-based position in its holder's pile, in token order."""
-    order = np.argsort(holders, kind="stable")
-    sorted_holders = holders[order]
+def _pile_positions(holders, n):
+    """Each token's 0-based position in its holder's pile, in token order.
+
+    Holders are node ids below n; when they fit 16 bits they sort as
+    uint16 keys, whose stable sort is a radix sort.
+    """
+    keys = holders.astype(np.uint16) if n <= 1 << 16 else holders
+    order = np.argsort(keys, kind="stable")
+    # a pile starts where the piles of lower holders end
+    sizes = np.bincount(holders, minlength=n)
+    starts = np.cumsum(sizes) - sizes
     pos = np.empty(len(holders), dtype=np.int64)
-    # a pile starts where its holder first appears in the sorted holders
-    pos[order] = np.arange(len(holders)) - np.searchsorted(sorted_holders, sorted_holders)
+    pos[order] = np.arange(len(holders)) - starts[holders[order]]
     return pos
 
 
-def _push_token_rounds(holders, engine):
+def _push_token_rounds(holders, pos, engine):
     """Draw the per-round peer/failure vectors a token phase needs.
 
     Tokens at one node are pushed in consecutive rounds; the j-th token a
-    node pushes uses round j's draws, so failures stay per (node, round).
-    Returns per-token targets and failure bits.
+    node pushes (``pos`` j, 0-based) uses round j's draws, so failures stay
+    per (node, round). The phase's rounds are drawn as blocks of plain
+    rounds (``RoundEngine.plain_rounds``), which read the streams as a
+    round at a time would. Returns per-token targets and failure bits.
     """
-    pos = _pile_positions(holders)
-    n_rounds = int(pos.max()) + 1 if len(holders) else 0
+    n = engine.n
     targets = np.empty(len(holders), dtype=np.int64)
     failed = np.zeros(len(holders), dtype=bool)
-    for j in range(n_rounds):
-        sub = pos == j
-        acting = np.zeros(engine.n, dtype=bool)
-        acting[holders[sub]] = True
-        rd = engine.next_round()
-        peer_vec = rd.peers(actors=acting)
-        targets[sub] = peer_vec[holders[sub]]
-        if rd.failed is not None:
-            failed[sub] = rd.failed[holders[sub]]
+    n_rounds = int(pos.max()) + 1 if len(holders) else 0
+    step = max(1, ROUND_BLOCK // n)
+    for start in range(0, n_rounds, step):
+        count = min(step, n_rounds - start)
+        sub = np.flatnonzero((pos >= start) & (pos < start + count))
+        rows, nodes = pos[sub] - start, holders[sub]
+        acting = np.zeros((count, n), dtype=bool)
+        acting[rows, nodes] = True
+        contacts, failures = engine.plain_rounds(count, actors=acting)
+        targets[sub] = contacts[rows, nodes]
+        if failures is not None:
+            failed[sub] = failures[rows, nodes]
     return targets, failed
 
 
@@ -219,12 +230,21 @@ def distribute_tokens(
         if track_phi and len(phi_trace) == split_phases:
             # before the first phase and after each split phase
             phi_trace.append(float(np.sum(weight[heavy].astype(np.float64) ** 2)))
-        movers = np.flatnonzero(heavy | (_pile_positions(holder) > 0))
+        pos = _pile_positions(holder, n)
+        if int(pos.max()) >= TOKENS_PER_NODE_CAP:
+            raise TrialFailure("per-node token pile exceeded its cap")
+        movers = np.flatnonzero(heavy | (pos > 0))
         if not len(movers):
             break
         if split_phases + relocate_phases >= phase_cap:
             raise TrialFailure("token distribution exceeded its phase cap")
-        targets, failed = _push_token_rounds(holder[movers], engine)
+        # only a light first token stays, so a mover's place among its
+        # pile's movers is its place in the pile, less one behind a stayer
+        stays_first = np.zeros(n, dtype=bool)
+        stays_first[holder[~heavy & (pos == 0)]] = True
+        mover_holders = holder[movers]
+        targets, failed = _push_token_rounds(
+            mover_holders, pos[movers] - stays_first[mover_holders], engine)
         moved, targets = movers[~failed], targets[~failed]
         splits = heavy[moved]
         # a light mover goes whole; a heavy one pushes its lower half under
@@ -241,8 +261,6 @@ def distribute_tokens(
             split_phases += 1
         else:
             relocate_phases += 1
-        if int(np.bincount(holder, minlength=n).max()) > TOKENS_PER_NODE_CAP:
-            raise TrialFailure("per-node token pile exceeded its cap")
 
     ids[holder] = token
     return TokenDistribution(ids, split_phases, relocate_phases, phi_trace)
@@ -269,6 +287,12 @@ def narrow_window(
     """Bracket the target rank: approximate both window ends, spread their
     extremes, count the rank of each end among the current values.
 
+    Each attempt runs one tournament with a channel per non-degenerate
+    end, so the two ends share their rounds and contacts, and each end
+    keeps the solo tournament's law (see ``tournament._tournament_core``):
+    the bracket needs both ends, a union bound, which no coupling of the
+    two channels weakens.
+
     The bracket's containment margin is zero by construction (the lower
     end's promise window tops out exactly at rank k), so a single attempt
     misses with noticeable probability at small n. Every node knows k and
@@ -289,14 +313,17 @@ def narrow_window(
     valued_now = state.ids < state.real_count
     # (target rank, degenerate, fill for nodes without an output) per end
     ends = ((lo_rank, lo_degenerate, n), (hi_rank, hi_degenerate, -1))
+    tournament_ranks = [rank for rank, degenerate, _ in ends if not degenerate]
     best_min, best_max = n, -1
     for attempt in range(MAX_RETRIES + 1):
+        runs = iter(())
+        if tournament_ranks:  # one tournament, a channel per non-degenerate end
+            outputs, has_output, _ = _tournament_core(state.ids, tournament_ranks, eps / 2.0,
+                                                      engine)
+            runs = zip(outputs, has_output)
         pools = []
-        for rank, degenerate, fill in ends:
-            if degenerate:
-                out, has = state.ids, valued_now
-            else:
-                out, has, _ = _tournament_core(state.ids, rank, eps / 2.0, engine)
+        for _, degenerate, fill in ends:
+            out, has = (state.ids, valued_now) if degenerate else next(runs)
             pools.append(np.where(has, out, fill))
         spread = spread_min_max(pools[0], engine, max_values=pools[1])
         if not spread.converged:
@@ -396,7 +423,8 @@ def exact_quantile(phi: float, config: SimConfig, values=None) -> ExactResult:
     # eps*n-wide window below (and including) k
     for _ in range(MAX_RETRIES + 1):
         final_rank = clamped_rank(k - eps / 2.0 * n, n)
-        outputs, has_output, _ = _tournament_core(state.ids, final_rank, eps / 3.0, engine)
+        outputs, has_output, _ = _tournament_core(state.ids, [final_rank], eps / 3.0, engine)
+        outputs, has_output = outputs[0], has_output[0]
         if not has_output.any():
             raise TrialFailure("final run produced no outputs")
         answered = outputs[has_output]

@@ -152,9 +152,11 @@ def run_spread_trial(n, eps, seed):
 def self_quantile(eps: float, config: SimConfig, values=None):
     """Every node estimates its own value's quantile to within 2 eps.
 
-    Runs the approximate protocol's tournament at each grid quantile
-    j*eps with accuracy eps/2, one after another on the trial's one
-    engine, which counts the rounds and messages; ``config.max_rounds``
+    Runs the approximate protocol's tournament at every grid quantile
+    j*eps with accuracy eps/2 as one tournament, a channel per grid point
+    in lockstep (``tournament._tournament_core``): the grid costs one
+    tournament's rounds, each message carrying one id per grid point. The
+    trial's one engine counts the rounds and messages; ``config.max_rounds``
     bounds the whole grid. A node's estimate is eps times the number of
     grid answers it holds strictly below its own key: a grid point that
     left the node without an answer (possible only under failures)
@@ -165,12 +167,9 @@ def self_quantile(eps: float, config: SimConfig, values=None):
         raise ValueError("eps must lie in (0, 1/8)")
     engine, ids, _ = _make_state(config, values)
     n = config.n
-    below = np.zeros(n, dtype=np.int64)
-    for j in range(1, math.ceil(1.0 / eps)):
-        outputs, has_output, _ = _tournament_core(
-            ids, clamped_rank(j * eps * n, n), eps / 2.0, engine
-        )
-        below += has_output & (outputs < ids)
+    ranks = [clamped_rank(j * eps * n, n) for j in range(1, math.ceil(1.0 / eps))]
+    outputs, has_output, _ = _tournament_core(ids, ranks, eps / 2.0, engine)
+    below = np.count_nonzero(has_output & (outputs < ids), axis=0)
     return eps * below, ids, engine.rounds, engine.messages
 
 

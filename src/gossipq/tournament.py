@@ -33,7 +33,15 @@ one order statistic of the sorted good values. With no failures a
 phase-I or phase-II step draws the contacts of one plain pull per node
 per round, after the phase-I coins if it has any.
 
-States are vectors of canonical key ids (see ``engine.canonical_ids``);
+One tournament runs C target ranks as channels in lockstep over one
+``(C, n)`` state (``_tournament_core``): the channels share every round,
+its contacts and its failure bits, and a message carries one id per
+channel that steps. Each channel on its own has the solo tournament's
+law at the lockstep batch sizes, and one channel is the solo tournament
+draw for draw. The exact protocol runs its bracket's two ends as two
+channels, and ``harness.self_quantile`` its whole grid as one tournament.
+
+States hold canonical key ids (see ``engine.canonical_ids``);
 all comparisons are id comparisons. Ids lie in ``[0, n)``, so
 ``_tournament_core`` converts its state once, to the dtype ``_id_dtype``
 picks (the one place it is chosen): int32 whenever ``n <= 2**31 - 1``.
@@ -94,14 +102,23 @@ def lmh_counts(ids: np.ndarray, lo_cut: int, hi_start: int) -> tuple[int, int, i
 def phase1_step(
     v_first: np.ndarray,
     v_second: np.ndarray,
-    direction: str,
+    direction,
     do_tournament: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine two pulled values: min (shrink-high) or max (shrink-low).
 
-    Nodes with ``do_tournament`` False copy their first pull instead.
+    ``direction`` is one direction, or one per channel (row) of ``(C, n)``
+    pulls. Nodes with ``do_tournament`` False copy their first pull instead.
     """
-    two = np.minimum(v_first, v_second) if direction == SHRINK_HIGH else np.maximum(v_first, v_second)
+    high = np.array([d == SHRINK_HIGH for d in
+                     ([direction] if isinstance(direction, str) else direction)])
+    if high.all():
+        two = np.minimum(v_first, v_second)
+    elif not high.any():
+        two = np.maximum(v_first, v_second)
+    else:
+        two = np.where(high[:, np.newaxis], np.minimum(v_first, v_second),
+                       np.maximum(v_first, v_second))
     if do_tournament is None:
         return two
     return np.where(do_tournament, two, v_first)
@@ -134,63 +151,107 @@ def robust_pull_batch(
     need: int,
     batch: int,
     engine: RoundEngine,
-    delta: float = 1.0,
+    delta=1.0,
     median: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Each node's first ``need`` good pulls over ``batch`` rounds, sampled in distribution.
 
-    ``good_prev`` masks the good nodes; None means every node is good.
-    Returns ``(picked, used, coins)``. ``coins`` is each node's phase-I
-    tournament coin, True with probability ``delta``, or None at
-    ``delta >= 1``; a node whose coin is False needs one good pull fewer.
-    ``used[v]`` is the number of good pulls v needs when its batch holds
-    that many, else 0 (v is short). ``picked[j, v]`` is the value of v's
-    (j+1)-th good pull; with ``median`` (``need`` odd), ``picked`` is
-    instead one vector, the median of each node's first ``need``.
-    Entries of a short node are undefined.
+    ``values`` is one id state, ``(n,)``, or one per channel, ``(C, n)``,
+    the channels pulling in lockstep; ``good_prev`` masks each channel's
+    good nodes in the same shape, None meaning every node is good in every
+    channel; ``delta`` is one coin probability or one per channel.
+    Returns ``(picked, used, coins)``, each shaped after ``values``.
+    ``coins`` is each node's phase-I tournament coin, True with
+    probability ``delta``, or None when no channel's ``delta`` is below 1
+    (a channel at ``delta >= 1`` tosses none and reads True); a node whose
+    coin is False needs one good pull fewer. ``used[v]`` is the number of
+    good pulls v needs when its batch holds that many, else 0 (v is
+    short). ``picked[j, ..., v]`` is the value of v's (j+1)-th good pull;
+    with ``median`` (``need`` odd), ``picked`` is instead shaped as
+    ``values``, the median of each node's first ``need``. Entries of a
+    short node are undefined.
 
     The batch is ``batch`` engine rounds, charged and counted by
-    :meth:`RoundEngine.advance_batch`, which holds the failure model. A
-    pull that did not fail contacts a uniform node, which is good with
-    probability g = |good_prev| / n, and a good contact's value is
-    uniform over the good nodes, independently across rounds and nodes.
-    So instead of a contact per node per round, the round stream draws,
-    in this order: the coins; the short mask, v being short with chance
-    P(Binomial(live[v], g) < need[v]) given the rounds ``live[v]`` in
-    which v's pull did not fail (the engine draws one uniform per node,
-    and nothing when every chance is 0 or 1, as at g = 1 without
-    failures); then ``need`` rows of uniform picks from the good nodes'
-    values, a block of rows at a time. With ``median`` the last draw is
-    one Beta((need+1)/2, (need+1)/2) variate B per node instead, the
-    median being ``sorted_good[floor(size * B)]``: the median of ``need``
-    i.i.d. uniform indices into the sorted good values is that order
-    statistic.
+    :meth:`RoundEngine.advance_batch`, which holds the failure model and
+    counts one id per channel in each message. A pull that did not fail
+    contacts a uniform node, which is good in a channel with probability
+    g = |good_prev| / n, and a good contact's value is uniform over the
+    channel's good nodes, independently across rounds and nodes. So
+    instead of a contact per node per round, the round stream draws, in
+    this order: the coins of the channels that toss them; each channel's
+    short mask, v being short with chance P(Binomial(live[v], g) < need[v])
+    given the rounds ``live[v]`` in which v's pull did not fail (the engine
+    draws one uniform per node and channel, and nothing when every chance
+    is 0 or 1, as at g = 1 without failures); then ``need`` rows of
+    uniform picks from the good nodes, a block of rows at a time. The
+    channels whose good nodes are all nodes share one draw of picks, their
+    shared contacts, and each other channel draws its own from its good
+    nodes, in channel order. With ``median`` the last draw is one
+    Beta((need+1)/2, (need+1)/2) variate B per node, shared by the
+    channels, instead, a channel's median being
+    ``sorted_good[floor(size * B)]``: the median of ``need`` i.i.d. uniform
+    indices into the sorted good values is that order statistic. With one
+    channel every draw is the solo batch's. Each channel on its own has
+    the solo batch's law at this batch size; jointly, the channels share
+    the failure bits and, where their good sets are every node, the
+    contacts (see :meth:`RoundEngine.advance_batch`).
     """
     if batch < 1:
         raise ValueError("a pull batch needs at least one round")
     n = engine.n
     rng = engine.rng
-    coins = rng.random(n) < delta if delta < 1.0 else None
-    row = 1 if coins is None else coins.astype(np.intp)
-    good_values = values if good_prev is None else values[good_prev]
-    size = good_values.size
-    short = engine.advance_batch(batch, binomial_below(size / n, need, batch), row)
-    used = np.where(short, 0, need - 1 + row)
-    if not size:
-        return np.zeros((n,) if median else (need, n), dtype=values.dtype), used, coins
+    shape = values.shape
+    values = values.reshape(-1, n)
+    channels = len(values)
+    deltas = [float(delta)] * channels if np.ndim(delta) == 0 else [float(d) for d in delta]
+    tossing = [c for c, d in enumerate(deltas) if d < 1.0]
+    coins = None
+    if tossing:
+        drawn = rng.random((len(tossing), n)) < np.array(deltas)[tossing, np.newaxis]
+        if len(tossing) == channels:
+            coins = drawn
+        else:
+            coins = np.ones(values.shape, dtype=bool)
+            coins[tossing] = drawn
+    rows = [coins[c].astype(np.intp) if c in tossing else 1 for c in range(channels)]
+    good_values = list(values) if good_prev is None else [
+        v[g] for v, g in zip(values, good_prev.reshape(values.shape))]
+    sizes = [v.size for v in good_values]
+    tables = {size: binomial_below(size / n, need, batch) for size in set(sizes)}
+    short = engine.advance_batch(batch, [tables[size] for size in sizes], rows)
+    used = np.where(short, 0, need - 1 + (1 if coins is None else coins))
+    coins = None if coins is None else coins.reshape(shape)
+    # a channel without good nodes has every node short; its entries read 0
+    empty = [c for c, size in enumerate(sizes) if not size]
     if median:
-        ordered = np.sort(good_values)
-        half = (need + 1) / 2
-        index = (size * rng.beta(half, half, size=n)).astype(np.intp)
-        return ordered.take(np.minimum(index, size - 1, out=index)), used, coins
-    picked = np.empty((need, n), dtype=values.dtype)
+        medians = np.empty(values.shape, dtype=values.dtype)
+        medians[empty] = 0
+        if any(sizes):
+            half = (need + 1) / 2
+            share = rng.beta(half, half, size=n)
+            for c, size in enumerate(sizes):
+                if size:
+                    index = (size * share).astype(np.intp)
+                    np.sort(good_values[c]).take(np.minimum(index, size - 1, out=index),
+                                                 out=medians[c], mode="clip")
+        return medians.reshape(shape), used.reshape(shape), coins
+    picked = np.empty((channels, need, n), dtype=values.dtype)
+    picked[empty] = 0
+    shared = [c for c, size in enumerate(sizes) if size == n]
+    groups = [shared] * bool(shared) + [[c] for c, size in enumerate(sizes) if 0 < size < n]
     step = max(1, _PICK_BLOCK // n)
-    for start in range(0, need, step):
-        block = picked[start:start + step]
-        # the indices are in range, so "clip" clips nothing; it only spares
-        # the copy of ``out`` that the default "raise" makes
-        good_values.take(rng.integers(0, size, size=block.shape), out=block, mode="clip")
-    return picked, used, coins
+    for group in groups:
+        size = sizes[group[0]]
+        for start in range(0, need, step):
+            index = rng.integers(0, size, size=(min(step, need - start), n))
+            for c in group:
+                # the indices are in range, so "clip" clips nothing; it only
+                # spares the copy of ``out`` that the default "raise" makes
+                good_values[c].take(index, out=picked[c, start:start + step], mode="clip")
+            # freed before the next draw, which can then reuse its memory
+            # instead of faulting in fresh pages
+            del index
+    return picked.transpose(1, 0, 2).reshape((need, *shape)), used.reshape(shape), coins
 
 
 def _keep_short(stepped: np.ndarray, values: np.ndarray, good: np.ndarray):
@@ -206,15 +267,16 @@ def _keep_short(stepped: np.ndarray, values: np.ndarray, good: np.ndarray):
 def robust_phase1_iteration(
     values: np.ndarray,
     good_prev: np.ndarray | None,
-    delta: float,
-    direction: str,
+    delta,
+    direction,
     batch: int,
     engine: RoundEngine,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Two-pull iteration over a batch; returns (new values, new good flags).
 
-    A node needs two good pulls for the tournament branch and one for the
-    copy branch; with fewer it keeps its value and turns bad.
+    ``delta`` and ``direction`` are one value, or one per channel of a
+    ``(C, n)`` state. A node needs two good pulls for the tournament branch
+    and one for the copy branch; with fewer it keeps its value and turns bad.
     """
     picked, used, coins = robust_pull_batch(values, good_prev, 2, batch, engine, delta)
     stepped = phase1_step(picked[0], picked[1], direction, coins)
@@ -339,7 +401,7 @@ class TournamentPlan:
     @property
     def rounds(self) -> int:
         """The tournament's rounds: t1 phase-I batches, t2 phase-II batches, one K-sample."""
-        return self.sched1.t * self.batch1 + self.sched2.t * self.batch2 + self.sample_batch
+        return lockstep_rounds((self,))
 
 
 def tournament_plan(
@@ -358,34 +420,82 @@ def tournament_plan(
     return TournamentPlan(sched1, sched2, k, *pull_batch_sizes(mu, sched1, sched2, k, n))
 
 
-def _tournament_core(ids: np.ndarray, target_rank: int, eps: float, engine: RoundEngine):
-    """Run Phase I + Phase II + a ``K_SAMPLE`` final sample over an id state.
+def lockstep_batches(plans) -> tuple[int, int, int]:
+    """Rounds per phase-I, phase-II and K-sample batch when the channels of
+    ``plans`` run in lockstep: each the largest any plan asks for."""
+    return (max(p.batch1 for p in plans), max(p.batch2 for p in plans),
+            max(p.sample_batch for p in plans))
 
-    Returns ``(outputs, has_output, good_trace)``: per-node int64 output
-    ids, the answered mask and the good-node count after each phase-I and
-    phase-II iteration. The state runs as int32 when every id fits (see the
-    module docstring). Every step pulls through the good-pull batch; the
-    failure model only sizes the batches (see :func:`tournament_plan`).
-    A lone node answers its own id in no round.
+
+def lockstep_rounds(plans) -> int:
+    """The rounds of one tournament over the channels of ``plans`` (one
+    plan per channel, sharing eps, n and K): max(t1) phase-I batches, t2
+    phase-II batches and one K-sample, each batch of
+    :func:`lockstep_batches`' size. With one plan, that plan's rounds."""
+    batch1, batch2, sample_batch = lockstep_batches(plans)
+    t1 = max(p.sched1.t for p in plans)
+    return t1 * batch1 + plans[0].sched2.t * batch2 + sample_batch
+
+
+def _tournament_core(ids: np.ndarray, target_ranks, eps: float, engine: RoundEngine):
+    """Run Phase I + Phase II + a ``K_SAMPLE`` final sample for each 1-based
+    rank of ``target_ranks``, one channel per rank, in lockstep over one
+    ``(C, n)`` id state.
+
+    Returns ``(outputs, has_output, good_trace)``: per-channel, per-node
+    int64 output ids and answered masks, ``(C, n)``, and each channel's
+    list of its good-node count after each phase-I and phase-II iteration.
+    The state runs as int32 when every id fits (see the module docstring).
+    Every channel's plan comes from :func:`tournament_plan`, and every
+    step pulls through the good-pull batch, the failure model only sizing
+    the batches. The channels share each batch's rounds, so every contact
+    and failure bit (:func:`robust_pull_batch`), and a message carries one
+    id per channel that steps. Each channel keeps its own phase-I
+    schedule, direction and ``delta``: phase I runs max(t1) iterations,
+    and a channel whose schedule has ended keeps its state and sends
+    nothing. Phase II's t2 and K are the same for every channel. Each
+    batch is the largest any channel's plan asks for
+    (:func:`lockstep_batches`); more rounds can only add good pulls, so
+    each channel's law is the solo tournament's at the lockstep batch
+    sizes. With one rank this is the solo tournament, draw for draw. A
+    lone node answers its own id in no round.
     """
     n = engine.n
+    channels = len(target_ranks)
+    good_trace: list[list[int]] = [[] for _ in range(channels)]
     if n == 1:  # phase II's schedule needs n >= 2
-        return ids.astype(np.int64), np.ones(1, dtype=bool), []
-    plan = tournament_plan(target_rank, eps, n, K_SAMPLE, engine.config.failure.mu)
-    sched1, sched2 = plan.sched1, plan.sched2
-    values = ids.astype(_id_dtype(n), copy=False)
+        outputs = np.tile(ids.astype(np.int64), (channels, 1))
+        return outputs, np.ones(outputs.shape, dtype=bool), good_trace
+    mu = engine.config.failure.mu
+    plans = [tournament_plan(rank, eps, n, K_SAMPLE, mu) for rank in target_ranks]
+    batch1, batch2, sample_batch = lockstep_batches(plans)
+    values = np.empty((channels, n), dtype=_id_dtype(n))
+    values[:] = ids
     good = None
-    good_trace: list[int] = []
-    for delta in sched1.delta:
-        values, good = robust_phase1_iteration(
-            values, good, delta, sched1.direction, plan.batch1, engine
-        )
-        good_trace.append(n if good is None else int(np.count_nonzero(good)))
-    for _ in range(sched2.t):
-        values, good = robust_phase2_iteration(values, good, plan.batch2, engine)
-        good_trace.append(n if good is None else int(np.count_nonzero(good)))
+
+    def record():
+        for c, trace in enumerate(good_trace):
+            trace.append(n if good is None else int(np.count_nonzero(good[c])))
+
+    for i in range(max(p.sched1.t for p in plans)):
+        stepping = [c for c, p in enumerate(plans) if i < p.sched1.t]
+        schedule = ([plans[c].sched1.delta[i] for c in stepping],
+                    [plans[c].sched1.direction for c in stepping], batch1, engine)
+        if len(stepping) == channels:
+            values, good = robust_phase1_iteration(values, good, *schedule)
+        else:
+            stepped, stepped_good = robust_phase1_iteration(
+                values[stepping], None if good is None else good[stepping], *schedule)
+            values[stepping] = stepped
+            if good is not None or stepped_good is not None:
+                good = np.ones(values.shape, dtype=bool) if good is None else good
+                good[stepping] = True if stepped_good is None else stepped_good
+        record()
+    for _ in range(plans[0].sched2.t):
+        values, good = robust_phase2_iteration(values, good, batch2, engine)
+        record()
     outputs, has_output = robust_final_median_sample(
-        values, good, plan.k, plan.sample_batch, engine
+        values, good, plans[0].k, sample_batch, engine
     )
     return outputs.astype(np.int64), has_output, good_trace
 
@@ -454,9 +564,10 @@ def _approx_trial(phi, eps, t_extra, config, values) -> TrialReport:
     rank = target_rank(phi, config.n)
     engine, ids, value_by_rank = _make_state(config, values)
     report = TrialReport()
-    outputs, has_output, good_trace = _tournament_core(ids, rank, eps, engine)
+    outputs, has_output, good_trace = _tournament_core(ids, [rank], eps, engine)
+    outputs, has_output = outputs[0], has_output[0]
     report.details["missing_before_adoption"] = int(np.count_nonzero(~has_output))
-    report.details["good_trace"] = good_trace
+    report.details["good_trace"] = good_trace[0]
     outputs, has_output = adoption_rounds(outputs, has_output, t_extra, engine)
     return _finish_report(engine, report, outputs, has_output, value_by_rank, rank)
 

@@ -209,7 +209,7 @@ class TestSpreadMinMax:
         # n = 128 the base is 84, and 84 / (1 - 0.3) in floats exceeds 120
         phases = []
 
-        def failing(holders, engine):
+        def failing(holders, pos, engine):
             phases.append(len(holders))
             return np.zeros(len(holders), dtype=np.int64), np.ones(len(holders), dtype=bool)
 
@@ -314,9 +314,10 @@ class TestPushSum:
 
 
 def _rounds(engine, c, extra_rounds):
-    """Push-sum's round count, ceil((ceil(c log2 n) + extra_rounds) / (1 - mu))."""
+    """Push-sum's round count, ceil((ceil(c log2 n) + extra_rounds) / (1 - mu)),
+    the quotient rounded to 9 decimals first as ``failure_budget`` rounds it."""
     base = math.ceil(c * math.log2(max(2, engine.n))) + extra_rounds
-    return math.ceil(base / (1.0 - engine.config.failure.mu))
+    return math.ceil(round(base / (1.0 - engine.config.failure.mu), 9))
 
 
 def _reference_push_sum_count(indicator_bits, engine, *, c=4, extra_rounds=30,
@@ -457,6 +458,31 @@ class TestPushSumMatchesReference:
                                               c=c, extra_rounds=extra)
                 assert got == want
                 assert (a.rounds, a.messages) == (b.rounds, b.messages)
+
+    @pytest.mark.parametrize("failure", [
+        FailureModel(), FailureModel("uniform", 0.3), FailureModel("scheduled", 0.3, 5),
+    ], ids=["mu0", "uniform", "scheduled"])
+    @pytest.mark.parametrize("n", [7, 1024, 4095])
+    def test_block_draw_equals_the_per_round_loop(self, failure, n):
+        # push_sum_multi draws its rounds as blocks (RoundEngine.plain_rounds)
+        # and adds every row's shares with one flat bincount; the per-round
+        # loop gets the same estimates bit for bit and leaves every stream
+        # where the block form leaves it
+        for seed in range(3):
+            mat = self._bits(n, 2, seed)
+            a, b = (RoundEngine(SimConfig(n=n, seed=seed, failure=failure)) for _ in range(2))
+            new = push_sum_multi(mat, a, track_mass=True)
+            ref = _reference_push_sum_multi(mat, b)
+            for x, y in zip(new, ref, strict=True):
+                assert np.array_equal(x.estimates, y.estimates)
+                assert np.array_equal(x.flagged, y.flagged)
+                assert x.rounds == y.rounds
+            assert (a.rounds, a.messages) == (b.rounds, b.messages)
+            for stream in ("rng", "_failure_rng", "_schedule_rng"):
+                gen_a, gen_b = getattr(a, stream), getattr(b, stream)
+                assert (gen_a is None) == (gen_b is None)
+                if gen_a is not None:
+                    assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("n", [2, 17, 1024])

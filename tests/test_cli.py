@@ -363,22 +363,30 @@ class TestSelfQuantile:
                    for seed in range(20))
         assert hits >= 19
 
-    def test_round_cost_scales_with_grid(self):
+    def test_round_cost_is_one_tournament(self):
         row = run_trial("selfq", n=1000, eps=0.1, seed=3)
-        # nine grid quantiles, each a full approximate run
-        assert row["rounds"] >= 9 * 30
+        # nine grid quantiles, channels of one approximate run: at least
+        # the costliest grid point's own run, and far below nine runs
+        solo = [tournament_plan(clamped_rank(j * 100, 1000), 0.05, 1000, 30, 0).rounds
+                for j in range(1, 10)]
+        assert max(solo) <= row["rounds"] < 2 * max(solo) < sum(solo) / 4
 
     @pytest.mark.parametrize("n, eps, k_sample", [(1000, 0.1, 30), (1000, 0.1, 10), (700, 0.05, 30)])
     def test_rounds_and_messages_are_the_grid_plans(self, monkeypatch, n, eps, k_sample):
-        # the engine's ledger: one tournament plan per grid point, and
-        # without failures every node sends one message a round
+        # the engine's ledger: one tournament over a channel per grid
+        # point, in the lockstep closed form, and without failures every
+        # node sends one message a round carrying one id per channel that
+        # steps: a channel's phase I ends after its own t1 iterations
         monkeypatch.setattr(tournament, "K_SAMPLE", k_sample)
         _, _, rounds, messages = self_quantile(eps, SimConfig(n=n, seed=1))
-        assert rounds == sum(
-            tournament_plan(clamped_rank(j * eps * n, n), eps / 2, n, k_sample, 0).rounds
-            for j in range(1, math.ceil(1 / eps))
-        )
-        assert messages == n * rounds
+        plans = [tournament_plan(clamped_rank(j * eps * n, n), eps / 2, n, k_sample, 0)
+                 for j in range(1, math.ceil(1 / eps))]
+        assert rounds == tournament.lockstep_rounds(plans)
+        batch1, batch2, sample_batch = tournament.lockstep_batches(plans)
+        assert (batch1, batch2, sample_batch) == (2, 3, k_sample | 1)
+        t2 = plans[0].sched2.t
+        assert messages == n * sum(p.sched1.t * batch1 + t2 * batch2 + sample_batch
+                                   for p in plans)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_trial_its_oracle_must_fail_raises_before_any_round(self, monkeypatch, n):
@@ -398,16 +406,17 @@ class TestSelfQuantile:
         assert list(est) == [0.0] and list(ids) == [0] and rounds == messages == 0
 
     def test_max_rounds_bounds_the_whole_grid(self):
-        # 577 rounds over nine tournaments of about 64 each
-        self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=577))
+        # 67 rounds: one tournament over the nine grid points
+        self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=67))
         with pytest.raises(BudgetExceededError):
-            self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=576))
+            self_quantile(0.1, SimConfig(n=1000, seed=1, max_rounds=66))
 
     def test_missing_grid_answer_counts_neither_way(self, monkeypatch):
-        # the first grid tournament leaves the holders of the least and the
-        # greatest key without an answer, their outputs set to -1, below
-        # every key: the least holder still estimates 0, the greatest loses
-        # exactly that grid point, and every other node keeps its estimate
+        # the first grid point's channel leaves the holders of the least
+        # and the greatest key without an answer, their outputs set to -1,
+        # below every key: the least holder still estimates 0, the greatest
+        # loses exactly that grid point, and every other node keeps its
+        # estimate
         config = SimConfig(n=500, seed=3)
         est, ids, rounds, messages = self_quantile(0.1, config)
         least, greatest = int(np.argmin(ids)), int(np.argmax(ids))
@@ -415,15 +424,15 @@ class TestSelfQuantile:
 
         def dropping(*args, **kwargs):
             outputs, has_output, info = real(*args, **kwargs)
-            if not calls:
-                lost = np.isin(np.arange(len(ids)), [least, greatest])
-                outputs, has_output = np.where(lost, -1, outputs), has_output & ~lost
+            lost = np.isin(np.arange(len(ids)), [least, greatest])
+            outputs[0] = np.where(lost, -1, outputs[0])
+            has_output[0] &= ~lost
             calls.append(1)
             return outputs, has_output, info
 
         monkeypatch.setattr(harness, "_tournament_core", dropping)
         got, _, got_rounds, got_messages = self_quantile(0.1, config)
-        assert len(calls) == 9 and (got_rounds, got_messages) == (rounds, messages)
+        assert len(calls) == 1 and (got_rounds, got_messages) == (rounds, messages)
         assert est[least] == got[least] == 0.0
         assert est[greatest] == pytest.approx(0.9) and got[greatest] == pytest.approx(0.8)
         kept = np.ones(len(ids), dtype=bool)

@@ -47,7 +47,7 @@ class TestFailureDraws:
         engine = RoundEngine(SimConfig(n=1000, seed=7))
         assert engine._failure_rng is None
         assert all(engine.next_round().failed is None for _ in range(5))
-        engine.advance_batch(4, np.zeros((1, 5)), 0)
+        engine.advance_batch(4, [np.zeros((1, 5))], [0])
         assert calls == [] and engine.rounds == 9
 
     def test_uniform_half_fraction(self):
@@ -92,7 +92,7 @@ class TestFailureDraws:
         for seed in (5, 6):
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=model))
             bits = [engine.next_round().failed for _ in range(4)]
-            short = engine.advance_batch(8, np.zeros((1, 9)), 0)
+            (short,) = engine.advance_batch(8, [np.zeros((1, 9))], [0])
             assert not short.any()
             u = derive_rng(seed, STREAM_FAILURE).random((rounds, n))
             assert np.array_equal(np.array(bits), u[:4] < p[:4])
@@ -183,6 +183,57 @@ class TestEngine:
         assert not np.array_equal(trial(5), trial(6))
 
 
+class TestPlainRounds:
+    FAILURES = [FailureModel(), FailureModel("uniform", 0.3), FailureModel("scheduled", 0.3, 5)]
+    IDS = ["mu0", "uniform", "scheduled"]
+
+    @staticmethod
+    def _states(engine):
+        return [None if gen is None else gen.bit_generator.state
+                for gen in (engine.rng, engine._failure_rng, engine._schedule_rng)]
+
+    @pytest.mark.parametrize("failure", FAILURES, ids=IDS)
+    @pytest.mark.parametrize("n", [7, 1024, 4095])
+    def test_block_equals_the_per_round_loop(self, failure, n):
+        # R rounds as one block read every stream as R next_round + peers
+        # calls do, after a plain round and before another
+        for seed in range(3):
+            a, b = (RoundEngine(SimConfig(n=n, seed=seed, failure=failure)) for _ in range(2))
+            a.next_round().peers()
+            b.next_round().peers()
+            contacts, failed = a.plain_rounds(6, message_weight=3)
+            rounds = [b.next_round() for _ in range(6)]
+            assert np.array_equal(contacts, [rd.peers(message_weight=3) for rd in rounds])
+            if failure.active:
+                assert np.array_equal(failed, [rd.failed for rd in rounds])
+            else:
+                assert failed is None
+            assert (a.rounds, a.messages) == (b.rounds, b.messages) == (7, a.messages)
+            assert self._states(a) == self._states(b)
+            assert np.array_equal(a.next_round().peers(), b.next_round().peers())
+
+    @pytest.mark.parametrize("failure", FAILURES, ids=IDS)
+    def test_actors_count_messages_as_peers_does(self, failure):
+        n = 300
+        a, b = (RoundEngine(SimConfig(n=n, seed=4, failure=failure)) for _ in range(2))
+        actors = np.random.default_rng(1).random((5, n)) < 0.4
+        a.plain_rounds(5, actors=actors)
+        for acting in actors:
+            b.next_round().peers(actors=acting)
+        assert a.messages == b.messages > 0
+
+    @pytest.mark.parametrize("failure", FAILURES, ids=IDS)
+    def test_block_crossing_the_budget_stops_at_it(self, failure):
+        engine = RoundEngine(SimConfig(n=50, seed=2, failure=failure, max_rounds=10))
+        engine.plain_rounds(7)
+        with pytest.raises(BudgetExceededError):
+            engine.plain_rounds(4)
+        assert engine.rounds == 10
+        engine = RoundEngine(SimConfig(n=50, seed=2, failure=failure, max_rounds=10))
+        engine.plain_rounds(10)  # a block ending at the budget is within it
+        assert engine.rounds == 10
+
+
 class TestBatch:
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.8])
     def test_short_chance_is_the_thinned_binomial(self, monkeypatch, mu):
@@ -202,7 +253,8 @@ class TestBatch:
         for g in (0.0, 0.2, 0.55, 0.9, 1.0):
             for need in (1, 2, 3, 31):
                 for batch in (1, 2, 5, 40, 120):
-                    engine.advance_batch(batch, binomial_below(g, need, batch), np.array([0, 1]))
+                    engine.advance_batch(batch, [binomial_below(g, need, batch)],
+                                         [np.array([0, 1])])
                     expected = binomial_below((1.0 - mu) * g, need, batch)[:, batch]
                     assert np.abs(chances[-1] - expected).max() <= 1e-12
 
@@ -217,7 +269,7 @@ class TestBatch:
         n, batch, totals = 100, 8, []
         for seed in range(200):
             engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
-            short = engine.advance_batch(batch, np.ones((1, batch + 1)), 0)
+            (short,) = engine.advance_batch(batch, [np.ones((1, batch + 1))], [0])
             assert short.all() and engine.rounds == batch
             totals.append(engine.messages)
         if not failure.active:
@@ -331,13 +383,13 @@ class TestStreams:
         engine = RoundEngine(SimConfig(n=50, seed=4, failure=model))
         for _ in range(150):
             engine.next_round().peers()
-        engine.advance_batch(50, np.zeros((1, 51)), 0)
+        engine.advance_batch(50, [np.zeros((1, 51))], [0])
         assert engine.rounds == 200
         assert generators == [(4, STREAM_ROUND), (4, STREAM_FAILURE), (9, STREAM_SCHEDULE)]
 
     def test_self_quantile_trial_is_one_engine(self, generators):
-        # its nine grid tournaments share the trial's round stream; the
-        # values stream gives the default input
+        # its nine grid points, channels of one tournament, share the
+        # trial's round stream; the values stream gives the default input
         harness.self_quantile(0.1, SimConfig(n=300, seed=2))
         assert generators == [(2, STREAM_ROUND), (2, STREAM_VALUES)]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gossipq import exact
+from gossipq import exact, tournament
 from gossipq.engine import FailureModel, RoundEngine, SimConfig
 from gossipq.exact import (
     InvariantViolation,
@@ -151,7 +151,8 @@ def _reference_distribute_tokens(origin_holders, m, engine):
     split_phases = 0
     while bool((weight > 1).any()):
         split = np.nonzero(weight > 1)[0]
-        targets, failed = exact._push_token_rounds(holder[split], engine)
+        targets, failed = exact._push_token_rounds(
+            holder[split], exact._pile_positions(holder[split], n), engine)
         done = split[~failed]
         half = weight[done] // 2
         pushed = token[done]
@@ -163,8 +164,9 @@ def _reference_distribute_tokens(origin_holders, m, engine):
         split_phases += 1
     relocate_phases = 0
     while int(np.bincount(holder, minlength=n).max()) > 1:
-        movers = np.flatnonzero(exact._pile_positions(holder) > 0)
-        targets, failed = exact._push_token_rounds(holder[movers], engine)
+        movers = np.flatnonzero(exact._pile_positions(holder, n) > 0)
+        targets, failed = exact._push_token_rounds(
+            holder[movers], exact._pile_positions(holder[movers], n), engine)
         holder[movers[~failed]] = targets[~failed]
         relocate_phases += 1
     ids[holder] = token
@@ -220,9 +222,12 @@ class TestDistributeTokens:
         piles = []
         original = exact._push_token_rounds
 
-        def recording(holders, engine):
+        def recording(holders, pos, engine):
+            # the positions the phase derives from its one pile pass are
+            # the movers' own pile positions
+            assert np.array_equal(pos, exact._pile_positions(holders, engine.n))
             piles.append(int(np.bincount(holders).max()))
-            return original(holders, engine)
+            return original(holders, pos, engine)
 
         monkeypatch.setattr(exact, "_push_token_rounds", recording)
         for seed in range(4):
@@ -339,6 +344,46 @@ class TestDistributeTokens:
         b = distribute_tokens(h, 8, RoundEngine(cfg))
         assert np.array_equal(a.ids // 8, b.ids // 8)
         assert np.array_equal(a.ids % 8, b.ids % 8)
+
+
+class TestNarrowWindowLedger:
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("n, phi", [(1024, 0.5), (4096, 0.3), (300, 0.7)])
+    def test_attempt_rounds_are_the_lockstep_form_plus_spread_and_counts(
+            self, monkeypatch, mu, n, phi):
+        # an attempt's two ends are channels of one tournament: its rounds
+        # are tournament.lockstep_rounds over both ends' plans, and the
+        # attempt adds only its min/max spreading and its rank counts
+        rounds = {"spread": 0, "count": 0}
+
+        def charged(name, fn):
+            def wrapper(*args, **kwargs):
+                engine = args[1]
+                before = engine.rounds
+                out = fn(*args, **kwargs)
+                rounds[name] += engine.rounds - before
+                return out
+            return wrapper
+
+        monkeypatch.setattr(exact, "spread_min_max", charged("spread", exact.spread_min_max))
+        monkeypatch.setattr(exact, "exact_count_multi",
+                            charged("count", exact.exact_count_multi))
+        eps, k = exact.NARROW_EPS, tournament.target_rank(phi, n)
+        ends = [tournament.clamped_rank(k - eps / 2 * n, n),
+                tournament.clamped_rank(k + eps / 2 * n, n)]
+        plans = [tournament.tournament_plan(rank, eps / 2, n, tournament.K_SAMPLE, mu)
+                 for rank in ends]
+        for seed in range(3):
+            rounds.update(spread=0, count=0)
+            failure = FailureModel("uniform", mu, seed) if mu else FailureModel()
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            state = exact._State(engine.values_rng().permutation(n), np.arange(n))
+            *_, attempts = exact.narrow_window(state, k, eps, engine)
+            assert rounds["spread"] > 0 and rounds["count"] > 0
+            assert engine.rounds == (attempts * tournament.lockstep_rounds(plans)
+                                     + rounds["spread"] + rounds["count"])
+            # cheaper than the two ends one after the other
+            assert tournament.lockstep_rounds(plans) < sum(p.rounds for p in plans)
 
 
 class TestExactQuantile:

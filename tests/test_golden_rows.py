@@ -9,15 +9,16 @@ byte. Which stream each group pins:
 
 - ``approx`` and ``selfq`` rows: the tournament's round stream without
   failures (phase I coins and picks, phase II, the K-sample order
-  statistic; ``selfq`` runs its grid's tournaments one after another on
-  one engine's stream);
+  statistic; ``selfq`` runs its grid points as the channels of one
+  tournament, in lockstep on one engine's stream);
 - ``robust`` rows and ``exact --mu 0.5``: the round and failure streams
   under failures (pull batch sizes, the short mask and message total
   drawn in law, adoption); ``exact --mu 0.2`` also pins the failure
   budget rule ceil(base / (1 - mu)) at a mu where it differs from scaling
   by ceil(1 / (1 - mu));
-- ``exact`` rows: the exact protocol's stream (bracket tournaments,
-  min/max spreading, push-sum counts, token duplication);
+- ``exact`` rows: the exact protocol's stream (bracket tournaments, the
+  window's two ends as two channels of one tournament, min/max
+  spreading, push-sum counts, token duplication);
 - ``sketch`` and ``spread``: the sketch input and the spreading
   experiment's contacts.
 
@@ -60,21 +61,21 @@ GOLDEN = [
     ),
     (
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,2079,692998,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,745,232426,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,555,235911,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,961,407997,0,1\n",
     ),
     (
         ["exact", "--n", "256", "--phi", "0.3", "--mu", "0.5",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.5,1,1956,273919,0,1\n"
-        "exact,256,0.3,0.08,0.5,2,2823,421069,0,1\n",
+        "exact,256,0.3,0.08,0.5,1,1178,228824,0,1\n"
+        "exact,256,0.3,0.08,0.5,2,3502,737918,0,1\n",
     ),
     (
         # mu = 0.2: ceil(base / (1 - mu)) differs from base * ceil(1 / (1 - mu))
         ["exact", "--n", "256", "--phi", "0.5", "--mu", "0.2",
          "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.2,1,879,211895,0,1\n"
-        "exact,256,0.5,0.08,0.2,2,2105,527602,0,1\n",
+        "exact,256,0.5,0.08,0.2,1,867,289646,0,1\n"
+        "exact,256,0.5,0.08,0.2,2,1452,492915,0,1\n",
     ),
     (
         ["sketch", "--nprime", "1024", "--k", "16", "--trials", "2", "--seed", "1"],
@@ -88,8 +89,8 @@ GOLDEN = [
     ),
     (
         ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "2", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,577,577000,136,1\n"
-        "selfq,1000,,0.1,0.0,2,577,577000,124,1\n",
+        "selfq,1000,,0.1,0.0,1,67,577000,133,1\n"
+        "selfq,1000,,0.1,0.0,2,67,577000,142,1\n",
     ),
     (
         # two wrong nodes: success needs 2 <= 300 / 2**t_extra, which the
@@ -105,7 +106,7 @@ CONSTANT_ROWS = [
     (
         (tournament, "K_SAMPLE", 10),
         ["selfq", "--n", "1000", "--eps", "0.1", "--trials", "1", "--seed", "1"],
-        "selfq,1000,,0.1,0.0,1,397,397000,134,1\n",
+        "selfq,1000,,0.1,0.0,1,47,397000,140,1\n",
     ),
     (
         (tournament, "K_SAMPLE", 5),
@@ -123,20 +124,20 @@ CONSTANT_ROWS = [
     (
         (exact, "NARROW_EPS", 0.1),
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.1,0.0,1,1360,440726,0,1\n"
-        "exact,256,0.5,0.1,0.0,2,947,305939,0,1\n",
+        "exact,256,0.5,0.1,0.0,1,679,293604,0,1\n"
+        "exact,256,0.5,0.1,0.0,2,829,365482,0,1\n",
     ),
     (
         (exact, "MAX_ITERATIONS", 2),
         ["exact", "--n", "256", "--phi", "0.5", "--trials", "2", "--seed", "1"],
-        "exact,256,0.5,0.08,0.0,1,1328,439043,0,1\n"
-        "exact,256,0.5,0.08,0.0,2,540,166163,0,1\n",
+        "exact,256,0.5,0.08,0.0,1,417,169746,0,1\n"
+        "exact,256,0.5,0.08,0.0,2,818,342260,0,1\n",
     ),
     (
         (tournament, "K_SAMPLE", 10),
         ["exact", "--n", "256", "--phi", "0.3", "--trials", "2", "--seed", "1"],
-        "exact,256,0.3,0.08,0.0,1,761,257875,0,1\n"
-        "exact,256,0.3,0.08,0.0,2,607,199068,0,1\n",
+        "exact,256,0.3,0.08,0.0,1,496,206802,0,1\n"
+        "exact,256,0.3,0.08,0.0,2,725,262737,0,1\n",
     ),
 ]
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from gossipq import harness, tournament
+from gossipq import engine as engine_module, harness, tournament
 from gossipq.engine import BudgetExceededError, FailureModel, RoundEngine, SimConfig
 from gossipq.exact import exact_quantile
 from gossipq.schedules import (
     SHRINK_HIGH,
     SHRINK_LOW,
     bad_fraction_trace,
+    binomial_below,
 )
 from gossipq.tournament import (
     adoption_rounds,
@@ -439,6 +440,17 @@ def _reference_batch(values, good_prev, need, batch, engine, delta=1.0, median=F
     return picked, _reference_used(counts, need, coins), coins
 
 
+def _one_channel_batch(values, good_prev, need, batch, engine, delta=1.0, median=False):
+    """``_reference_batch`` in the channel form the tournament calls it in:
+    a ``(1, n)`` state and mask, and one ``delta`` per channel."""
+    (delta,) = np.broadcast_to(np.asarray(delta, dtype=float), (1,))
+    picked, used, coins = _reference_batch(
+        values[0], None if good_prev is None else good_prev[0], need, batch, engine,
+        float(delta), median)
+    picked = picked[np.newaxis] if median else picked[:, np.newaxis]
+    return picked, used[np.newaxis], None if coins is None else coins[np.newaxis]
+
+
 class TestPullBatchAgainstReference:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("need", [2, 3, 31])
@@ -550,7 +562,7 @@ class TestScheduledTrial:
         # drawn from the round stream, agree in law
         n, mu, seeds = 400, 0.5, range(200)
         runs = {}
-        for name, fn in (("batch", robust_pull_batch), ("loop", _reference_batch)):
+        for name, fn in (("batch", robust_pull_batch), ("loop", _one_channel_batch)):
             monkeypatch.setattr(tournament, "robust_pull_batch", fn)
             runs[name] = [robust_approx_quantile(
                 0.3, 0.05, 0, SimConfig(n=n, seed=seed,
@@ -810,19 +822,20 @@ class TestIdStateDtype:
         assert seen and set(seen) == {np.dtype(np.int32)}
 
     def test_self_quantile_compares_int64_ids(self, monkeypatch):
-        # every grid tournament runs an int32 state, yet the answers selfq
-        # compares with the nodes' int64 ids are int64 ids too
+        # the grid's one tournament runs an int32 state, a channel per grid
+        # point, yet the answers selfq compares with the nodes' int64 ids
+        # are int64 ids too
         seen = _record_state_dtypes(monkeypatch)
         answers = []
 
         def recording(*args, **kwargs):
             outputs, has_output, info = tournament._tournament_core(*args, **kwargs)
-            answers.append(outputs.dtype)
+            answers.append((outputs.shape, outputs.dtype))
             return outputs, has_output, info
 
         monkeypatch.setattr(harness, "_tournament_core", recording)
         _, ids, _, _ = harness.self_quantile(0.1, SimConfig(n=300, seed=2))
-        assert len(answers) == 9 and set(answers) == {ids.dtype} == {np.dtype(np.int64)}
+        assert answers == [((9, 300), ids.dtype)] and ids.dtype == np.dtype(np.int64)
         assert set(seen) == {np.dtype(np.int32)}
 
     FRONT_ENDS = {
@@ -885,3 +898,196 @@ class TestIdStateDtype:
         a, b = narrow[2], wide[2]
         assert (a.value, a.rounds, a.messages) == (b.value, b.rounds, b.messages)
         assert a.details == b.details
+
+
+# ---------------------------------------------------------------------------
+# the tournament over channels
+
+
+def _solo_short(engine, chance, index):
+    """The solo batch's short mask: one uniform per node from the round
+    stream, only when the chance picked for all (an int index) or some
+    chance of the table lies strictly between 0 and 1."""
+    if isinstance(index, int):
+        p = float(chance[index])
+        return engine.rng.random(engine.n) < p if 0.0 < p < 1.0 else np.full(engine.n, p >= 1.0)
+    if ((chance > 0.0) & (chance < 1.0)).any():
+        return engine.rng.random(engine.n) < chance[index]
+    return (chance >= 1.0)[index]
+
+
+def _solo_advance_batch(engine, batch, short_given_live, row):
+    """One tournament's batch on the engine, as it ran before the channels:
+    its rounds and messages, its short mask, and under "uniform" the message
+    total drawn as one multinomial per (row, short) class."""
+    assert engine.rounds + batch <= engine.config.max_rounds
+    engine.rounds += batch
+    model, n = engine.config.failure, engine.n
+    if not model.active:
+        engine.messages += n * batch
+        return _solo_short(engine, short_given_live[:, batch], row)
+    if model.mode == "scheduled":
+        live = np.full(n, batch, dtype=np.min_scalar_type(batch))
+        for _ in range(batch):
+            live -= engine_module.draw_failures(model, n, engine._failure_rng,
+                                                engine._schedule_rng)
+        engine.messages += int(live.sum())
+        return _solo_short(engine, short_given_live, (row, live))
+    pmf = engine_module._live_pmf(batch, model.mu)
+    lacking = pmf * short_given_live
+    short = _solo_short(engine, lacking.sum(axis=1), row)
+    sizes = np.zeros((len(lacking), 2), dtype=np.int64)  # [row, short]
+    if np.ndim(row):
+        sizes.flat[:] = np.bincount(2 * row + short, minlength=sizes.size)
+    else:
+        count = int(np.count_nonzero(short))
+        sizes[row] = n - count, count
+    live = np.arange(batch + 1)
+    for r, (kept_size, short_size) in enumerate(sizes):
+        for size, weights in ((kept_size, pmf - lacking[r]), (short_size, lacking[r])):
+            if size:
+                weights = np.maximum(weights, 0.0)
+                counts = engine._failure_rng.multinomial(size, weights / weights.sum())
+                engine.messages += int(live @ counts)
+    return short
+
+
+def _solo_pull_batch(values, good_prev, need, batch, engine, delta=1.0, median=False):
+    """One tournament's good-pull batch as it ran before the channels."""
+    n, rng = engine.n, engine.rng
+    coins = rng.random(n) < delta if delta < 1.0 else None
+    row = 1 if coins is None else coins.astype(np.intp)
+    good_values = values if good_prev is None else values[good_prev]
+    size = good_values.size
+    short = _solo_advance_batch(engine, batch, binomial_below(size / n, need, batch), row)
+    used = np.where(short, 0, need - 1 + row)
+    if not size:
+        return np.zeros((n,) if median else (need, n), dtype=values.dtype), used, coins
+    if median:
+        half = (need + 1) / 2
+        index = (size * rng.beta(half, half, size=n)).astype(np.intp)
+        return np.sort(good_values).take(np.minimum(index, size - 1)), used, coins
+    picked = np.empty((need, n), dtype=values.dtype)
+    step = max(1, tournament._PICK_BLOCK // n)
+    for start in range(0, need, step):
+        block = picked[start:start + step]
+        good_values.take(rng.integers(0, size, size=block.shape), out=block)
+    return picked, used, coins
+
+
+def _solo_tournament(ids, rank, eps, engine):
+    """One target's tournament as it ran before the channels: phase I on its
+    own schedule, phase II, the K-sample, each over its own batches."""
+    n = engine.n
+    plan = tournament_plan(rank, eps, n, tournament.K_SAMPLE, engine.config.failure.mu)
+    values, good, trace = ids.astype(np.int32), None, []
+
+    def keep(stepped, used):
+        ok = used > 0
+        return (stepped, None) if ok.all() else (np.where(ok, stepped, values), ok)
+
+    for delta in plan.sched1.delta:
+        picked, used, coins = _solo_pull_batch(values, good, 2, plan.batch1, engine, delta)
+        values, good = keep(phase1_step(picked[0], picked[1], plan.sched1.direction, coins),
+                            used)
+        trace.append(n if good is None else int(np.count_nonzero(good)))
+    for _ in range(plan.sched2.t):
+        picked, used, _ = _solo_pull_batch(values, good, 3, plan.batch2, engine)
+        values, good = keep(phase2_step(*picked), used)
+        trace.append(n if good is None else int(np.count_nonzero(good)))
+    outputs, used, _ = _solo_pull_batch(values, good, plan.k, plan.sample_batch, engine,
+                                        median=True)
+    return outputs.astype(np.int64), used > 0, trace
+
+
+def _streams(engine):
+    return [None if gen is None else gen.bit_generator.state
+            for gen in (engine.rng, engine._failure_rng, engine._schedule_rng)]
+
+
+class TestChannelTournament:
+    @pytest.mark.parametrize("failure", [
+        FailureModel(), FailureModel("uniform", 0.5, 3), FailureModel("scheduled", 0.5, 3),
+    ], ids=["mu0", "uniform-0.5", "scheduled-0.5"])
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
+    def test_one_channel_is_the_solo_tournament_draw_for_draw(self, failure, n, phi):
+        # outputs, answered masks, good traces, rounds, messages and every
+        # stream's state equal the solo reference's
+        ids = np.random.default_rng(n).permutation(n)
+        rank = clamped_rank(phi * n, n)
+        a, b = (RoundEngine(SimConfig(n=n, seed=7, failure=failure)) for _ in range(2))
+        outputs, has_output, trace = tournament._tournament_core(ids, [rank], 0.05, a)
+        ref_outputs, ref_has, ref_trace = _solo_tournament(ids, rank, 0.05, b)
+        assert outputs.shape == has_output.shape == (1, n)
+        assert np.array_equal(outputs[0], ref_outputs)
+        assert np.array_equal(has_output[0], ref_has)
+        assert trace == [ref_trace]
+        assert (a.rounds, a.messages) == (b.rounds, b.messages)
+        assert a.rounds == tournament_plan(rank, 0.05, n, tournament.K_SAMPLE, failure.mu).rounds
+        assert _streams(a) == _streams(b)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_each_channel_hits_its_window_as_often_as_solo(self, mu):
+        # exact's two bracket ends at n = 300, eps/2 = 0.04, over 400 seeds:
+        # a trial hits when every node that answered lies in the channel's
+        # window, and each channel of the two-channel run hits as often as
+        # its solo tournament on other seeds (Fisher p above 0.01 / 2)
+        n, eps, seeds = 300, 0.04, 400
+        ranks = [clamped_rank(0.46 * n, n), clamped_rank(0.54 * n, n)]
+        windows = [harness.rank_window(n, rank / n, eps) for rank in ranks]
+        hits = np.zeros((2, 2), dtype=np.int64)  # [lockstep, solo] x channel
+
+        def hit(outputs, has_output, window):
+            answered = outputs[has_output] + 1
+            return bool(((answered >= window[0]) & (answered <= window[1])).all())
+
+        for seed in range(seeds):
+            failure = FailureModel("uniform", mu, seed) if mu else FailureModel()
+            ids = np.random.default_rng(seed).permutation(n)
+            engine = RoundEngine(SimConfig(n=n, seed=seed, failure=failure))
+            outputs, has_output, _ = tournament._tournament_core(ids, ranks, eps, engine)
+            assert engine.rounds == tournament.lockstep_rounds(
+                [tournament_plan(rank, eps, n, tournament.K_SAMPLE, mu) for rank in ranks])
+            for c, (rank, window) in enumerate(zip(ranks, windows)):
+                hits[0, c] += hit(outputs[c], has_output[c], window)
+                solo = RoundEngine(SimConfig(n=n, seed=seed + 10**6, failure=failure))
+                out, has, _ = tournament._tournament_core(ids, [rank], eps, solo)
+                hits[1, c] += hit(out[0], has[0], window)
+        assert hits.min() > seeds / 2  # the windows are hit, and missed too
+        assert hits.max() < seeds
+        for c in range(2):
+            table = [[hits[0, c], seeds - hits[0, c]], [hits[1, c], seeds - hits[1, c]]]
+            assert stats.fisher_exact(table).pvalue > 0.01 / 2
+
+    def test_finished_channel_keeps_its_state_and_sends_nothing(self, monkeypatch):
+        # phi 0.1 runs more phase-I iterations than phi 0.3: once its
+        # schedule ends, the phi 0.3 channel steps no more, enters phase II
+        # with the state its last step left, and its ids leave the messages
+        n = 2000
+        ranks = [clamped_rank(0.1 * n, n), clamped_rank(0.3 * n, n)]
+        plans = [tournament_plan(rank, 0.05, n, tournament.K_SAMPLE, 0.0) for rank in ranks]
+        t1 = [p.sched1.t for p in plans]
+        assert t1[0] > t1[1] > 0
+        steps, phase2_inputs = [], []
+        real1, real2 = tournament.robust_phase1_iteration, tournament.robust_phase2_iteration
+
+        def phase1(values, *args):
+            steps.append(real1(values, *args)[0])
+            return steps[-1], None
+
+        def phase2(values, *args):
+            phase2_inputs.append(values.copy())
+            return real2(values, *args)
+
+        monkeypatch.setattr(tournament, "robust_phase1_iteration", phase1)
+        monkeypatch.setattr(tournament, "robust_phase2_iteration", phase2)
+        engine = RoundEngine(SimConfig(n=n, seed=3))
+        tournament._tournament_core(np.random.default_rng(3).permutation(n), ranks, 0.05, engine)
+        assert [len(step) for step in steps] == [2] * t1[1] + [1] * (t1[0] - t1[1])
+        assert np.array_equal(phase2_inputs[0][1], steps[t1[1] - 1][1])
+        assert np.array_equal(phase2_inputs[0][0], steps[-1][0])
+        # without failures a round carries one id per channel that steps
+        t2, sample_batch = plans[0].sched2.t, plans[0].sample_batch
+        assert engine.messages == n * (2 * sum(t1) + 2 * (3 * t2 + sample_batch))
+        assert engine.rounds == tournament.lockstep_rounds(plans)
